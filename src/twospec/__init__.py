@@ -48,8 +48,8 @@ from .kernel import (
     assemble_system,
     circuit_circle,
     circuit_real,
+    family_listing,
     iter_admissible,
-    kernel_basis_oracle,
     positive_weight,
 )
 from .oprl import (
@@ -63,6 +63,8 @@ from .oprl import (
 from .pipeline import (
     CircleSolution,
     RealSolution,
+    interlace,
+    reconstruct,
     reconstruct_circle,
     reconstruct_real,
 )

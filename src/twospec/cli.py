@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from . import files
 from .errors import (
@@ -23,21 +24,8 @@ from .errors import (
     TwospecError,
 )
 from .fuzz import run_fuzz
-from .interlacing import (
-    bands_circle,
-    bands_real,
-    check_interlace_circle,
-    check_interlace_real,
-)
-from .kernel import (
-    LIST_LIMIT,
-    WeightSelection,
-    admissible_size,
-    circuit_circle,
-    circuit_real,
-    iter_admissible,
-)
-from .pipeline import reconstruct_circle, reconstruct_real
+from .kernel import WeightSelection, family_listing, iter_admissible, setting_of
+from .pipeline import interlace, reconstruct
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -152,13 +140,11 @@ def _error_doc(code: str, message: str) -> dict:
     return {"schema": files.SCHEMA, "error": {"code": code, "message": message}}
 
 
-def _check_payload(problem: files.Problem) -> dict:
-    if problem.setting == "real":
-        verdict = check_interlace_real(problem.pair)
-        bands = bands_real(problem.pair, verdict) if verdict.accepted else None
-    else:
-        verdict = check_interlace_circle(problem.pair)
-        bands = bands_circle(problem.pair) if verdict.accepted else None
+def _cmd_check(problem: files.Problem, args) -> int:
+    try:
+        verdict, bands = interlace(problem.pair)
+    except InterlacingRejectedError as exc:
+        verdict = exc.verdict
     doc = {
         "schema": files.SCHEMA,
         "command": "check",
@@ -172,29 +158,13 @@ def _check_payload(problem: files.Problem) -> dict:
     else:
         doc["code"] = verdict.code
         doc["detail"] = verdict.detail
-    return doc
-
-
-def _cmd_check(problem: files.Problem, args) -> int:
-    doc = _check_payload(problem)
     _emit_doc(args, doc)
-    return EXIT_OK if doc["accepted"] else EXIT_REJECTED
+    return EXIT_OK if verdict.accepted else EXIT_REJECTED
 
 
 def _cmd_circuits(problem: files.Problem, args) -> int:
-    if problem.setting == "real":
-        verdict = check_interlace_real(problem.pair)
-        if not verdict.accepted:
-            raise InterlacingRejectedError(verdict)
-        bands = bands_real(problem.pair, verdict)
-        circuit = circuit_real
-    else:
-        verdict = check_interlace_circle(problem.pair)
-        if not verdict.accepted:
-            raise InterlacingRejectedError(verdict)
-        bands = bands_circle(problem.pair)
-        circuit = circuit_circle
-    size = admissible_size(bands)
+    _, bands = interlace(problem.pair)
+    size, family = family_listing(bands)
     doc = {
         "schema": files.SCHEMA,
         "command": "circuits",
@@ -202,27 +172,23 @@ def _cmd_circuits(problem: files.Problem, args) -> int:
         "bands": [list(b) for b in bands.bands],
         "family_size": size,
     }
-    if size <= LIST_LIMIT:
+    if family is not None:
+        circuit = setting_of(problem.pair).circuit
         doc["circuits"] = [
             {
                 "support": list(vec.support),
                 "weights": files._encode_real_seq(vec.weights),
             }
-            for vec in (circuit(problem.pair, s) for s in iter_admissible(bands))
+            for vec in (circuit(problem.pair, s) for s in family)
         ]
     else:
-        from itertools import islice
-
         doc["family_head"] = [list(s) for s in islice(iter_admissible(bands), 10)]
     _emit_doc(args, doc)
     return EXIT_OK
 
 
 def _cmd_reconstruct(problem: files.Problem, args) -> int:
-    if problem.setting == "real":
-        solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
-    else:
-        solution = reconstruct_circle(problem.pair, problem.selection, problem.profile)
+    solution = reconstruct(problem.pair, problem.selection, problem.profile)
     _emit_doc(args, files.encode_solution(solution, problem))
     return EXIT_OK if solution.report.verdict else EXIT_VERIFICATION
 
@@ -282,18 +248,7 @@ def main(argv=None) -> int:
         if args.command == "circuits":
             return _cmd_circuits(problem, args)
         return _cmd_reconstruct(problem, args)
-    except InterlacingRejectedError as exc:
-        _emit_doc(
-            args,
-            {
-                "schema": files.SCHEMA,
-                "accepted": False,
-                "code": exc.code,
-                "detail": str(exc),
-            },
-        )
-        return EXIT_REJECTED
-    except SharedPointError as exc:
+    except (InterlacingRejectedError, SharedPointError) as exc:
         _emit_doc(
             args,
             {

@@ -34,7 +34,7 @@ from .kernel import CircuitVector, WeightResult, WeightSelection
 from .oprl import JacobiData, RealMomentSequence
 from .pipeline import CircleSolution, RealSolution
 from .poly import MonicPolynomial
-from .popuc import PentadiagonalUnitary, TrigMomentSequence, VerblunskyData, _advance
+from .popuc import PentadiagonalUnitary, TrigMomentSequence, VerblunskyData
 from .verify import STANDARD, STRICT, Profile, VerificationReport
 
 SCHEMA = "v1"
@@ -342,10 +342,6 @@ def encode_solution(solution, problem: Problem) -> dict:
 # decoding (lossless round trip of SolutionFiles)
 
 
-def _decode_real(value, arithmetic):
-    return parse_real_value(value, arithmetic)
-
-
 def _decode_complex(obj) -> complex:
     return complex(float(str(obj["re"])), float(str(obj["im"])))
 
@@ -390,16 +386,17 @@ def decode_solution(doc: dict):
         if doc["admissible"]["family"] is not None
         else None
     )
-    report = _decode_report(doc["verification"])
-
     if setting == "real":
-        dec = lambda v: _decode_real(v, arithmetic)
-        pair = RealSpectrumPair(
-            xs=tuple(dec(v) for v in doc["problem"]["zn"]),
-            ys=tuple(dec(v) for v in doc["problem"]["zm"]),
-        )
-        circuits = doc["circuits"]
-        weight = WeightResult(
+        dec = lambda v: parse_real_value(v, arithmetic)
+    else:
+        dec = lambda v: float(str(v))
+    circuits = doc["circuits"]
+    common = dict(
+        verdict=verdict,
+        bands=bands,
+        family_size=doc["admissible"]["size"],
+        family=family,
+        weight=WeightResult(
             omega=tuple(dec(v) for v in doc["omega"]),
             strategy=doc["problem"]["weights"]["strategy"],
             family_size=doc["admissible"]["size"],
@@ -412,92 +409,57 @@ def decode_solution(doc: dict):
             )
             if circuits is not None
             else None,
-        )
-        jacobi = JacobiData(
-            beta=tuple(dec(v) for v in doc["recurrence"]["beta"]),
-            gamma=tuple(dec(v) for v in doc["recurrence"]["gamma"]),
-            polys=tuple(
-                MonicPolynomial(tuple(dec(v) for v in p)) for p in doc["polynomials"]
-            ),
-        )
+        ),
+        report=_decode_report(doc["verification"]),
+    )
+
+    if setting == "real":
         return RealSolution(
-            pair=pair,
-            verdict=verdict,
-            bands=bands,
-            family_size=doc["admissible"]["size"],
-            family=family,
-            weight=weight,
+            pair=RealSpectrumPair(
+                xs=tuple(dec(v) for v in doc["problem"]["zn"]),
+                ys=tuple(dec(v) for v in doc["problem"]["zm"]),
+            ),
             moments=RealMomentSequence(mu=tuple(dec(v) for v in doc["moments"])),
-            jacobi=jacobi,
-            report=report,
+            jacobi=JacobiData(
+                beta=tuple(dec(v) for v in doc["recurrence"]["beta"]),
+                gamma=tuple(dec(v) for v in doc["recurrence"]["gamma"]),
+                polys=tuple(
+                    MonicPolynomial(tuple(dec(v) for v in p))
+                    for p in doc["polynomials"]
+                ),
+            ),
+            **common,
         )
 
-    pair = CircleSpectrumPair(
-        zetas=tuple(_decode_complex(z) for z in doc["problem"]["zn"]),
-        xis=tuple(_decode_complex(z) for z in doc["problem"]["zm"]),
-        thetas=tuple(float(str(v)) for v in doc["problem"]["thetas"]),
-        phis=tuple(float(str(v)) for v in doc["problem"]["phis"]),
-    )
-    circuits = doc["circuits"]
-    weight = WeightResult(
-        omega=tuple(float(str(v)) for v in doc["omega"]),
-        strategy=doc["problem"]["weights"]["strategy"],
-        family_size=doc["admissible"]["size"],
-        circuits=tuple(
-            CircuitVector(
-                support=tuple(c["support"]),
-                weights=tuple(float(str(v)) for v in c["weights"]),
-            )
-            for c in circuits
+    def matrix(rows):
+        return PentadiagonalUnitary(
+            entries=tuple(tuple(_decode_complex(e) for e in row) for row in rows)
         )
-        if circuits is not None
-        else None,
-    )
-    alpha = tuple(_decode_complex(a) for a in doc["recurrence"]["alpha"])
-    phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
-    phis_list, phi_stars = [tuple(phi)], [tuple(phi_star)]
-    for a in alpha:
-        phi, phi_star = _advance(phi, phi_star, a)
-        phis_list.append(tuple(phi))
-        phi_stars.append(tuple(phi_star))
-    verblunsky = VerblunskyData(
-        alpha=alpha,
-        rho=tuple(float(str(v)) for v in doc["recurrence"]["rho"]),
-        b=_decode_complex(doc["recurrence"]["b_n"]),
-        phi=tuple(phis_list),
-        phi_star=tuple(phi_stars),
-    )
+
+    def poly(coeffs):
+        return MonicPolynomial(tuple(_decode_complex(c) for c in coeffs))
+
     return CircleSolution(
-        pair=pair,
-        verdict=verdict,
-        bands=bands,
-        family_size=doc["admissible"]["size"],
-        family=family,
-        weight=weight,
+        pair=CircleSpectrumPair(
+            zetas=tuple(_decode_complex(z) for z in doc["problem"]["zn"]),
+            xis=tuple(_decode_complex(z) for z in doc["problem"]["zm"]),
+            thetas=tuple(dec(v) for v in doc["problem"]["thetas"]),
+            phis=tuple(dec(v) for v in doc["problem"]["phis"]),
+        ),
         moments=TrigMomentSequence(
             mu=tuple(_decode_complex(c) for c in doc["moments"])
         ),
-        verblunsky=verblunsky,
+        verblunsky=VerblunskyData(
+            alpha=tuple(_decode_complex(a) for a in doc["recurrence"]["alpha"]),
+            rho=tuple(dec(v) for v in doc["recurrence"]["rho"]),
+            b=_decode_complex(doc["recurrence"]["b_n"]),
+        ),
         b_m=_decode_complex(doc["recurrence"]["b_m"]),
-        c_n=PentadiagonalUnitary(
-            entries=tuple(
-                tuple(_decode_complex(e) for e in row)
-                for row in doc["matrices"]["c_n"]
-            )
-        ),
-        c_m=PentadiagonalUnitary(
-            entries=tuple(
-                tuple(_decode_complex(e) for e in row)
-                for row in doc["matrices"]["c_m"]
-            )
-        ),
-        psi_n=MonicPolynomial(
-            tuple(_decode_complex(c) for c in doc["polynomials"]["psi_n"])
-        ),
-        psi_m=MonicPolynomial(
-            tuple(_decode_complex(c) for c in doc["polynomials"]["psi_m"])
-        ),
-        report=report,
+        c_n=matrix(doc["matrices"]["c_n"]),
+        c_m=matrix(doc["matrices"]["c_m"]),
+        psi_n=poly(doc["polynomials"]["psi_n"]),
+        psi_m=poly(doc["polynomials"]["psi_m"]),
+        **common,
     )
 
 
@@ -507,17 +469,14 @@ def emit_mathematica(problem: Problem) -> str:
     if problem.setting != "real":
         raise ProblemFormatError("notebook emission supports the real setting only")
 
-    def fmt(x):
-        return str(x)
-
-    zn = "{" + ", ".join(fmt(x) for x in problem.pair.xs) + "}"
-    zm = "{" + ", ".join(fmt(y) for y in problem.pair.ys) + "}"
+    zn = "{" + ", ".join(str(x) for x in problem.pair.xs) + "}"
+    zm = "{" + ", ".join(str(y) for y in problem.pair.ys) + "}"
     sel = problem.selection
     if sel.strategy == "sum_all":
         return f"OPRLFamily[{zn}, {zm}]"
     if sel.strategy == "coefficients":
         rules = ", ".join(
-            f"s[{j}] -> {fmt(v)}" for j, v in sorted(sel.coefficients.items())
+            f"s[{j}] -> {v}" for j, v in sorted(sel.coefficients.items())
         )
         return f"OPRLFamily[{zn}, {zm}, {{{rules}}}]"
     raise ProblemFormatError(

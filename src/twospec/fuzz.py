@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import TwospecError
 from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair, circle_pair_from_angles
 from .kernel import WeightSelection
-from .pipeline import reconstruct_circle, reconstruct_real
+from .pipeline import reconstruct
 from .verify import STANDARD, Profile
 
 
@@ -26,11 +26,16 @@ def random_real_instance(
     rng: random.Random, n: int, m: int, lo=-10.0, hi=10.0, min_gap=0.1
 ) -> RealSpectrumPair:
     """n nodes in [lo, hi] with gaps >= min_gap, and one y strictly inside
-    each of m distinct interior gaps (kept away from the gap ends)."""
-    while True:
-        xs = sorted(rng.uniform(lo, hi) for _ in range(n))
-        if all(xs[i + 1] - xs[i] >= min_gap for i in range(n - 1)):
-            break
+    each of m distinct interior gaps (kept away from the gap ends).
+
+    The nodes are sorted uniforms conditioned on the gaps, drawn without
+    rejection: sorted uniforms on the slack, the i-th raised by i*min_gap.
+    """
+    slack = hi - lo - (n - 1) * min_gap
+    if slack < 0:
+        raise ValueError(f"{n} nodes {min_gap} apart do not fit in [{lo}, {hi}]")
+    offsets = sorted(rng.uniform(0.0, slack) for _ in range(n))
+    xs = [lo + i * min_gap + u for i, u in enumerate(offsets)]
     gaps = sorted(rng.sample(range(n - 1), m))
     ys = []
     for g in gaps:
@@ -158,7 +163,8 @@ def run_fuzz(
 ) -> FuzzReport:
     """Generate `count` strictly interlacing instances, reconstruct and
     verify each; failures carry reproduction seeds."""
-    if setting not in ("real", "circle"):
+    generators = {"real": random_real_instance, "circle": random_circle_instance}
+    if setting not in generators:
         raise ValueError(f"unknown setting {setting!r}")
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
@@ -168,12 +174,8 @@ def run_fuzz(
         tag = f"{seed}:{i}"
         rng = _rng(seed, i)
         try:
-            if setting == "real":
-                pair = random_real_instance(rng, n, m)
-                solution = reconstruct_real(pair, selection, profile)
-            else:
-                pair = random_circle_instance(rng, n, m)
-                solution = reconstruct_circle(pair, selection, profile)
+            pair = generators[setting](rng, n, m)
+            solution = reconstruct(pair, selection, profile)
             if solution.report.verdict:
                 passed += 1
             else:

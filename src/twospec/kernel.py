@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
+from typing import Callable
 
 from .errors import (
     DegenerateAngleError,
     NegativeCoefficientError,
     NotCoveredError,
-    RankDeficientError,
     SharedPointError,
 )
 from .interlacing import (
@@ -29,8 +29,12 @@ from .interlacing import (
     BandDecomposition,
     CircleSpectrumPair,
     RealSpectrumPair,
+    bands_circle,
+    bands_real,
+    check_interlace_circle,
+    check_interlace_real,
 )
-from .linalg import rref_nullspace
+from .scalars import is_exact_scalar
 
 REAL = "real"
 CIRCLE = "circle"
@@ -51,10 +55,9 @@ _SIN_TOL = POINT_TOL / 2  # |sin(d/2)| matching the chord tolerance
 
 @dataclass(frozen=True)
 class SystemMatrix:
-    """Dense coefficient matrix of the kernel system, with its setting tag."""
+    """Dense coefficient matrix of the kernel system."""
 
     entries: tuple
-    setting: str
     shape: tuple
 
     @property
@@ -123,17 +126,9 @@ def _product_at(roots, x):
     return acc
 
 
-def assemble_system(pair, setting=None) -> SystemMatrix:
+def assemble_system(pair) -> SystemMatrix:
     """Build the Vandermonde-type system annihilated by admissible weights."""
-    if isinstance(pair, RealSpectrumPair):
-        if setting not in (None, REAL):
-            raise ValueError("setting does not match the pair")
-        return _assemble_real(pair)
-    if isinstance(pair, CircleSpectrumPair):
-        if setting not in (None, CIRCLE):
-            raise ValueError("setting does not match the pair")
-        return _assemble_circle(pair)
-    raise TypeError("expected a RealSpectrumPair or CircleSpectrumPair")
+    return setting_of(pair).system(pair)
 
 
 def _assemble_real(pair: RealSpectrumPair) -> SystemMatrix:
@@ -148,7 +143,7 @@ def _assemble_real(pair: RealSpectrumPair) -> SystemMatrix:
         rows.append(tuple(pw[j] * pmx[j] for j in range(n)))
         if k + 1 < m:
             pw = [pw[j] * pair.xs[j] for j in range(n)]
-    return SystemMatrix(entries=tuple(rows), setting=REAL, shape=(m, n))
+    return SystemMatrix(entries=tuple(rows), shape=(m, n))
 
 
 def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
@@ -164,7 +159,7 @@ def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
         rows.append(tuple(pw[j] * diag[j] for j in range(n)))
         if k + 1 < m - 1:
             pw = [pw[j] * pair.zetas[j] for j in range(n)]
-    return SystemMatrix(entries=tuple(rows), setting=CIRCLE, shape=(m - 1, n))
+    return SystemMatrix(entries=tuple(rows), shape=(m - 1, n))
 
 
 def admissible_size(bands: BandDecomposition) -> int:
@@ -206,6 +201,13 @@ def admissible_family(bands: BandDecomposition) -> tuple:
     return tuple(iter_admissible(bands))
 
 
+def family_listing(bands: BandDecomposition) -> tuple:
+    """``(size, family)``; the family is listed only when it has at most
+    LIST_LIMIT members, and is ``None`` above that."""
+    size = admissible_size(bands)
+    return size, admissible_family(bands) if size <= LIST_LIMIT else None
+
+
 def circuit_real(pair: RealSpectrumPair, support) -> CircuitVector:
     """Sparse kernel element on a size-(m+1) support.
 
@@ -219,7 +221,9 @@ def circuit_real(pair: RealSpectrumPair, support) -> CircuitVector:
         raise ValueError("support must hold m+1 distinct indices")
     if not (1 <= support[0] and support[-1] <= pair.n):
         raise ValueError("support indices must lie in 1..n")
-    weights = [0] * pair.n
+    # Off-support zeros in the pair's scalar field: "0" in rational output,
+    # 0.0 in binary64; the sign flip below leaves them untouched.
+    weights = [0 if is_exact_scalar(pair.xs[0]) else 0.0] * pair.n
     for j in support:
         x = pair.xs[j - 1]
         pmx = _product_at(pair.ys, x)
@@ -233,7 +237,8 @@ def circuit_real(pair: RealSpectrumPair, support) -> CircuitVector:
             raise ValueError("duplicate nodes in support")
         weights[j - 1] = 1 / (pmx * qprime)
     if sum(_sign(weights[j - 1]) for j in support) < 0:
-        weights = [-w for w in weights]
+        for j in support:
+            weights[j - 1] = -weights[j - 1]
     return CircuitVector(support=support, weights=tuple(weights))
 
 
@@ -271,16 +276,8 @@ def circuit_circle(pair: CircleSpectrumPair, support) -> CircuitVector:
     return CircuitVector(support=support, weights=tuple(weights))
 
 
-def _circuit_fn(pair):
-    if isinstance(pair, RealSpectrumPair):
-        return circuit_real
-    if isinstance(pair, CircleSpectrumPair):
-        return circuit_circle
-    raise TypeError("expected a RealSpectrumPair or CircleSpectrumPair")
-
-
 def positive_weight(
-    pair, bands: BandDecomposition, selection: WeightSelection, list_limit=LIST_LIMIT
+    pair, bands: BandDecomposition, selection: WeightSelection
 ) -> WeightResult:
     """Combine admissible circuits into one strictly positive kernel vector.
 
@@ -291,7 +288,7 @@ def positive_weight(
     through j (the first index of every other band).
     """
     n = pair.n
-    circuit = _circuit_fn(pair)
+    circuit = setting_of(pair).circuit
     size = admissible_size(bands)
     omega = [0] * n
     recorded = []
@@ -301,13 +298,13 @@ def positive_weight(
             omega[j - 1] = omega[j - 1] + coeff * vec.weights[j - 1]
 
     if selection.strategy == SUM_ALL:
-        record = size <= list_limit
-        for support in iter_admissible(bands):
+        family = family_listing(bands)[1]
+        for support in iter_admissible(bands) if family is None else family:
             vec = circuit(pair, support)
             add(vec)
-            if record:
+            if family is not None:
                 recorded.append(vec)
-        circuits = tuple(recorded) if record else None
+        circuits = None if family is None else tuple(recorded)
     elif selection.strategy == COEFFICIENTS:
         coeffs = dict(selection.coefficients or {})
         for jdx, value in coeffs.items():
@@ -356,20 +353,33 @@ def positive_weight(
     )
 
 
-def kernel_basis_oracle(system: SystemMatrix) -> list:
-    """Independent nullspace basis by generic row reduction.
+@dataclass(frozen=True)
+class Setting:
+    """The per-setting steps of the construction: the interlacing check,
+    the band decomposition of an accepted pair, the kernel system and the
+    circuit on one support."""
 
-    The dimension must come out as cols - rows (n - m on the line,
-    n - m + 1 on the circle); a larger kernel means duplicated nodes or
-    shared points upstream.
-    """
-    rows, cols = system.shape
-    exact = all(
-        not isinstance(e, (float, complex)) for r in system.entries for e in r
-    )
-    basis = rref_nullspace(system.entries, cols, tol=0.0 if exact else 1e-12)
-    if len(basis) != cols - rows:
-        raise RankDeficientError(
-            f"rank {cols - len(basis)} below row count {rows}"
-        )
-    return basis
+    name: str
+    check: Callable
+    bands: Callable
+    system: Callable
+    circuit: Callable
+
+
+_REAL = Setting(REAL, check_interlace_real, bands_real, _assemble_real, circuit_real)
+_CIRCLE = Setting(
+    CIRCLE,
+    check_interlace_circle,
+    lambda pair, verdict: bands_circle(pair),
+    _assemble_circle,
+    circuit_circle,
+)
+
+
+def setting_of(pair) -> Setting:
+    """The setting of a spectrum pair, chosen by its type."""
+    if isinstance(pair, RealSpectrumPair):
+        return _REAL
+    if isinstance(pair, CircleSpectrumPair):
+        return _CIRCLE
+    raise TypeError("expected a RealSpectrumPair or CircleSpectrumPair")

@@ -100,8 +100,9 @@ def stieltjes(xs, omega) -> JacobiData:
     exact = is_exact_scalar(xs[0]) if n else True
 
     beta, gamma = [], []
-    values = [[1] * n]  # values[k][j] = P_k(x_j)
-    polys = [[1]]
+    one = 1 if exact else 1.0  # typed, so binary64 output holds no "1"
+    values = [[one] * n]  # values[k][j] = P_k(x_j)
+    polys = [[one]]
     norms = [sum(omega)]  # norms[k] = h_k
     if not norms[0] > 0:
         raise ZeroNormError("total mass is not positive")

@@ -2,7 +2,8 @@
 
 Each driver runs the full chain -- interlacing check, band decomposition,
 circuit combination, moments, recurrence recovery, matrix assembly -- and
-always attaches an independent verification report.
+always attaches an independent verification report.  ``interlace`` is the
+shared first step and ``reconstruct`` picks the driver from the pair.
 """
 
 from __future__ import annotations
@@ -15,18 +16,14 @@ from .interlacing import (
     CircleSpectrumPair,
     InterlacingVerdict,
     RealSpectrumPair,
-    bands_circle,
-    bands_real,
-    check_interlace_circle,
-    check_interlace_real,
 )
 from .kernel import (
-    LIST_LIMIT,
+    REAL,
     WeightResult,
     WeightSelection,
-    admissible_family,
-    admissible_size,
+    family_listing,
     positive_weight,
+    setting_of,
 )
 from .oprl import JacobiData, RealMomentSequence, moments_real, stieltjes
 from .poly import MonicPolynomial
@@ -74,10 +71,25 @@ class CircleSolution:
     report: VerificationReport
 
 
-def _family_listing(bands):
-    size = admissible_size(bands)
-    family = admissible_family(bands) if size <= LIST_LIMIT else None
-    return size, family
+def interlace(pair) -> tuple:
+    """``(verdict, bands)`` of a strictly interlacing pair in either
+    setting; raises InterlacingRejectedError otherwise."""
+    setting = setting_of(pair)
+    verdict = setting.check(pair)
+    if not verdict.accepted:
+        raise InterlacingRejectedError(verdict)
+    return verdict, setting.bands(pair, verdict)
+
+
+def _weighted(pair, selection):
+    """The steps both drivers share: interlacing, bands, the family listing
+    and the positive weight."""
+    verdict, bands = interlace(pair)
+    size, family = family_listing(bands)
+    weight = positive_weight(pair, bands, selection or WeightSelection())
+    return dict(
+        verdict=verdict, bands=bands, family_size=size, family=family, weight=weight
+    )
 
 
 def reconstruct_real(
@@ -87,26 +99,16 @@ def reconstruct_real(
 ) -> RealSolution:
     """Full real-line pipeline; raises InterlacingRejectedError when the
     prescribed sets do not strictly interlace."""
-    selection = selection or WeightSelection()
-    verdict = check_interlace_real(pair)
-    if not verdict.accepted:
-        raise InterlacingRejectedError(verdict)
-    bands = bands_real(pair, verdict)
-    weight = positive_weight(pair, bands, selection)
-    moments = moments_real(pair.xs, weight.omega)
-    jacobi = stieltjes(pair.xs, weight.omega)
-    report = verify_oprl(pair, weight.omega, jacobi, profile)
-    size, family = _family_listing(bands)
+    common = _weighted(pair, selection)
+    omega = common["weight"].omega
+    moments = moments_real(pair.xs, omega)
+    jacobi = stieltjes(pair.xs, omega)
     return RealSolution(
         pair=pair,
-        verdict=verdict,
-        bands=bands,
-        family_size=size,
-        family=family,
-        weight=weight,
         moments=moments,
         jacobi=jacobi,
-        report=report,
+        report=verify_oprl(pair, omega, jacobi, profile),
+        **common,
     )
 
 
@@ -116,36 +118,30 @@ def reconstruct_circle(
     profile=STANDARD,
 ) -> CircleSolution:
     """Full circle pipeline on a normalized pair."""
-    selection = selection or WeightSelection()
-    verdict = check_interlace_circle(pair)
-    if not verdict.accepted:
-        raise InterlacingRejectedError(verdict)
-    bands = bands_circle(pair)
-    weight = positive_weight(pair, bands, selection)
-    moments = trig_moments(pair.zetas, weight.omega)
-    data = verblunsky_from_moments(moments)
+    common = _weighted(pair, selection)
+    omega = common["weight"].omega
+    moments = trig_moments(pair.zetas, omega)
     b_n = boundary_param(pair.zetas)
     b_m = boundary_param(pair.xis)
-    data = replace(data, b=b_n)
+    data = replace(verblunsky_from_moments(moments), b=b_n)
     c_n = cmv_matrix(data.alpha, b_n)
     c_m = cmv_matrix(data.alpha[: pair.m - 1], b_m)
-    psi_n = szego_popuc(data.alpha, b_n, pair.n)
-    psi_m = szego_popuc(data.alpha, b_m, pair.m)
-    report = verify_popuc(pair, weight.omega, data, (c_n, c_m), profile)
-    size, family = _family_listing(bands)
     return CircleSolution(
         pair=pair,
-        verdict=verdict,
-        bands=bands,
-        family_size=size,
-        family=family,
-        weight=weight,
         moments=moments,
         verblunsky=data,
         b_m=b_m,
         c_n=c_n,
         c_m=c_m,
-        psi_n=psi_n,
-        psi_m=psi_m,
-        report=report,
+        psi_n=szego_popuc(data.alpha, b_n, pair.n),
+        psi_m=szego_popuc(data.alpha, b_m, pair.m),
+        report=verify_popuc(pair, omega, data, (c_n, c_m), profile),
+        **common,
     )
+
+
+def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD):
+    """Full pipeline of the pair's setting: a RealSolution or a
+    CircleSolution."""
+    driver = reconstruct_real if setting_of(pair).name == REAL else reconstruct_circle
+    return driver(pair, selection, profile)

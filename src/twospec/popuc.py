@@ -55,15 +55,22 @@ class TrigMomentSequence:
 @dataclass(frozen=True)
 class VerblunskyData:
     """Szego recurrence data: alpha_0..alpha_{n-2} in the open disk,
-    rho_k = sqrt(1 - |alpha_k|^2), the boundary parameter b (unimodular,
-    possibly unset while only the alpha part is known), and the monic
-    polynomials Phi_k with their reversals Phi*_k as coefficient tuples."""
+    rho_k = sqrt(1 - |alpha_k|^2), and the boundary parameter b (unimodular,
+    possibly unset while only the alpha part is known).  The monic
+    polynomials Phi_k and their reversals Phi*_k are derived from alpha on
+    first use, as coefficient tuples."""
 
     alpha: tuple
     rho: tuple
     b: complex | None
-    phi: tuple
-    phi_star: tuple
+
+    @cached_property
+    def phi(self) -> tuple:
+        return tuple(tuple(phi) for phi, _ in _szego(self.alpha))
+
+    @cached_property
+    def phi_star(self) -> tuple:
+        return tuple(tuple(phi_star) for _, phi_star in _szego(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,15 @@ def _advance(phi, phi_star, alpha_k):
     return nxt, nxt_star
 
 
+def _szego(alpha) -> list:
+    """[(Phi_0, Phi*_0), .., (Phi_k, Phi*_k)] for k = len(alpha), as
+    coefficient lists."""
+    steps = [([1.0 + 0.0j], [1.0 + 0.0j])]
+    for a in alpha:
+        steps.append(_advance(*steps[-1], complex(a)))
+    return steps
+
+
 def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyData:
     """Recover alpha_0..alpha_{count-1} (default: order of ``mu``) through
     the moment-functional recursion.
@@ -128,7 +144,6 @@ def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyDat
 
     mu0 = mu[0].real
     phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
-    phis, phi_stars = [tuple(phi)], [tuple(phi_star)]
     alpha, rho = [], []
     for k in range(count):
         den = functional(phi_star)
@@ -143,16 +158,7 @@ def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyDat
         alpha.append(a)
         rho.append(math.sqrt(1.0 - abs(a) ** 2))
         phi, phi_star = _advance(phi, phi_star, a)
-        phis.append(tuple(phi))
-        phi_stars.append(tuple(phi_star))
-
-    return VerblunskyData(
-        alpha=tuple(alpha),
-        rho=tuple(rho),
-        b=None,
-        phi=tuple(phis),
-        phi_star=tuple(phi_stars),
-    )
+    return VerblunskyData(alpha=tuple(alpha), rho=tuple(rho), b=None)
 
 
 def boundary_param(zs) -> complex:
@@ -181,9 +187,7 @@ def szego_popuc(alpha, b: complex, ell: int) -> MonicPolynomial:
     if len(alpha) < ell - 1:
         raise LengthMismatchError(f"need {ell - 1} alphas, got {len(alpha)}")
     _check_alpha(alpha[: ell - 1])
-    phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
-    for k in range(ell - 1):
-        phi, phi_star = _advance(phi, phi_star, complex(alpha[k]))
+    phi, phi_star = _szego(alpha[: ell - 1])[-1]
     psi = poly_sub(poly_shift(phi), poly_scale(phi_star, complex(b).conjugate()))
     return MonicPolynomial(tuple(psi))
 

@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass
 
 from . import kernel as _kernel
-from .errors import DimensionTooLargeError
+from .errors import DimensionTooLargeError, RankDeficientError
 from .interlacing import CircleSpectrumPair, RealSpectrumPair
 from .linalg import det_bareiss, det_lu, mat_vec, rref_nullspace, unitarity_defect
 from .oprl import JacobiData, charpoly_scale, eval_charpoly
 from .poly import MonicPolynomial, poly_add, poly_from_roots, poly_mul, poly_scale
 from .popuc import DISK_MARGIN, VerblunskyData, boundary_param, szego_popuc
+from .scalars import is_exact_scalar
 
 RATIONAL_MODE = "rational"
 FLOAT_MODE = "float64"
@@ -78,7 +79,7 @@ class VerificationReport:
 
 
 def _is_exact(values) -> bool:
-    return all(not isinstance(v, (float, complex)) for v in values)
+    return all(is_exact_scalar(v) for v in values)
 
 
 def _as_float(x) -> float:
@@ -251,21 +252,21 @@ def _shifted(rows, z):
     ]
 
 
-def brute_nullspace(matrix, tol=None):
-    """Nullspace basis by generic row reduction.
+def brute_nullspace(system):
+    """Nullspace basis of a SystemMatrix by generic row reduction: exact
+    pivots for exact entries, a 1e-12 relative pivot threshold for floating
+    ones.
 
-    Accepts a SystemMatrix or raw rows; with ``tol`` unset, exact entries
-    get exact comparisons and floating entries get a 1e-12 relative pivot
-    threshold.
+    The dimension must come out as cols - rows (n - m on the line,
+    n - m + 1 on the circle); a larger kernel means duplicated nodes or
+    shared points upstream and raises RankDeficientError.
     """
-    if hasattr(matrix, "entries"):
-        rows, ncols = matrix.entries, matrix.cols
-    else:
-        rows = tuple(tuple(r) for r in matrix)
-        ncols = len(rows[0]) if rows else 0
-    if tol is None:
-        tol = 0.0 if _is_exact([e for r in rows for e in r]) else 1e-12
-    return rref_nullspace(rows, ncols, tol=tol)
+    rows, cols = system.shape
+    exact = _is_exact(e for row in system.entries for e in row)
+    basis = rref_nullspace(system.entries, cols, tol=0.0 if exact else 1e-12)
+    if len(basis) != cols - rows:
+        raise RankDeficientError(f"rank {cols - len(basis)} below row count {rows}")
+    return basis
 
 
 def brute_charpoly(matrix, k: int) -> MonicPolynomial:

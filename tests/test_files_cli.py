@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -110,6 +111,26 @@ class TestSolutionRoundTrip:
         text = files.dumps_canonical(files.encode_solution(solution, problem))
         back = files.decode_solution(files.loads_document(text))
         assert back == solution
+
+    def test_real_float_values_are_numbers(self):
+        problem = files.load_problem(dict(REAL_DOC, arithmetic="float64"))
+        solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
+        doc = json.loads(files.dumps_canonical(files.encode_solution(solution, problem)))
+
+        def leaves(value):
+            if isinstance(value, dict):
+                for v in value.values():
+                    yield from leaves(v)
+            elif isinstance(value, list):
+                for v in value:
+                    yield from leaves(v)
+            else:
+                yield value
+
+        keys = ("omega", "circuits", "polynomials", "recurrence", "moments", "matrices")
+        values = [v for key in keys for v in leaves(doc[key])]
+        assert 0.0 in values and 1.0 in values
+        assert all(type(v) in (int, float) for v in values)
 
     def test_circle(self):
         problem = files.load_problem(CIRCLE_DOC)
@@ -275,6 +296,22 @@ class TestCli:
         assert doc["family_size"] == 2
         assert doc["circuits"][0]["support"] == [1, 2, 4]
         assert doc["circuits"][0]["weights"] == ["4/15", "2/3", "0", "2/15"]
+
+    def test_circuits_above_list_limit(self, tmp_path):
+        # eleven two-node bands: 2**11 = 2048 members, above LIST_LIMIT
+        doc_in = dict(
+            REAL_DOC,
+            zn=[str(k) for k in range(1, 23)],
+            zm=[f"{2 * k + 1}/2" for k in range(2, 22, 2)],
+        )
+        code, text = run_cli(tmp_path, doc_in, "circuits")
+        doc = json.loads(text)
+        assert code == 0
+        assert doc["bands"] == [[2 * r + 1, 2 * r + 2] for r in range(11)]
+        assert doc["family_size"] == 2048
+        assert "circuits" not in doc
+        family = sorted(itertools.product(*doc["bands"]))
+        assert doc["family_head"] == [list(s) for s in family[:10]]
 
     def test_circuits_consecutive_degrees(self, tmp_path):
         doc_in = dict(

@@ -55,6 +55,21 @@ class TestVerifyReal:
             assert value <= 1e-9
 
 
+class TestRandomRealInstance:
+    def test_many_nodes_returns_with_gaps_inside_range(self):
+        # 200 nodes 0.1 apart leave a slack of only 0.1 in [-10, 10]
+        pair = random_real_instance(_rng(0, 0), 200, 50, lo=-10.0, hi=10.0, min_gap=0.1)
+        xs = pair.xs
+        assert len(xs) == 200
+        assert -10.0 <= xs[0] and xs[-1] <= 10.0
+        assert all(b - a >= 0.1 for a, b in zip(xs, xs[1:]))
+        assert twospec.check_interlace_real(pair).accepted
+
+    def test_nodes_that_cannot_fit_are_refused(self):
+        with pytest.raises(ValueError):
+            random_real_instance(_rng(0, 0), 12, 3, lo=0.0, hi=1.0, min_gap=0.1)
+
+
 class TestVerifyCircle:
     def test_golden_reconstruction(self, circle_3_2):
         sol = twospec.reconstruct_circle(circle_3_2, profile=STRICT)
