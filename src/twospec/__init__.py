@@ -15,6 +15,7 @@ from .errors import (
     InterlacingRejectedError,
     LengthMismatchError,
     NegativeCoefficientError,
+    NonpositiveWeightError,
     NotCoveredError,
     NotUnitModulusError,
     ProblemFormatError,

@@ -40,6 +40,10 @@ class NegativeCoefficientError(TwospecError):
     code = "NEGATIVE_COEFFICIENT"
 
 
+class NonpositiveWeightError(TwospecError):
+    code = "NONPOSITIVE_WEIGHT"
+
+
 class AlphaOutOfDiskError(TwospecError):
     code = "ALPHA_OUT_OF_DISK"
 

@@ -8,7 +8,9 @@ The real-line system has entries ``A[k][j] = x_j^k * P_m(x_j)`` for
 barycentric-weight formulas; a circuit supported on one index per band is
 entrywise nonnegative after the global sign choice, and conical
 combinations of those circuits that cover every index are exactly the
-strictly positive solutions.
+strictly positive solutions.  The sum of the whole one-per-band family
+factors over the bands, so the default weight is computed in closed form in
+O(n^2) whatever the family size.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable
 from .errors import (
     DegenerateAngleError,
     NegativeCoefficientError,
+    NonpositiveWeightError,
     NotCoveredError,
     SharedPointError,
 )
@@ -44,10 +47,8 @@ COEFFICIENTS = "coefficients"
 COVER = "cover"
 STRATEGIES = (SUM_ALL, COEFFICIENTS, COVER)
 
-# Above this family size the admissible family is never materialized:
-# sum_all streams circuits and coefficients must be sparse.
-STREAM_LIMIT = 10**6
-# Families at most this large are recorded circuit-by-circuit in results.
+# Families at most this large are listed, and recorded circuit-by-circuit in
+# results; larger ones are only counted or indexed, never enumerated.
 LIST_LIMIT = 1000
 
 _SIN_TOL = POINT_TOL / 2  # |sin(d/2)| matching the chord tolerance
@@ -99,8 +100,8 @@ class WeightSelection:
 class WeightResult:
     """A strictly positive kernel solution and the circuits that built it.
 
-    ``circuits`` is ``None`` when the family was streamed instead of
-    materialized (size above LIST_LIMIT).
+    ``circuits`` is ``None`` for a sum_all weight whose family has more than
+    LIST_LIMIT members: its closed form needs no circuit, so none is built.
     """
 
     omega: tuple
@@ -163,16 +164,12 @@ def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
 
 
 def admissible_size(bands: BandDecomposition) -> int:
-    size = 1
-    for b in bands.bands:
-        size *= len(b)
-    return size
+    return math.prod(len(b) for b in bands.bands)
 
 
 def iter_admissible(bands: BandDecomposition):
     """Admissible supports in lexicographic order (by band, then index)."""
-    for combo in _cartesian(*bands.bands):
-        yield tuple(combo)
+    return _cartesian(*bands.bands)
 
 
 def admissible_at(bands: BandDecomposition, k: int) -> tuple:
@@ -189,23 +186,24 @@ def admissible_at(bands: BandDecomposition, k: int) -> tuple:
 def admissible_family(bands: BandDecomposition) -> tuple:
     """The full family of one-index-per-band supports.
 
-    Each tuple is ascending (bands are consecutive runs); refuse to
-    materialize families above STREAM_LIMIT.
+    Each tuple is ascending (bands are consecutive runs); families above
+    LIST_LIMIT are refused: iterate with iter_admissible or index with
+    admissible_at instead.
     """
-    size = admissible_size(bands)
-    if size > STREAM_LIMIT:
+    size, family = family_listing(bands)
+    if family is None:
         raise ValueError(
             f"admissible family has {size} members; iterate with "
             "iter_admissible instead"
         )
-    return tuple(iter_admissible(bands))
+    return family
 
 
 def family_listing(bands: BandDecomposition) -> tuple:
     """``(size, family)``; the family is listed only when it has at most
     LIST_LIMIT members, and is ``None`` above that."""
     size = admissible_size(bands)
-    return size, admissible_family(bands) if size <= LIST_LIMIT else None
+    return size, tuple(iter_admissible(bands)) if size <= LIST_LIMIT else None
 
 
 def circuit_real(pair: RealSpectrumPair, support) -> CircuitVector:
@@ -276,35 +274,68 @@ def circuit_circle(pair: CircleSpectrumPair, support) -> CircuitVector:
     return CircuitVector(support=support, weights=tuple(weights))
 
 
+def _sum_all_omega(pair, setting, bands: BandDecomposition, band_of: dict) -> list:
+    """The sum of every admissible circuit, in O(n^2) without building one.
+
+    The entries of a one-per-band circuit share one sign, so the entry at j
+    is 1 / (|P_m(x_j)| prod_{i in S, i != j} d(x_j, x_i)) and the sum
+    factors over the bands: omega_j = (1 / |P_m(x_j)|) prod_{r != band(j)}
+    sum_{i in I_r} 1 / d(x_j, x_i), with d the setting's distance.
+    """
+    nodes, points = setting.coords(pair)
+    dist, tol = setting.dist, setting.dist_tol
+    omega = []
+    for j, x in enumerate(nodes):
+        factors = [dist(x, y) for y in points]
+        pm = math.prod(factors)
+        if pm == 0 or min(factors) <= tol:
+            raise SharedPointError(f"node {j} coincides with an m-set point")
+        acc = 1
+        for r, band in enumerate(bands.bands):
+            if r == band_of[j + 1]:
+                continue
+            ds = [dist(x, nodes[i - 1]) for i in band]
+            if min(ds) <= tol:
+                raise DegenerateAngleError(f"node {j} coincides with a node of band {r}")
+            acc *= sum([1 / d for d in ds])
+        omega.append(acc / pm)
+    return omega
+
+
 def positive_weight(
     pair, bands: BandDecomposition, selection: WeightSelection
 ) -> WeightResult:
     """Combine admissible circuits into one strictly positive kernel vector.
 
-    sum_all adds every admissible circuit with coefficient 1 (streamed when
-    the family is large); coefficients takes the first circuit plus the
-    user-weighted ones and validates that every index is covered by a
-    positively weighted circuit; cover adds, for each index j, one circuit
-    through j (the first index of every other band).
+    sum_all is the sum of every admissible circuit with coefficient 1, taken
+    in closed form (the circuits themselves are built only to be recorded,
+    for families of at most LIST_LIMIT members); coefficients takes the first
+    circuit plus the user-weighted ones and validates that every index is
+    covered by a positively weighted circuit; cover adds, for each index j,
+    one circuit through j (the first index of every other band).  Raises
+    NonpositiveWeightError when an entry is not positive and finite, as when
+    circuit entries under- or overflow binary64.
     """
     n = pair.n
-    circuit = setting_of(pair).circuit
+    setting = setting_of(pair)
+    circuit = setting.circuit
     size = admissible_size(bands)
+    band_of = {j: r for r, b in enumerate(bands.bands) for j in b}
     omega = [0] * n
-    recorded = []
 
-    def add(vec: CircuitVector, coeff=1):
-        for j in vec.support:
-            omega[j - 1] = omega[j - 1] + coeff * vec.weights[j - 1]
+    def combine(chosen):
+        vecs = []
+        for coeff, support in chosen:
+            vec = circuit(pair, support)
+            for j in vec.support:
+                omega[j - 1] = omega[j - 1] + coeff * vec.weights[j - 1]
+            vecs.append(vec)
+        return tuple(vecs)
 
     if selection.strategy == SUM_ALL:
+        omega = _sum_all_omega(pair, setting, bands, band_of)
         family = family_listing(bands)[1]
-        for support in iter_admissible(bands) if family is None else family:
-            vec = circuit(pair, support)
-            add(vec)
-            if family is not None:
-                recorded.append(vec)
-        circuits = None if family is None else tuple(recorded)
+        circuits = None if family is None else tuple(circuit(pair, s) for s in family)
     elif selection.strategy == COEFFICIENTS:
         coeffs = dict(selection.coefficients or {})
         for jdx, value in coeffs.items():
@@ -312,68 +343,58 @@ def positive_weight(
                 raise ValueError(f"no parameter s{jdx} for a family of size {size}")
             if value < 0:
                 raise NegativeCoefficientError(f"s{jdx} is negative")
-        chosen = [(1, admissible_at(bands, 0))]
-        for jdx in sorted(coeffs):
-            if coeffs[jdx] > 0:
-                chosen.append((coeffs[jdx], admissible_at(bands, jdx)))
-        covered = set()
-        for _, support in chosen:
-            covered.update(support)
+        chosen = [(1, admissible_at(bands, 0))] + [
+            (c, admissible_at(bands, k)) for k, c in sorted(coeffs.items()) if c > 0
+        ]
+        covered = {j for _, support in chosen for j in support}
         missing = sorted(set(range(1, n + 1)) - covered)
         if missing:
             raise NotCoveredError(
                 f"index {missing[0]} is not covered by a positively "
                 "weighted circuit"
             )
-        for coeff, support in chosen:
-            vec = circuit(pair, support)
-            add(vec, coeff)
-            recorded.append(vec)
-        circuits = tuple(recorded)
+        circuits = combine(chosen)
     else:  # COVER
         firsts = [b[0] for b in bands.bands]
-        band_of = {}
-        for r, b in enumerate(bands.bands):
-            for j in b:
-                band_of[j] = r
-        for j in range(1, n + 1):
-            support = list(firsts)
-            support[band_of[j]] = j
-            vec = circuit(pair, tuple(support))
-            add(vec)
-            recorded.append(vec)
-        circuits = tuple(recorded)
+        circuits = combine(
+            (1, tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)))
+            for j in range(1, n + 1)
+        )
 
-    assert all(w > 0 for w in omega), "positive cone combination failed"
-    return WeightResult(
-        omega=tuple(omega),
-        strategy=selection.strategy,
-        family_size=size,
-        circuits=circuits,
-    )
+    # A Fraction compared with inf is never converted to float (no overflow).
+    for j, w in enumerate(omega):
+        if not 0 < w < math.inf:
+            raise NonpositiveWeightError(f"omega[{j}] is not positive and finite")
+    return WeightResult(tuple(omega), selection.strategy, size, circuits)
 
 
 @dataclass(frozen=True)
 class Setting:
     """The per-setting steps of the construction: the interlacing check,
-    the band decomposition of an accepted pair, the kernel system and the
-    circuit on one support."""
+    the band decomposition of an accepted pair, the kernel system, the
+    circuit on one support, and the pieces of the closed-form sum_all
+    weight: the node and m-set coordinates, their distance, and the
+    distance at or below which two points coincide."""
 
     name: str
     check: Callable
     bands: Callable
     system: Callable
     circuit: Callable
+    coords: Callable
+    dist: Callable
+    dist_tol: float
 
 
-_REAL = Setting(REAL, check_interlace_real, bands_real, _assemble_real, circuit_real)
+_REAL = Setting(
+    REAL, check_interlace_real, bands_real, _assemble_real, circuit_real,
+    lambda pair: (pair.xs, pair.ys), lambda x, y: abs(x - y), 0,
+)  # fmt: skip
 _CIRCLE = Setting(
-    CIRCLE,
-    check_interlace_circle,
-    lambda pair, verdict: bands_circle(pair),
-    _assemble_circle,
-    circuit_circle,
-)
+    CIRCLE, check_interlace_circle, lambda pair, verdict: bands_circle(pair),
+    _assemble_circle, circuit_circle, lambda pair: (pair.thetas, pair.phis),
+    lambda x, y: abs(math.sin((x - y) / 2.0)), _SIN_TOL,
+)  # fmt: skip
 
 
 def setting_of(pair) -> Setting:

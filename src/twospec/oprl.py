@@ -15,6 +15,7 @@ rational arithmetic and avoids ill-conditioned Hankel matrices in binary64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import LengthMismatchError, ZeroNormError
@@ -160,8 +161,9 @@ def jacobi_matrix(data: JacobiData) -> tuple:
     """Dense n-by-n monic-recurrence layout: beta diagonal, 1 superdiagonal,
     gamma subdiagonal."""
     n = data.n
-    zero = data.beta[0] * 0
-    one = zero + 1
+    # From the scalar field: beta[0] * 0 is -0.0 in binary64 when beta[0] < 0.
+    exact = is_exact_scalar(data.beta[0])
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     rows = []
     for i in range(n):
         row = [zero] * n

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import twospec
-from twospec import cli, files
+from twospec import cli, files, fuzz
 from twospec.pipeline import reconstruct_circle, reconstruct_real
 
 REAL_DOC = {
@@ -362,6 +363,32 @@ class TestCli:
         assert code == 4
         assert doc["failed"] == 3
         assert [f["seed"] for f in doc["failures"]] == ["1:0", "1:1", "1:2"]
+
+    @pytest.mark.parametrize("strategy", ["sum_all", "cover"])
+    def test_underflowing_weight_exit_3(self, tmp_path, strategy):
+        pair = fuzz.random_real_instance(
+            random.Random(1), 120, 60, lo=-1000.0, hi=1000.0
+        )
+        doc = {
+            "schema": "v1",
+            "setting": "real",
+            "arithmetic": "float64",
+            "zn": list(pair.xs),
+            "zm": list(pair.ys),
+        }
+        code, text = run_cli(tmp_path, doc, "reconstruct", "--strategy", strategy)
+        assert code == 3
+        assert json.loads(text)["error"]["code"] == "NONPOSITIVE_WEIGHT"
+
+    def test_fuzz_sum_all_family_of_millions(self, tmp_path):
+        # n=60, m=30: 3,317,760 admissible circuits under the default sum_all
+        out = tmp_path / "fuzz.json"
+        code = cli.main(
+            "fuzz --setting real --n 60 --m 30 --count 2 --seed 7".split()
+            + ["-o", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["passed"] == 2
 
     def test_missing_input_exit_3(self, tmp_path, capsys):
         code = cli.main(["check"])

@@ -1,9 +1,12 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import twospec
+from twospec import fuzz
 from twospec.kernel import COEFFICIENTS, COVER, SUM_ALL
 from twospec.linalg import mat_vec
 
@@ -300,3 +303,84 @@ class TestKernelOracle:
                 rref_nullspace(stacked, len(basis[0]))
             )
             assert rank_stacked == rank_basis
+
+
+def _exact_line_instance(rng):
+    """Integer nodes with rational zeros in distinct gaps."""
+    n = rng.randint(3, 9)
+    m = rng.randint(1, n - 1)
+    xs = sorted(rng.sample(range(-40, 40), n))
+    gaps = sorted(rng.sample(range(n - 1), m))
+    ys = [xs[g] + F(rng.randint(1, 9), 10) * (xs[g + 1] - xs[g]) for g in gaps]
+    return twospec.RealSpectrumPair(xs=tuple(F(x) for x in xs), ys=tuple(ys))
+
+
+def _enumerated_sum(pair, bands, circuit):
+    omega = [0] * pair.n
+    for support in twospec.iter_admissible(bands):
+        vec = circuit(pair, support)
+        for j in support:
+            omega[j - 1] += vec.weights[j - 1]
+    return omega
+
+
+def _normalized(omega):
+    total = sum(omega)
+    return [w / total for w in omega]
+
+
+class TestSumAllClosedForm:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_exact_line_equals_enumerated_sum(self, seed):
+        pair = _exact_line_instance(random.Random(seed))
+        bands = _bands(pair)
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
+        assert all(isinstance(w, F) for w in result.omega)
+        assert list(result.omega) == _enumerated_sum(pair, bands, twospec.circuit_real)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("setting", ["real", "circle"])
+    def test_float_matches_enumerated_sum(self, setting, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        m = rng.randint(1, min(6, n - 1))
+        generate = {"real": fuzz.random_real_instance, "circle": fuzz.random_circle_instance}
+        pair = generate[setting](rng, n, m)
+        bands = _bands(pair)
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
+        circuit = twospec.kernel.setting_of(pair).circuit
+        want = _normalized(_enumerated_sum(pair, bands, circuit))
+        assert _normalized(result.omega) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_huge_family_builds_no_circuit(self, monkeypatch):
+        # 80 nodes against 39 zeros: 40 bands of two nodes, 2**40 circuits
+        pair = twospec.RealSpectrumPair(
+            xs=tuple(float(i) for i in range(80)),
+            ys=tuple(2 * k + 1.5 for k in range(39)),
+        )
+        bands = _bands(pair)
+        assert bands.sizes == (2,) * 40
+
+        def no_circuit(pair, support):
+            raise AssertionError("a circuit was built")
+
+        setting = replace(twospec.kernel.setting_of(pair), circuit=no_circuit)
+        monkeypatch.setattr(twospec.kernel, "setting_of", lambda pair: setting)
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
+        assert result.circuits is None
+        assert result.family_size == 2**40
+        assert all(w > 0 for w in result.omega)
+
+
+class TestNonpositiveWeight:
+    @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
+    def test_underflowing_entries_raise_a_coded_error(self, strategy):
+        # n=120 nodes spread over [-1000, 1000]: circuit entries underflow to 0
+        pair = fuzz.random_real_instance(
+            random.Random(1), 120, 60, lo=-1000.0, hi=1000.0
+        )
+        bands = _bands(pair)
+        selection = twospec.WeightSelection(strategy=strategy)
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.positive_weight(pair, bands, selection)
+        assert info.value.code == "NONPOSITIVE_WEIGHT"

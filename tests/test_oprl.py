@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -160,3 +161,20 @@ class TestEvalCharpoly:
             tuple(float(x) for x in NODES), tuple(float(w) for w in W_DEFAULT)
         )
         assert charpoly_scale(data, 4, 2.0) >= 1.0
+
+
+class TestJacobiMatrixZeros:
+    def test_float_off_band_zeros_are_positive(self):
+        pair = twospec.RealSpectrumPair(xs=(-4.0, -3.0, -1.0, 0.5), ys=(-3.5, -0.2))
+        data = twospec.reconstruct_real(pair).jacobi
+        assert data.beta[0] < 0
+        mat = twospec.jacobi_matrix(data)
+        for i, row in enumerate(mat):
+            for j, entry in enumerate(row):
+                if abs(i - j) > 1:
+                    assert entry == 0.0 and math.copysign(1.0, entry) > 0
+
+    def test_exact_zeros_stay_rational(self):
+        data = twospec.stieltjes(NODES, W_DEFAULT)
+        mat = twospec.jacobi_matrix(data)
+        assert type(mat[0][2]) is F and type(mat[0][1]) is F
