@@ -61,7 +61,7 @@ def loads_document(text: str) -> dict:
     exact."""
     try:
         return json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
 
 
@@ -77,9 +77,9 @@ def parse_real_value(value, arithmetic):
             exact = Fraction(str(value))
         else:
             exact = Fraction(value) if not isinstance(value, str) else Fraction(value.strip())
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return exact if arithmetic == RATIONAL else float(exact)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ProblemFormatError(f"cannot parse real value {value!r}") from exc
-    return exact if arithmetic == RATIONAL else float(exact)
 
 
 def parse_angle_text(text: str) -> float:
@@ -94,26 +94,25 @@ def parse_angle_text(text: str) -> float:
         return -math.pi
     try:
         return float(Fraction(coef)) * math.pi
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ProblemFormatError(f"cannot parse angle {text!r}") from exc
 
 
 def parse_circle_value(value):
-    """Returns ("angle", radians) or ("point", complex)."""
-    if isinstance(value, dict):
-        try:
-            return "point", complex(float(str(value["re"])), float(str(value["im"])))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ProblemFormatError(f"bad circle point {value!r}") from exc
-    if isinstance(value, str):
-        if _PI_TEXT.match(value):
-            return "angle", parse_angle_text(value)
-        try:
-            return "angle", float(Fraction(value.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFormatError(f"cannot parse circle value {value!r}") from exc
-    if isinstance(value, (int, float)):
-        return "angle", float(value)
+    """Returns ("angle", radians) or ("point", complex), finite either way."""
+    if isinstance(value, str) and _PI_TEXT.match(value):
+        return "angle", parse_angle_text(value)
+
+    def finite(v):  # NaN, infinities and values beyond binary64 all raise
+        return float(Fraction(str(v).strip()))
+
+    try:
+        if isinstance(value, dict):
+            return "point", complex(finite(value["re"]), finite(value["im"]))
+        if isinstance(value, (str, int, float)):
+            return "angle", finite(value)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ProblemFormatError(f"cannot parse circle value {value!r}") from exc
     raise ProblemFormatError(f"cannot parse circle value {value!r}")
 
 
@@ -128,9 +127,12 @@ def parse_profile(value) -> Profile:
     if text == "standard":
         return STANDARD
     try:
-        return Profile.custom(float(text))
+        tolerance = float(text)
     except ValueError as exc:
         raise ProblemFormatError(f"unknown profile {value!r}") from exc
+    if not 0.0 <= tolerance < math.inf:  # NaN fails both comparisons
+        raise ProblemFormatError(f"profile tolerance {value!r} must be finite and >= 0")
+    return Profile.custom(tolerance)
 
 
 def parse_weights(doc, arithmetic) -> WeightSelection:
@@ -367,7 +369,8 @@ def _decode_report(doc) -> VerificationReport:
 
 
 def decode_solution(doc: dict):
-    """Rebuild a RealSolution / CircleSolution from its document."""
+    """Rebuild a RealSolution / CircleSolution from its document; the
+    solution derives the real-setting polynomials and rho, which are not read."""
     if doc.get("schema") != SCHEMA:
         raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
     setting = doc["setting"]
@@ -423,10 +426,6 @@ def decode_solution(doc: dict):
             jacobi=JacobiData(
                 beta=tuple(dec(v) for v in doc["recurrence"]["beta"]),
                 gamma=tuple(dec(v) for v in doc["recurrence"]["gamma"]),
-                polys=tuple(
-                    MonicPolynomial(tuple(dec(v) for v in p))
-                    for p in doc["polynomials"]
-                ),
             ),
             **common,
         )
@@ -451,7 +450,6 @@ def decode_solution(doc: dict):
         ),
         verblunsky=VerblunskyData(
             alpha=tuple(_decode_complex(a) for a in doc["recurrence"]["alpha"]),
-            rho=tuple(dec(v) for v in doc["recurrence"]["rho"]),
             b=_decode_complex(doc["recurrence"]["b_n"]),
         ),
         b_m=_decode_complex(doc["recurrence"]["b_m"]),

@@ -220,7 +220,7 @@ def normalize_circle(zetas_raw, xis_raw) -> CircleSpectrumPair:
         for i, z in enumerate(values):
             z = complex(z)
             r = abs(z)
-            if abs(r - 1.0) > UNIT_TOL:
+            if not abs(r - 1.0) <= UNIT_TOL:  # NaN fails too
                 raise NotUnitModulusError(f"{tag}[{i}] has modulus {r!r}")
             pts.append(z / r)
         return pts

@@ -25,6 +25,7 @@ from .errors import (
     NegativeCoefficientError,
     NonpositiveWeightError,
     NotCoveredError,
+    ProblemFormatError,
     SharedPointError,
 )
 from .interlacing import (
@@ -340,7 +341,7 @@ def positive_weight(
         coeffs = dict(selection.coefficients or {})
         for jdx, value in coeffs.items():
             if not (isinstance(jdx, int) and 1 <= jdx <= size - 1):
-                raise ValueError(f"no parameter s{jdx} for a family of size {size}")
+                raise ProblemFormatError(f"no parameter s{jdx} for a family of size {size}")
             if value < 0:
                 raise NegativeCoefficientError(f"s{jdx} is negative")
         chosen = [(1, admissible_at(bands, 0))] + [

@@ -2,10 +2,10 @@
 
 Given strictly positive weights on the real nodes, the discrete
 Gram-Schmidt (Stieltjes) recursion produces the recurrence coefficients
-beta_k, gamma_k and the monic family P_0..P_n; the n-by-n Jacobi matrix
-carries beta on the diagonal, ones on the superdiagonal and gamma on the
-subdiagonal, and its order-k leading block has characteristic polynomial
-P_k.
+beta_k, gamma_k.  They fix the rest: the monic family P_0..P_n follows by
+the three-term recurrence, and the n-by-n Jacobi matrix carries beta on the
+diagonal, ones above it and gamma below it; its order-k leading block has
+characteristic polynomial P_k.
 
 The inner product is the discrete sum  <p, q> = sum_j w_j p(x_j) q(x_j),
 never a moment-matrix factorization: it matches the construction exactly in
@@ -46,16 +46,29 @@ class RealMomentSequence:
 
 @dataclass(frozen=True)
 class JacobiData:
-    """Three-term recurrence output: beta_0..beta_{n-1}, gamma_1..gamma_{n-1}
-    (all positive), and the monic family P_0..P_n."""
+    """Three-term recurrence coefficients beta_0..beta_{n-1} and
+    gamma_1..gamma_{n-1} (all positive).  The monic family P_0..P_n and the
+    Jacobi matrix are derived from them on first use."""
 
     beta: tuple
     gamma: tuple
-    polys: tuple
 
     @property
     def n(self) -> int:
         return len(self.beta)
+
+    @cached_property
+    def polys(self) -> tuple:
+        """P_0..P_n from P_{k+1} = (x - beta_k) P_k - gamma_k P_{k-1}, with
+        coefficients in the scalar field of beta."""
+        exact = not self.beta or is_exact_scalar(self.beta[0])
+        p_prev, p = [], [Fraction(1) if exact else 1.0]  # typed: no "1" in binary64
+        out = [p]
+        for bk, gk in zip(self.beta, (0, *self.gamma)):  # P_{-1} = 0 absorbs gamma_0
+            nxt = poly_sub(poly_shift(p), poly_scale(p, bk))
+            p_prev, p = p, poly_sub(nxt, poly_scale(p_prev, gk))
+            out.append(p)
+        return tuple(MonicPolynomial(tuple(q)) for q in out)
 
     @cached_property
     def matrix(self) -> tuple:
@@ -84,15 +97,15 @@ def stieltjes(xs, omega) -> JacobiData:
 
     Per step: h_k = <P_k, P_k>, beta_k = <x P_k, P_k> / h_k,
     gamma_k = h_k / h_{k-1}, P_{k+1} = (x - beta_k) P_k - gamma_k P_{k-1}.
-    P_n always comes out as prod_j (x - x_j).  Exact when the inputs are
-    rational.  Node values of each P_k are carried along with the value
-    recurrence, so no Horner re-evaluation is needed.
+    Exact when the inputs are rational.  Only the node values P_k(x_j) are
+    carried, by the value recurrence; the polynomials P_k themselves are
+    derived from beta/gamma by ``JacobiData.polys``.
 
     In binary64 each new value vector is reorthogonalized against all
-    previous ones (coefficients corrected to match).  The corrections are
-    identically zero in exact arithmetic; without them, measures whose
-    weights span many orders of magnitude lose all orthogonality after a
-    few dozen steps.
+    previous ones.  The corrections are identically zero in exact
+    arithmetic; without them, measures whose weights span many orders of
+    magnitude lose all orthogonality after a few dozen steps, and
+    beta/gamma with it.
     """
     if len(omega) != len(xs):
         raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
@@ -101,15 +114,12 @@ def stieltjes(xs, omega) -> JacobiData:
     exact = is_exact_scalar(xs[0]) if n else True
 
     beta, gamma = [], []
-    one = 1 if exact else 1.0  # typed, so binary64 output holds no "1"
-    values = [[one] * n]  # values[k][j] = P_k(x_j)
-    polys = [[one]]
+    values = [[1] * n]  # values[k][j] = P_k(x_j)
     norms = [sum(omega)]  # norms[k] = h_k
     if not norms[0] > 0:
         raise ZeroNormError("total mass is not positive")
     h0 = norms[0]
     v_prev, v_cur = [0] * n, values[0]
-    p_prev, p_cur = None, polys[0]
 
     for k in range(n):
         h_cur = norms[k]
@@ -122,15 +132,10 @@ def stieltjes(xs, omega) -> JacobiData:
         bk = sum(omega[j] * xs[j] * v_cur[j] * v_cur[j] for j in range(n)) / h_cur
         beta.append(bk)
         if k == 0:
-            p_next = poly_sub(poly_shift(p_cur), poly_scale(p_cur, bk))
             v_next = [(xs[j] - bk) * v_cur[j] for j in range(n)]
         else:
             gk = h_cur / norms[k - 1]
             gamma.append(gk)
-            p_next = poly_sub(
-                poly_sub(poly_shift(p_cur), poly_scale(p_cur, bk)),
-                poly_scale(p_prev, gk),
-            )
             v_next = [(xs[j] - bk) * v_cur[j] - gk * v_prev[j] for j in range(n)]
         if not exact and k + 1 < n:
             for _ in range(2):  # "twice is enough" classical Gram-Schmidt
@@ -142,19 +147,12 @@ def stieltjes(xs, omega) -> JacobiData:
                     if c == 0.0:
                         continue
                     v_next = [v_next[j] - c * values[l][j] for j in range(n)]
-                    p_next = poly_sub(p_next, poly_scale(polys[l], c))
         values.append(v_next)
-        polys.append(p_next)
-        p_prev, p_cur = p_cur, p_next
         v_prev, v_cur = v_cur, v_next
         if k + 1 < n:
             norms.append(sum(omega[j] * v_cur[j] * v_cur[j] for j in range(n)))
 
-    return JacobiData(
-        beta=tuple(beta),
-        gamma=tuple(gamma),
-        polys=tuple(MonicPolynomial(tuple(p)) for p in polys),
-    )
+    return JacobiData(beta=tuple(beta), gamma=tuple(gamma))
 
 
 def jacobi_matrix(data: JacobiData) -> tuple:

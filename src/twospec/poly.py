@@ -86,10 +86,6 @@ class MonicPolynomial:
         if self.coeffs[-1] != 1:
             raise ValueError(f"leading coefficient must be 1, got {self.coeffs[-1]!r}")
 
-    @classmethod
-    def from_roots(cls, roots):
-        return cls(tuple(poly_from_roots(roots)))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -54,15 +54,18 @@ class TrigMomentSequence:
 
 @dataclass(frozen=True)
 class VerblunskyData:
-    """Szego recurrence data: alpha_0..alpha_{n-2} in the open disk,
-    rho_k = sqrt(1 - |alpha_k|^2), and the boundary parameter b (unimodular,
-    possibly unset while only the alpha part is known).  The monic
+    """Szego recurrence coefficients: alpha_0..alpha_{n-2} in the open disk
+    and the boundary parameter b (unimodular, possibly unset while only the
+    alpha part is known).  rho_k = sqrt(1 - |alpha_k|^2), the monic
     polynomials Phi_k and their reversals Phi*_k are derived from alpha on
-    first use, as coefficient tuples."""
+    first use, the polynomials as coefficient tuples."""
 
     alpha: tuple
-    rho: tuple
     b: complex | None
+
+    @cached_property
+    def rho(self) -> tuple:
+        return tuple(math.sqrt(1.0 - abs(a) ** 2) for a in self.alpha)
 
     @cached_property
     def phi(self) -> tuple:
@@ -144,7 +147,7 @@ def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyDat
 
     mu0 = mu[0].real
     phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
-    alpha, rho = [], []
+    alpha = []
     for k in range(count):
         den = functional(phi_star)
         if abs(den) <= DENOM_REL * mu0:
@@ -156,9 +159,8 @@ def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyDat
                 "support points"
             )
         alpha.append(a)
-        rho.append(math.sqrt(1.0 - abs(a) ** 2))
         phi, phi_star = _advance(phi, phi_star, a)
-    return VerblunskyData(alpha=tuple(alpha), rho=tuple(rho), b=None)
+    return VerblunskyData(alpha=tuple(alpha), b=None)
 
 
 def boundary_param(zs) -> complex:

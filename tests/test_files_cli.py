@@ -142,6 +142,23 @@ class TestSolutionRoundTrip:
         back = files.decode_solution(files.loads_document(text))
         assert back == solution
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            REAL_DOC,
+            dict(REAL_DOC, arithmetic="float64", weights={"strategy": "sum_all"}),
+            CIRCLE_DOC,
+        ],
+        ids=["rational", "float64_sum_all", "circle"],
+    )
+    def test_text_round_trip(self, doc):
+        # decode -> encode restores the text, derived polynomials and rho included
+        problem = files.load_problem(doc)
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        text = files.dumps_canonical(files.encode_solution(solution, problem))
+        back = files.decode_solution(files.loads_document(text))
+        assert files.dumps_canonical(files.encode_solution(back, problem)) == text
+
     def test_dump_is_byte_stable(self):
         problem = files.load_problem(REAL_DOC)
         solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
@@ -157,6 +174,45 @@ def run_cli(tmp_path, doc, *argv):
     out = tmp_path / "out.json"
     code = cli.main([*argv, "-i", str(path), "-o", str(out)])
     return code, out.read_text()
+
+
+def real_text(zn="1, 2, 3", zm="1.5", extra=""):
+    return (
+        '{"schema": "v1", "setting": "real", "arithmetic": "float64", '
+        f'"zn": [{zn}], "zm": [{zm}]{extra}}}'
+    )
+
+
+def circle_text(first):
+    return f'{{"schema": "v1", "setting": "circle", "zn": [{first}, 1, 2], "zm": [0.5]}}'
+
+
+# Problem documents holding numbers that are not finite or do not fit binary64.
+BAD_NUMBERS = {
+    "real_zn_1e400": (["reconstruct"], real_text(zn="1, 2, 1e400")),
+    "real_zm_1e400": (["reconstruct"], real_text(zm="1e400")),
+    "real_zn_nan": (["reconstruct"], real_text(zn="1, 2, NaN")),
+    "real_s1_1e400": (
+        ["reconstruct"],
+        real_text(extra=', "weights": {"coefficients": {"s1": 1e400}}'),
+    ),
+    "circle_angle_1e400": (["check"], circle_text('"1e400"')),
+    "circle_angle_1e400_pi": (["check"], circle_text('"1e400 pi"')),
+    "circle_angle_400_digits": (["check"], circle_text("1" + "0" * 400)),
+    "circle_angle_5000_digits": (["check"], circle_text("1" * 5000)),
+    "circle_nan_literal": (["check"], circle_text("NaN")),
+    "circle_infinity_literal": (["check"], circle_text("-Infinity")),
+    "circle_nan_point": (["check"], circle_text('{"re": "nan", "im": 0}')),
+    "circle_1e400_point": (["check"], circle_text('{"re": 1e400, "im": 0}')),
+    "profile_inf": (["reconstruct", "--profile", "inf"], real_text()),
+    "profile_nan": (["reconstruct", "--profile", "nan"], real_text()),
+    "profile_negative": (["reconstruct", "--profile=-1e-8"], real_text()),
+    "profile_nan_literal": (["reconstruct"], real_text(extra=', "profile": NaN')),
+    "fuzz_profile_inf": (
+        "fuzz --setting real --n 4 --m 1 --count 1 --profile inf".split(),
+        None,
+    ),
+}
 
 
 class TestCli:
@@ -394,6 +450,24 @@ class TestCli:
         code = cli.main(["check"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "BAD_PROBLEM"
+
+    @pytest.mark.parametrize("argv, text", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+    def test_bad_number_exit_3(self, tmp_path, capsys, argv, text):
+        if text is not None:
+            path = tmp_path / "problem.json"
+            path.write_text(text)
+            argv = [*argv, "-i", str(path)]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "BAD_PROBLEM"
+        assert "NaN" not in out and "Infinity" not in out
+        assert err == ""
+
+    def test_parameter_outside_family_exit_3(self, tmp_path):
+        code, text = run_cli(tmp_path, REAL_DOC, "reconstruct", "--param", "s2=1")
+        assert code == 3
+        assert json.loads(text)["error"]["code"] == "BAD_PROBLEM"
 
     def test_emit_mathematica(self, tmp_path):
         code, text = run_cli(tmp_path, REAL_DOC, "reconstruct", "--emit-mathematica")

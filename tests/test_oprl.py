@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import twospec
-from twospec.oprl import charpoly_scale
+from twospec.fuzz import random_real_instance
+from twospec.oprl import JacobiData, charpoly_scale
 from twospec.poly import poly_from_roots
 
 W_DEFAULT = (F(2, 5), F(2, 3), F(2, 3), F(2, 5))
@@ -114,6 +116,42 @@ class TestStieltjes:
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((0, 1), (F(1, 2), F(-1, 2)))
+
+
+class TestDerivedPolys:
+    """P_0..P_n are a view of beta/gamma, not state carried by Stieltjes."""
+
+    def test_golden_family_from_coefficients_alone(self):
+        data = JacobiData(beta=(F(5, 2),) * 4, gamma=(F(1), F(15, 16), F(9, 16)))
+        assert data.polys == (
+            twospec.MonicPolynomial((1,)),
+            twospec.MonicPolynomial((F(-5, 2), 1)),
+            twospec.MonicPolynomial((F(21, 4), -5, 1)),
+            twospec.MonicPolynomial((F(-345, 32), F(269, 16), F(-15, 2), 1)),
+            twospec.MonicPolynomial((24, -50, 35, -10, 1)),
+        )
+
+    @pytest.fixture(scope="class")
+    def float_jacobi(self):
+        pair = random_real_instance(random.Random(5), 40, 12)
+        return twospec.reconstruct_real(pair).jacobi
+
+    def test_float_family_depends_on_coefficients_only(self, float_jacobi):
+        rebuilt = JacobiData(beta=float_jacobi.beta, gamma=float_jacobi.gamma)
+
+        def bits(polys):
+            return [[c.hex() for c in p.coeffs] for p in polys]
+
+        assert bits(rebuilt.polys) == bits(float_jacobi.polys)
+        assert all(type(c) is float for p in rebuilt.polys for c in p.coeffs)
+
+    def test_float_family_matches_leading_block_charpolys(self, float_jacobi):
+        for k in range(9):
+            char = twospec.brute_charpoly(float_jacobi.matrix, k).coeffs
+            got = float_jacobi.polys[k].coeffs
+            assert len(got) == len(char) == k + 1
+            scale = max(abs(c) for c in char)
+            assert max(abs(a - b) for a, b in zip(got, char)) <= 1e-12 * scale
 
 
 class TestJacobiMatrix:

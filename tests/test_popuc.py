@@ -58,6 +58,11 @@ class TestVerblunsky:
         assert data.rho[1] == pytest.approx(math.sqrt(2 * SQRT3 - 3), abs=1e-10)
         assert data.b is None
 
+    def test_rho_is_derived_from_alpha(self):
+        data = twospec.VerblunskyData(alpha=(0j, complex(1 - SQRT3)), b=1j)
+        assert data.rho == pytest.approx((1.0, math.sqrt(2 * SQRT3 - 3)), abs=1e-12)
+        assert data.rho[1] == math.sqrt(1.0 - abs(1 - SQRT3) ** 2)
+
     def test_symmetric_two_point_measure(self):
         mu = twospec.trig_moments((1 + 0j, -1 + 0j), (1.0, 1.0))
         data = twospec.verblunsky_from_moments(mu)
