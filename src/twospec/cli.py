@@ -174,13 +174,9 @@ def _cmd_circuits(problem: files.Problem, args) -> int:
     }
     if family is not None:
         circuit = setting_of(problem.pair).circuit
-        doc["circuits"] = [
-            {
-                "support": list(vec.support),
-                "weights": files._encode_real_seq(vec.weights),
-            }
-            for vec in (circuit(problem.pair, s) for s in family)
-        ]
+        doc["circuits"] = files._encode_circuits(
+            circuit(problem.pair, s) for s in family
+        )
     else:
         doc["family_head"] = [list(s) for s in islice(iter_admissible(bands), 10)]
     _emit_doc(args, doc)

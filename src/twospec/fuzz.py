@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import TwospecError
+from .errors import ProblemFormatError, TwospecError
 from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair, circle_pair_from_angles
 from .kernel import WeightSelection
 from .pipeline import reconstruct
@@ -56,6 +56,8 @@ def random_circle_instance(
     binary64 whatever the recovery algorithm.
     """
     spacing = TWO_PI / n
+    if not spacing > min_gap:  # equispaced gaps below min_gap: no draw fits
+        raise ValueError(f"{n} angles {min_gap} apart do not fit on the circle")
     jitter = min(0.3, max(0.0, 0.5 - min_gap / spacing))
     shift = rng.uniform(0.0, TWO_PI)
     while True:
@@ -162,19 +164,25 @@ def run_fuzz(
     selection: WeightSelection | None = None,
 ) -> FuzzReport:
     """Generate `count` strictly interlacing instances, reconstruct and
-    verify each; failures carry reproduction seeds."""
+    verify each; failures carry reproduction seeds.  ProblemFormatError for
+    a size that cannot be drawn: a negative count, m outside 1..n-1, or n
+    nodes the generator cannot place (it refuses before drawing)."""
     generators = {"real": random_real_instance, "circle": random_circle_instance}
     if setting not in generators:
         raise ValueError(f"unknown setting {setting!r}")
+    if count < 0:
+        raise ProblemFormatError(f"count {count} is negative")
     if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
+        raise ProblemFormatError(f"need 1 <= m < n, got n={n}, m={m}")
     failures = []
     passed = 0
     for i in range(count):
         tag = f"{seed}:{i}"
-        rng = _rng(seed, i)
         try:
-            pair = generators[setting](rng, n, m)
+            pair = generators[setting](_rng(seed, i), n, m)
+        except ValueError as exc:
+            raise ProblemFormatError(str(exc)) from exc
+        try:
             solution = reconstruct(pair, selection, profile)
             if solution.report.verdict:
                 passed += 1

@@ -233,9 +233,17 @@ def normalize_circle(zetas_raw, xis_raw) -> CircleSpectrumPair:
 
 
 def circle_pair_from_angles(thetas_raw, phis_raw) -> CircleSpectrumPair:
-    """Like :func:`normalize_circle` but from angles in radians."""
-    an = [float(a) % TWO_PI for a in thetas_raw]
-    am = [float(a) % TWO_PI for a in phis_raw]
+    """Like :func:`normalize_circle` but from angles in radians; a NaN or
+    infinite angle names no point of the circle (NotUnitModulusError)."""
+    def reduce(tag, values):
+        angles = [float(a) for a in values]
+        for i, a in enumerate(angles):
+            if not math.isfinite(a):
+                raise NotUnitModulusError(f"{tag}[{i}] has angle {a!r}")
+        return [a % TWO_PI for a in angles]
+
+    an = reduce("zn", thetas_raw)
+    am = reduce("zm", phis_raw)
     pn = [cmath.rect(1.0, a) for a in an]
     pm = [cmath.rect(1.0, a) for a in am]
     return _normalize(pn, an, pm, am)

@@ -1,15 +1,17 @@
 """Quadrature moments, the monic three-term recurrence, and Jacobi matrices.
 
-Given strictly positive weights on the real nodes, the discrete
-Gram-Schmidt (Stieltjes) recursion produces the recurrence coefficients
-beta_k, gamma_k.  They fix the rest: the monic family P_0..P_n follows by
-the three-term recurrence, and the n-by-n Jacobi matrix carries beta on the
-diagonal, ones above it and gamma below it; its order-k leading block has
-characteristic polynomial P_k.
+Given strictly positive weights on the real nodes, the recurrence
+coefficients beta_k, gamma_k of the discrete measure are rebuilt node by
+node by the square-root-free RKPW update, which solves this inverse
+eigenvalue problem for the Jacobi matrix with Givens rotations.  They fix
+the rest: the monic family P_0..P_n follows by the three-term recurrence,
+and the n-by-n Jacobi matrix carries beta on the diagonal, ones above it
+and gamma below it; its order-k leading block has characteristic
+polynomial P_k.
 
-The inner product is the discrete sum  <p, q> = sum_j w_j p(x_j) q(x_j),
-never a moment-matrix factorization: it matches the construction exactly in
-rational arithmetic and avoids ill-conditioned Hankel matrices in binary64.
+The coefficients come from the nodes and weights directly, never from a
+moment-matrix factorization: the update is exact in rational arithmetic and
+avoids ill-conditioned Hankel matrices in binary64.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ from functools import cached_property
 from .errors import LengthMismatchError, ZeroNormError
 from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub
 from .scalars import coerce_real_field, is_exact_scalar
-
-# Float-mode abort threshold: h_k at or below this multiple of h_0 signals
-# duplicated nodes or nonpositive weights.
-ZERO_NORM_REL = 1e-13
-
 
 @dataclass(frozen=True)
 class RealMomentSequence:
@@ -93,66 +90,51 @@ def moments_real(xs, omega, count=None) -> RealMomentSequence:
 
 
 def stieltjes(xs, omega) -> JacobiData:
-    """Discrete Gram-Schmidt on 1, x, x^2, ... against sum_j w_j delta_{x_j}.
+    """beta/gamma of sum_j w_j delta_{x_j}, rebuilt one node at a time.
 
-    Per step: h_k = <P_k, P_k>, beta_k = <x P_k, P_k> / h_k,
-    gamma_k = h_k / h_{k-1}, P_{k+1} = (x - beta_k) P_k - gamma_k P_{k-1}.
-    Exact when the inputs are rational.  Only the node values P_k(x_j) are
-    carried, by the value recurrence; the polynomials P_k themselves are
-    derived from beta/gamma by ``JacobiData.polys``.
-
-    In binary64 each new value vector is reorthogonalized against all
-    previous ones.  The corrections are identically zero in exact
-    arithmetic; without them, measures whose weights span many orders of
-    magnitude lose all orthogonality after a few dozen steps, and
-    beta/gamma with it.
+    RKPW (Gragg & Harrod, Numer. Math. 44 (1984); Gautschi, Orthogonal
+    Polynomials (2004), section 2.2.3): each added node borders the Jacobi
+    matrix of the measure so far, and Givens rotations in squared form
+    (gsq/sigsq: cosine/sine, pisq: bulge, gamma_k: off-diagonal, all squared)
+    chase the bulge down in O(k) with + - * / only: exact over ``Fraction``
+    (the discrete Stieltjes coefficients), accurate over binary64 with no
+    reorthogonalization.  ZeroNormError when the total mass or a weight is
+    not positive (for distinct nodes the Gram matrix of 1..x^{n-1} is
+    congruent to diag(omega), so exactly when some h_k = <P_k, P_k> is not),
+    or when a gamma_k is not (coincident nodes; NaN too).  No threshold.
     """
     if len(omega) != len(xs):
         raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
     xs, omega = coerce_real_field(xs, omega)
-    n = len(xs)
-    exact = is_exact_scalar(xs[0]) if n else True
-
-    beta, gamma = [], []
-    values = [[1] * n]  # values[k][j] = P_k(x_j)
-    norms = [sum(omega)]  # norms[k] = h_k
-    if not norms[0] > 0:
+    if not sum(omega) > 0:
         raise ZeroNormError("total mass is not positive")
-    h0 = norms[0]
-    v_prev, v_cur = [0] * n, values[0]
+    for j, w in enumerate(omega):
+        if not w > 0:
+            raise ZeroNormError(f"omega[{j}] is not positive")
 
-    for k in range(n):
-        h_cur = norms[k]
-        if exact:
-            if h_cur <= 0:
-                raise ZeroNormError(f"h_{k} is not positive")
-        elif not h_cur > ZERO_NORM_REL * h0:
-            raise ZeroNormError(f"h_{k} fell below {ZERO_NORM_REL} * h_0")
-
-        bk = sum(omega[j] * xs[j] * v_cur[j] * v_cur[j] for j in range(n)) / h_cur
-        beta.append(bk)
-        if k == 0:
-            v_next = [(xs[j] - bk) * v_cur[j] for j in range(n)]
-        else:
-            gk = h_cur / norms[k - 1]
-            gamma.append(gk)
-            v_next = [(xs[j] - bk) * v_cur[j] - gk * v_prev[j] for j in range(n)]
-        if not exact and k + 1 < n:
-            for _ in range(2):  # "twice is enough" classical Gram-Schmidt
-                for l in range(k + 1):
-                    c = (
-                        sum(omega[j] * v_next[j] * values[l][j] for j in range(n))
-                        / norms[l]
-                    )
-                    if c == 0.0:
-                        continue
-                    v_next = [v_next[j] - c * values[l][j] for j in range(n)]
-        values.append(v_next)
-        v_prev, v_cur = v_cur, v_next
-        if k + 1 < n:
-            norms.append(sum(omega[j] * v_cur[j] * v_cur[j] for j in range(n)))
-
-    return JacobiData(beta=tuple(beta), gamma=tuple(gamma))
+    zero = omega[0] * 0
+    beta, gamma = [xs[0]], [omega[0]]  # gamma[0]: the mass added so far
+    for m in range(1, len(xs)):
+        lam, pisq = xs[m], omega[m]
+        gsq, sigsq, t = zero + 1, zero, zero
+        beta.append(lam)
+        gamma.append(zero)
+        for k in range(m + 1):
+            rhosq = gamma[k] + pisq
+            old_gamma, old_sigsq = gamma[k], sigsq
+            gamma[k] = gsq * rhosq
+            if rhosq > 0:
+                gsq, sigsq = old_gamma / rhosq, pisq / rhosq
+            else:
+                gsq, sigsq = zero + 1, zero
+            tk = sigsq * (beta[k] - lam) - gsq * t
+            beta[k] -= tk - t
+            # sigsq = 0 after an exact t_k = 0 (symmetric measures): Gautschi's rule
+            pisq = tk * tk / sigsq if sigsq > 0 else old_sigsq * old_gamma
+            t = tk
+    if not all(g > 0 for g in gamma[1:]):
+        raise ZeroNormError("a gamma_k is not positive: coincident nodes")
+    return JacobiData(beta=tuple(beta), gamma=tuple(gamma[1:]))
 
 
 def jacobi_matrix(data: JacobiData) -> tuple:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -463,6 +464,26 @@ class TestCli:
         assert json.loads(out)["error"]["code"] == "BAD_PROBLEM"
         assert "NaN" not in out and "Infinity" not in out
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--setting real --n 5 --m 0",
+            "--setting real --n 3 --m 5",
+            "--setting real --n 300 --m 5",  # 300 nodes 0.1 apart overflow [-10, 10]
+            "--setting circle --n 700 --m 2",  # 2*pi/700 is below the 1e-2 gap
+            "--setting real --n 5 --m 2 --count -1",
+        ],
+    )
+    def test_fuzz_size_that_cannot_be_drawn_exit_3(self, capsys, argv):
+        start = time.perf_counter()
+        code = cli.main(["fuzz", *argv.split()])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "BAD_PROBLEM"
+        assert err == ""
+        assert elapsed < 1.0
 
     def test_parameter_outside_family_exit_3(self, tmp_path):
         code, text = run_cli(tmp_path, REAL_DOC, "reconstruct", "--param", "s2=1")

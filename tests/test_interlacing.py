@@ -142,6 +142,13 @@ class TestCircleNormalize:
         with pytest.raises(twospec.NotUnitModulusError):
             twospec.normalize_circle([2 + 0j, 1j], [1 + 0j])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_raises(self, bad):
+        with pytest.raises(twospec.NotUnitModulusError):
+            twospec.circle_pair_from_angles((bad, 1.0, 2.0), (0.5,))
+        with pytest.raises(twospec.NotUnitModulusError):
+            twospec.circle_pair_from_angles((0.0, 1.0, 2.0), (bad,))
+
 
 class TestCircleCheck:
     def test_two_band_acceptance(self, circle_3_2):

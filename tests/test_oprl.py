@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -107,6 +108,16 @@ class TestStieltjes:
         assert a.beta == b.beta and a.gamma == b.gamma
         assert all(p.coeffs == q.coeffs for p, q in zip(a.polys, b.polys))
 
+    def test_node_order_does_not_matter(self):
+        # a symmetric measure: some orders bring the bulge to exactly zero
+        xs, omega = (-2, -1, 0, 1, 2), (F(1, 3), 1, F(1, 2), 1, F(1, 3))
+        ref = twospec.stieltjes(xs, omega)
+        for order in itertools.permutations(range(5)):
+            data = twospec.stieltjes(
+                [xs[i] for i in order], [omega[i] for i in order]
+            )
+            assert data.beta == ref.beta and data.gamma == ref.gamma
+
     def test_zero_norm_on_duplicate_nodes(self):
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((1, 1, 2), (F(1, 3), F(1, 3), F(1, 3)))
@@ -116,6 +127,37 @@ class TestStieltjes:
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((0, 1), (F(1, 2), F(-1, 2)))
+        # one negative weight under a positive total mass
+        with pytest.raises(twospec.ZeroNormError):
+            twospec.stieltjes((0, 1, 2), (1, F(-1, 10), 1))
+        with pytest.raises(twospec.ZeroNormError):
+            twospec.stieltjes((0.0, 1.0, 2.0), (1.0, -0.1, 1.0))
+
+
+class TestBinary64Recurrence:
+    """The binary64 update against the exact one on the same inputs."""
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_exact_recurrence(self, n, seed):
+        pair = random_real_instance(random.Random(seed), n, n // 3)
+        bands = twospec.bands_real(pair, twospec.check_interlace_real(pair))
+        selection = twospec.WeightSelection(strategy="cover")
+        omega = twospec.positive_weight(pair, bands, selection).omega
+        approx = twospec.stieltjes(pair.xs, omega)
+        exact = twospec.stieltjes([F(x) for x in pair.xs], [F(w) for w in omega])
+        scale = max(abs(F(x)) for x in pair.xs)
+        for a, b in zip(approx.beta, exact.beta):
+            assert abs(F(a) - b) / scale <= 1e-12
+        for a, b in zip(approx.gamma, exact.gamma):
+            assert abs(F(a) - b) / b <= 1e-12
+
+    def test_clustered_nodes_reconstruct(self):
+        # 30 nodes in [-1, 1]: the norms h_k legitimately fall below 1e-13 h_0
+        pair = random_real_instance(
+            random.Random(1), 30, 10, lo=-1.0, hi=1.0, min_gap=0.01
+        )
+        assert twospec.reconstruct(pair).report.verdict
 
 
 class TestDerivedPolys:

@@ -69,6 +69,12 @@ class TestRandomRealInstance:
         with pytest.raises(ValueError):
             random_real_instance(_rng(0, 0), 12, 3, lo=0.0, hi=1.0, min_gap=0.1)
 
+    def test_angles_that_cannot_fit_are_refused(self):
+        # 2*pi/628 > 1e-2 > 2*pi/629: no draw of 629 angles keeps the gaps
+        assert random_circle_instance(_rng(0, 0), 628, 3).n == 628
+        with pytest.raises(ValueError):
+            random_circle_instance(_rng(0, 0), 629, 3)
+
 
 class TestVerifyCircle:
     def test_golden_reconstruction(self, circle_3_2):
