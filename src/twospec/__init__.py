@@ -18,6 +18,7 @@ from .errors import (
     NonpositiveWeightError,
     NotCoveredError,
     NotUnitModulusError,
+    NumberTooLargeError,
     ProblemFormatError,
     RankDeficientError,
     SharedPointError,

@@ -13,6 +13,7 @@ reconstruction error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from itertools import islice
 
@@ -215,15 +216,7 @@ def _cmd_fuzz(args) -> int:
         "tolerance": report.profile.tolerance,
         "passed": report.passed,
         "failed": len(report.failures),
-        "failures": [
-            {
-                "index": f.index,
-                "seed": f.seed,
-                "code": f.code,
-                "detail": f.detail,
-            }
-            for f in report.failures
-        ],
+        "failures": [dataclasses.asdict(f) for f in report.failures],
     }
     _emit_doc(args, doc)
     return EXIT_OK if report.ok else EXIT_VERIFICATION

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ProblemFormatError, UnsupportedArithmeticError
+from .errors import NumberTooLargeError, ProblemFormatError, UnsupportedArithmeticError
 from .interlacing import (
     BandDecomposition,
     CircleSpectrumPair,
@@ -217,9 +217,13 @@ def load_problem(doc: dict) -> Problem:
 
 
 def encode_real(x):
+    """NumberTooLargeError past Python's integer string-conversion limit."""
     if isinstance(x, float):
         return x
-    return str(x)
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise NumberTooLargeError("a rational exceeds the digits str() may write") from exc
 
 
 def encode_complex(z: complex) -> dict:

@@ -192,7 +192,7 @@ def run_fuzz(
                         index=i,
                         seed=tag,
                         code="VERIFICATION_FAILED",
-                        detail=f"report residuals exceed {profile.tolerance}",
+                        detail=", ".join(solution.report.failures),
                     )
                 )
         except TwospecError as exc:

@@ -71,40 +71,27 @@ def rref_nullspace(rows, ncols, tol=0.0):
 
 
 def det_lu(rows):
-    """Determinant by LU with partial pivoting.
-
-    Returns ``(det, pivots)`` with the pivot magnitudes in elimination
-    order; callers inspect them to flag ill-conditioned evaluations.  An
-    exactly singular matrix yields a zero determinant and a 0.0 pivot.
-    """
+    """Determinant by LU with partial pivoting; zero for an exactly
+    singular matrix."""
     n = len(rows)
-    if n == 0:
-        return 1, ()
     a = [list(r) for r in rows]
     det = 1
-    pivots = []
     for k in range(n):
-        best, best_row = -1.0, k
-        for i in range(k, n):
-            m = abs(a[i][k])
-            if m > best:
-                best, best_row = m, i
-        if best == 0:
-            pivots.append(0.0)
-            return a[0][0] * 0, tuple(pivots)
+        best_row = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[best_row][k] == 0:
+            return a[0][0] * 0
         if best_row != k:
             a[k], a[best_row] = a[best_row], a[k]
             det = -det
         piv = a[k][k]
         det = det * piv
-        pivots.append(abs(piv))
         for i in range(k + 1, n):
             f = a[i][k] / piv
             if f == 0:
                 continue
             for j in range(k + 1, n):
                 a[i][j] -= f * a[k][j]
-    return det, tuple(pivots)
+    return det
 
 
 def det_bareiss(rows):
@@ -134,12 +121,13 @@ def det_bareiss(rows):
 
 
 def unitarity_defect(rows):
-    """Frobenius norm of C C* - I."""
-    n = len(rows)
+    """Frobenius norm of C C* - I.  The row products run over nonzero
+    entries only (the others add zero), so banded matrices cost O(n^2)."""
+    nonzero = [{k: v for k, v in enumerate(r) if v != 0} for r in rows]
     acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            s = sum(rows[i][k] * rows[j][k].conjugate() for k in range(n))
+    for i, ri in enumerate(nonzero):
+        for j, rj in enumerate(nonzero):
+            s = sum(v * rj[k].conjugate() for k, v in ri.items() if k in rj)
             if i == j:
                 s = s - 1
             acc += abs(s) ** 2

@@ -170,16 +170,3 @@ def eval_charpoly(data: JacobiData, k: int, x):
         p_prev, p = p, nxt
     return p
 
-
-def charpoly_scale(data: JacobiData, k: int, x) -> float:
-    """Magnitude of the recurrence at ``x`` with all cancellation removed;
-    the natural scale against which a float-mode P_k(x) residual is
-    relative."""
-    ax = abs(float(x))
-    s_prev, s = 0.0, 1.0
-    for j in range(k):
-        nxt = (ax + abs(float(data.beta[j]))) * s
-        if j > 0:
-            nxt += abs(float(data.gamma[j - 1])) * s_prev
-        s_prev, s = s, nxt
-    return max(s, 1.0)

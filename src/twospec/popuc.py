@@ -198,8 +198,8 @@ def cmv_matrix(alpha, b: complex) -> PentadiagonalUnitary:
     """Unitary pentadiagonal matrix C(alpha_0, .., alpha_{n-2}, b), n =
     len(alpha) + 1.
 
-    Assembled as L * M over the extended parameter list (alpha_0, ...,
-    alpha_{n-2}, b) with rho_{n-1} = 0: Theta_k is the 2x2 block
+    Assembled as the banded product L * M over the extended parameter list
+    (alpha_0, ..., alpha_{n-2}, b) with rho_{n-1} = 0: Theta_k is the 2x2 block
     [[conj(a_k), rho_k], [rho_k, -a_k]] at rows (k, k+1), L holds the even-k
     blocks, M = [1] + odd-k blocks, and the leftover 1x1 slot (in L or M by
     parity) is [conj(b)].
@@ -213,8 +213,7 @@ def cmv_matrix(alpha, b: complex) -> PentadiagonalUnitary:
         rows = [[0.0 + 0.0j] * n for _ in range(n)]
         for d in range(start):
             rows[d][d] = 1.0 + 0.0j
-        k = start
-        while k < n:
+        for k in range(start, n, 2):
             if k + 1 < n:
                 a, r = params[k], rhos[k]
                 rows[k][k] = a.conjugate()
@@ -223,13 +222,17 @@ def cmv_matrix(alpha, b: complex) -> PentadiagonalUnitary:
                 rows[k + 1][k + 1] = -a
             else:
                 rows[k][k] = params[-1].conjugate()
-            k += 2
         return rows
 
     lf = factor(0)
     mf = factor(1)
-    prod = tuple(
-        tuple(sum(lf[i][t] * mf[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return PentadiagonalUnitary(entries=prod)
+    # Both factors are tridiagonal: entry (i, j) sums over t within one of
+    # i and of j, in increasing t; the terms left out are zeros.
+    prod = []
+    for i in range(n):
+        row = [0j] * n
+        for t in range(max(i - 1, 0), min(i + 2, n)):
+            for j in range(max(t - 1, 0), min(t + 2, n)):
+                row[j] += lf[i][t] * mf[t][j]
+        prod.append(tuple(row))
+    return PentadiagonalUnitary(entries=tuple(prod))

@@ -1,45 +1,49 @@
 """Independent verification of reconstructions, plus small brute-force
 oracles.
 
-Spectrum membership is certified by characteristic-polynomial residuals at
-the prescribed points, never by running an eigensolver: for an order-k
-matrix, sigma(M) = Z with |Z| = k iff the characteristic polynomial
-vanishes on Z, and the residual route avoids any eigenvalue matching
-ambiguity.
+The prescribed points are the spectrum of the order-k matrix iff its monic
+characteristic polynomial P_k vanishes at them, so each P_k is evaluated at
+its points by its recurrence (three-term beta/gamma on the line, Szego on
+alpha closed by b on the circle), never by an eigensolver.  Rational mode
+is exact: every gating residual must be zero.  Binary64 residuals are
+relative:
 
-In rational mode every check is exact (a report passes only with residuals
-identically zero); in float mode residuals are relative and compared
-against a tolerance profile:
+* kernel_residual   -- max |(A w)_k| / (||A||_inf ||w||_inf)
+* spectrum_residual -- max_j |P_k(z_j)| / prod_{i != j} |z_j - z_i| / g_j,
+  the first-order distance from z_j to the nearest zero of P_k in units of
+  g_j, the distance from z_j to its nearest other prescribed point of
+  either set (angular on the circle): at most tol means an eigenvalue
+  within tol * g_j of each point.  The recurrence is rescaled by powers of
+  two at each step and the product is summed as logarithms: no overflow.
+* unitarity_defect  -- circle: the larger of ||C C* - I||_F and the largest
+  entry deviation of C from the CMV product of (alpha, b), both matrices
+* poly_match_*      -- max coefficient deviation from the expanded zero
+  product / max(1, largest target coefficient); reported only, since a
+  monic degree-k polynomial vanishing at k distinct points is their product
 
-* kernel_residual  -- max |(A w)_k| / (||A||_inf ||w||_inf)
-* poly_match_*     -- max coefficient deviation / max(1, largest target
-                      coefficient magnitude)
-* spectrum_residual (line)   -- |P_k(x)| / cancellation-free recurrence scale
-* spectrum_residual (circle) -- raw max |det(z I - C)| (compared against
-                      tolerance * order; the matrix is unitary, so the
-                      determinant is already well scaled)
-* unitarity_defect -- Frobenius norm of C C* - I
+The verdict rule of both settings: coefficients_ok, and every gating
+residual (kernel, spectrum n and m, unitarity on the circle) at most the
+tolerance, zero in rational mode; a NaN or infinite one reads None and
+fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernel as _kernel
 from .errors import DimensionTooLargeError, RankDeficientError
-from .interlacing import CircleSpectrumPair, RealSpectrumPair
+from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair
 from .linalg import det_bareiss, det_lu, mat_vec, rref_nullspace, unitarity_defect
-from .oprl import JacobiData, charpoly_scale, eval_charpoly
+from .oprl import JacobiData, eval_charpoly
 from .poly import MonicPolynomial, poly_add, poly_from_roots, poly_mul, poly_scale
-from .popuc import DISK_MARGIN, VerblunskyData, boundary_param, szego_popuc
+from .popuc import DISK_MARGIN, VerblunskyData, boundary_param, cmv_matrix, szego_popuc
 from .scalars import is_exact_scalar
 
 RATIONAL_MODE = "rational"
 FLOAT_MODE = "float64"
 
-# Pivots below this during determinant evaluation attach a condition warning.
-SMALL_PIVOT = 1e-12
 # Cofactor-expansion oracles refuse orders above this.
 EXPANSION_LIMIT = 8
 
@@ -62,20 +66,23 @@ STANDARD = Profile("standard", 1e-8)
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Residuals certifying one reconstruction; ``verdict`` is True iff
-    every residual clears the profile (exactly zero in rational mode)."""
+    """Residuals certifying one reconstruction (None where not finite);
+    ``verdict`` is True iff ``failures`` is empty.  ``failures`` names each
+    failed check with its value, as in ``spectrum_residual_n=2.6e-08``; it
+    is not written to solution files.  ``warnings`` stays empty."""
 
     mode: str
     profile: Profile
-    kernel_residual: float
-    poly_match_n: float
-    poly_match_m: float
-    spectrum_residual_n: float
-    spectrum_residual_m: float
+    kernel_residual: float | None
+    poly_match_n: float | None
+    poly_match_m: float | None
+    spectrum_residual_n: float | None
+    spectrum_residual_m: float | None
     unitarity_defect: float | None
     coefficients_ok: bool
     verdict: bool
     warnings: tuple = ()
+    failures: tuple = field(default=(), compare=False)
 
 
 def _is_exact(values) -> bool:
@@ -87,6 +94,31 @@ def _as_float(x) -> float:
         return float(abs(x))
     except OverflowError:
         return math.inf
+
+
+def _finite(x):
+    v = math.nan if x is None else _as_float(x)
+    return v if math.isfinite(v) else None
+
+
+def _report(exact, profile, coefficients_ok, gating, poly_n, poly_m):
+    """The one verdict rule: ``coefficients_ok`` and every gating residual
+    at most the tolerance (zero in rational mode; NaN never is)."""
+    tol = 0 if exact else profile.tolerance
+    failures = tuple(
+        f"{name}={_as_float(r):.2g}" for name, r in gating.items() if not r <= tol
+    )
+    if not coefficients_ok:
+        failures = ("coefficients_ok=False",) + failures
+    values = dict(unitarity_defect=None, poly_match_n=poly_n, poly_match_m=poly_m)
+    return VerificationReport(
+        mode=RATIONAL_MODE if exact else FLOAT_MODE,
+        profile=profile,
+        coefficients_ok=coefficients_ok,
+        verdict=not failures,
+        failures=failures,
+        **{name: _finite(r) for name, r in {**values, **gating}.items()},
+    )
 
 
 def _kernel_residual(system, omega, exact):
@@ -101,66 +133,78 @@ def _kernel_residual(system, omega, exact):
 
 
 def _poly_residual(coeffs, target, exact):
-    width = max(len(coeffs), len(target))
-    diffs = [
-        (coeffs[i] if i < len(coeffs) else 0) - (target[i] if i < len(target) else 0)
-        for i in range(width)
-    ]
-    res = max(abs(d) for d in diffs)
-    if exact:
-        return res
-    scale = max(1.0, max(abs(t) for t in target))
-    return res / scale
+    res = max(abs(c - t) for c, t in zip(coeffs, target))
+    return res if exact else res / max(1.0, max(abs(t) for t in target))
+
+
+def _gaps(values, period=None):
+    """Distance from each value to its nearest other one, cyclic over
+    ``period`` when given."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    s = [values[i] for i in order]
+    edge = s[0] + period - s[-1] if period else math.inf
+    d = [edge] + [b - a for a, b in zip(s, s[1:])] + [edge]
+    return [g for _, g in sorted(zip(order, map(min, d, d[1:])))]
+
+
+def _worst(values):
+    """max, but NaN as soon as one value is NaN."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
+
+
+def _spectrum_residual(value, points, gaps):
+    """max_j |P(z_j)| / prod_{i != j} |z_j - z_i| / gaps[j], where
+    ``value(z)`` returns P(z) as (mantissa, power-of-two exponent); the
+    product is taken as a sum of logarithms."""
+
+    def term(j, z):
+        try:
+            p, e = value(z)
+            log_q = math.fsum(math.log2(abs(z - w)) for w in points[:j] + points[j + 1 :])
+            return abs(p) * 2.0 ** (e - log_q) / gaps[j]
+        except (OverflowError, ValueError, ZeroDivisionError):  # log2(0): a coincidence
+            return math.inf
+
+    return _worst(term(j, z) for j, z in enumerate(points))
 
 
 def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDARD):
     """Check a real-line reconstruction end to end.
 
     (a) the weight vector is annihilated by the Vandermonde-type system;
-    (b) P_n and P_m equal the prescribed zero products coefficientwise;
-    (c) the recurrence evaluation of P_n (resp. P_m) vanishes at every
-        prescribed point; (d) every gamma_k is positive.
+    (b) the recurrence evaluation of P_n (resp. P_m) vanishes at every
+        prescribed point, to the spectrum residual in binary64;
+    (c) every gamma_k is positive.  The coefficient match of P_n and P_m
+    against the zero products is reported only.
     """
     n, m = pair.n, pair.m
     exact = _is_exact(list(pair.xs) + list(pair.ys) + list(omega))
-    system = _kernel.assemble_system(pair)
-    kernel_res = _kernel_residual(system, omega, exact)
+    gamma = (0, *data.gamma)
 
-    target_n = poly_from_roots(pair.xs)
-    target_m = poly_from_roots(pair.ys)
-    poly_n = _poly_residual(data.polys[n].coeffs, target_n, exact)
-    poly_m = _poly_residual(data.polys[m].coeffs, target_m, exact)
+    def spectrum(k, points, gaps):
+        if exact:
+            return max(abs(eval_charpoly(data, k, x)) for x in points)
 
-    def spectrum(order, points):
-        worst = 0
-        for x in points:
-            r = abs(eval_charpoly(data, order, x))
-            if not exact:
-                r = r / charpoly_scale(data, order, x)
-            worst = max(worst, r)
-        return worst
+        def value(x):
+            u, v, e = 0.0, 1.0, 0  # 2**-e (P_{j-1}, P_j), 1/2 <= |P_j| < 1
+            for b, g in zip(data.beta[:k], gamma):
+                w, s = math.frexp((x - b) * v - g * u)
+                u, v, e = math.ldexp(v, -s), w, e + s
+            return v, e
 
-    spec_n = spectrum(n, pair.xs)
-    spec_m = spectrum(m, pair.ys)
+        return _spectrum_residual(value, points, gaps)
+
+    gaps = [] if exact else _gaps(pair.xs + pair.ys)
+    gating = {
+        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega, exact),
+        "spectrum_residual_n": spectrum(n, pair.xs, gaps[:n]),
+        "spectrum_residual_m": spectrum(m, pair.ys, gaps[n:]),
+    }
+    poly_n = _poly_residual(data.polys[n].coeffs, poly_from_roots(pair.xs), exact)
+    poly_m = _poly_residual(data.polys[m].coeffs, poly_from_roots(pair.ys), exact)
     coeff_ok = all(g > 0 for g in data.gamma)
-
-    residuals = (kernel_res, poly_n, poly_m, spec_n, spec_m)
-    if exact:
-        verdict = coeff_ok and all(r == 0 for r in residuals)
-    else:
-        verdict = coeff_ok and all(r <= profile.tolerance for r in residuals)
-    return VerificationReport(
-        mode=RATIONAL_MODE if exact else FLOAT_MODE,
-        profile=profile,
-        kernel_residual=_as_float(kernel_res),
-        poly_match_n=_as_float(poly_n),
-        poly_match_m=_as_float(poly_m),
-        spectrum_residual_n=_as_float(spec_n),
-        spectrum_residual_m=_as_float(spec_m),
-        unitarity_defect=None,
-        coefficients_ok=coeff_ok,
-        verdict=verdict,
-    )
+    return _report(exact, profile, coeff_ok, gating, poly_n, poly_m)
 
 
 def verify_popuc(
@@ -173,83 +217,56 @@ def verify_popuc(
     """Check a circle reconstruction end to end.
 
     (a) the real weight vector is annihilated by the complex system;
-    (b) Psi_n and Psi_m match the prescribed zero products coefficientwise
-        (boundary parameters recomputed from the zero sets);
-    (c) |det(z I - C)| is small at every prescribed point of the matching
-        matrix; (d) both matrices are unitary; (e) every |alpha_k| < 1 and
-        |b| = 1.
+    (b) Psi_n and Psi_m, run by the Szego recurrence on alpha with b_n =
+        data.b (recomputed from the n-set when unset) and b_m recomputed
+        from the m-set, vanish at every prescribed point of their order, to
+        the spectrum residual;
+    (c) both matrices are unitary and equal the CMV products of (alpha, b)
+        (the unitarity defect); (d) every |alpha_k| < 1 and |b| = 1.  The
+    coefficient match of Psi_n and Psi_m against the zero products is
+    reported only.
     """
     n, m = pair.n, pair.m
-    c_n, c_m = matrices
-    rows_n = c_n.entries if hasattr(c_n, "entries") else tuple(c_n)
-    rows_m = c_m.entries if hasattr(c_m, "entries") else tuple(c_m)
-
-    system = _kernel.assemble_system(pair)
-    kernel_res = _kernel_residual(system, omega, exact=False)
-
-    b_n = boundary_param(pair.zetas)
+    alpha = [complex(a) for a in data.alpha]
+    b_n = boundary_param(pair.zetas) if data.b is None else complex(data.b)
     b_m = boundary_param(pair.xis)
-    psi_n = szego_popuc(data.alpha, b_n, n)
-    psi_m = szego_popuc(data.alpha, b_m, m)
-    poly_n = _poly_residual(psi_n.coeffs, poly_from_roots(pair.zetas), exact=False)
-    poly_m = _poly_residual(psi_m.coeffs, poly_from_roots(pair.xis), exact=False)
+    psi_n = szego_popuc(alpha, b_n, n).coeffs
+    poly_n = _poly_residual(psi_n, poly_from_roots(pair.zetas), exact=False)
+    psi_m = szego_popuc(alpha, b_m, m).coeffs
+    poly_m = _poly_residual(psi_m, poly_from_roots(pair.xis), exact=False)
 
-    warnings = []
+    def spectrum(k, b, points, gaps):
+        def value(z):
+            u, v, e = 1.0, 1.0, 0  # 2**-e (Phi_j, Phi*_j), 1/2 <= |Phi*_j| < 1
+            for a in alpha[: k - 1]:
+                u, v = z * u - a.conjugate() * v, v - a * z * u
+                s = math.frexp(abs(v))[1]
+                f = math.ldexp(1.0, -s)
+                u, v, e = u * f, v * f, e + s
+            return z * u - b.conjugate() * v, e
 
-    def spectrum(rows, points, label):
-        # One tiny pivot is the expected signature of z in the spectrum (it
-        # is the residual itself); two or more signal an untrustworthy
-        # elimination and earn a condition warning.
-        worst = 0.0
-        for z in points:
-            det, pivots = det_lu(_shifted(rows, z))
-            small = [p for p in pivots if p < SMALL_PIVOT]
-            if len(small) > 1:
-                warnings.append(
-                    f"{len(small)} pivots below {SMALL_PIVOT} while "
-                    f"evaluating det(z I - {label})"
-                )
-            worst = max(worst, abs(det))
-        return worst
+        return _spectrum_residual(value, points, gaps)
 
-    spec_n = spectrum(rows_n, pair.zetas, "C_n")
-    spec_m = spectrum(rows_m, pair.xis, "C_m")
-    unit = max(unitarity_defect(rows_n), unitarity_defect(rows_m))
+    def defect(given, k, b):
+        rows = given.entries if hasattr(given, "entries") else tuple(given)
+        want = cmv_matrix(alpha[: k - 1], b).entries
+        if [len(r) for r in rows] != [k] * k:
+            return math.inf
+        deviation = _worst(abs(x - y) for r, w in zip(rows, want) for x, y in zip(r, w))
+        return _worst([unitarity_defect(rows), deviation])
 
+    gaps = _gaps(list(pair.thetas) + list(pair.phis), TWO_PI)
+    c_n, c_m = matrices
+    gating = {
+        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega, False),
+        "spectrum_residual_n": spectrum(n, b_n, pair.zetas, gaps[:n]),
+        "spectrum_residual_m": spectrum(m, b_m, pair.xis, gaps[n:]),
+        "unitarity_defect": _worst([defect(c_n, n, b_n), defect(c_m, m, b_m)]),
+    }
     coeff_ok = all(abs(a) < 1.0 - DISK_MARGIN for a in data.alpha) and (
         data.b is None or abs(abs(complex(data.b)) - 1.0) <= 1e-12
     )
-    tol = profile.tolerance
-    verdict = (
-        coeff_ok
-        and kernel_res <= tol
-        and poly_n <= tol
-        and poly_m <= tol
-        and spec_n <= tol * n
-        and spec_m <= tol * max(m, 1)
-        and unit <= tol
-    )
-    return VerificationReport(
-        mode=FLOAT_MODE,
-        profile=profile,
-        kernel_residual=_as_float(kernel_res),
-        poly_match_n=_as_float(poly_n),
-        poly_match_m=_as_float(poly_m),
-        spectrum_residual_n=spec_n,
-        spectrum_residual_m=spec_m,
-        unitarity_defect=unit,
-        coefficients_ok=coeff_ok,
-        verdict=verdict,
-        warnings=tuple(warnings),
-    )
-
-
-def _shifted(rows, z):
-    """z I - M."""
-    n = len(rows)
-    return [
-        [(z if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
-    ]
+    return _report(False, profile, coeff_ok, gating, poly_n, poly_m)
 
 
 def brute_nullspace(system):
@@ -304,8 +321,9 @@ def brute_det(matrix, point):
     """det(point * I - M); LU with partial pivoting in float, fraction-free
     elimination in rational arithmetic."""
     rows = matrix.entries if hasattr(matrix, "entries") else matrix
-    shifted = _shifted(rows, point)
-    if _is_exact([e for r in shifted for e in r]):
-        return det_bareiss(shifted)
-    det, _ = det_lu(shifted)
-    return det
+    n = len(rows)
+    shifted = [
+        [(point if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
+    ]
+    exact = _is_exact([e for r in shifted for e in r])
+    return det_bareiss(shifted) if exact else det_lu(shifted)

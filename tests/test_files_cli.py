@@ -507,3 +507,62 @@ class TestCli:
     def test_emit_mathematica_circle_is_an_error(self, tmp_path):
         code, text = run_cli(tmp_path, CIRCLE_DOC, "check", "--emit-mathematica")
         assert code == 3
+
+
+class TestVerificationOutput:
+    def test_rational_past_digit_limit_is_coded(self):
+        with pytest.raises(twospec.NumberTooLargeError) as info:
+            files.encode_real(F(10**4400 + 1, 3))
+        assert isinstance(info.value, twospec.TwospecError)
+        assert info.value.code == "NUMBER_TOO_LARGE"
+
+    def test_non_finite_residual_is_written_as_null(self):
+        # n=500: the coefficient match overflows to NaN, the spectrum
+        # residuals stay near 1e-12
+        pair = fuzz.random_real_instance(random.Random(1), 500, 125, min_gap=0.01)
+        selection = twospec.WeightSelection(strategy="cover")
+        solution = twospec.reconstruct_real(pair, selection)
+        problem = files.Problem("real", files.FLOAT64, pair, selection, twospec.STANDARD)
+        text = files.dumps_canonical(files.encode_solution(solution, problem)["verification"])
+
+        def refuse(token):
+            raise ValueError(f"non-finite token {token}")
+
+        doc = json.loads(text, parse_constant=refuse)
+        assert doc["verdict"] == "pass"
+        assert doc["poly_match_n"] is None
+        assert 0.0 < doc["spectrum_residual_n"] <= 1e-11
+
+    def test_fuzz_cover_n200_verifies(self, tmp_path):
+        out = tmp_path / "fuzz.json"
+        code = cli.main(
+            "fuzz --setting real --n 200 --m 60 --count 2 --seed 1 --strategy cover".split()
+            + ["-o", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["passed"] == 2
+
+    def test_fuzz_failure_detail_names_residuals_over_tolerance(self, tmp_path):
+        out = tmp_path / "fuzz.json"
+        code = cli.main(
+            "fuzz --setting circle --n 6 --m 2 --count 3 --seed 7 --profile 1e-30".split()
+            + ["-o", str(out)]
+        )
+        doc = json.loads(out.read_text())
+        assert code == 4
+        assert doc["failed"] == 3
+        gating = (
+            "kernel_residual",
+            "spectrum_residual_n",
+            "spectrum_residual_m",
+            "unitarity_defect",
+        )
+        for failure in doc["failures"]:
+            pair = fuzz.random_circle_instance(fuzz._rng(7, failure["index"]), 6, 2)
+            report = twospec.reconstruct_circle(
+                pair, profile=twospec.Profile.custom(1e-30)
+            ).report
+            named = dict(item.split("=") for item in failure["detail"].split(", "))
+            assert set(named) == {k for k in gating if getattr(report, k) > 1e-30}
+            for key, value in named.items():
+                assert float(value) == pytest.approx(getattr(report, key), rel=0.06)

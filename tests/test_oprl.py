@@ -7,7 +7,7 @@ import pytest
 
 import twospec
 from twospec.fuzz import random_real_instance
-from twospec.oprl import JacobiData, charpoly_scale
+from twospec.oprl import JacobiData
 from twospec.poly import poly_from_roots
 
 W_DEFAULT = (F(2, 5), F(2, 3), F(2, 3), F(2, 5))
@@ -235,12 +235,6 @@ class TestEvalCharpoly:
         assert twospec.eval_charpoly(data, 0, 10) == 1
         with pytest.raises(ValueError):
             twospec.eval_charpoly(data, 5, 0)
-
-    def test_scale_is_at_least_one(self):
-        data = twospec.stieltjes(
-            tuple(float(x) for x in NODES), tuple(float(w) for w in W_DEFAULT)
-        )
-        assert charpoly_scale(data, 4, 2.0) >= 1.0
 
 
 class TestJacobiMatrixZeros:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import twospec
+from twospec.linalg import unitarity_defect
 from twospec.poly import poly_from_roots
 
 SQRT2 = math.sqrt(2.0)
@@ -213,6 +214,53 @@ class TestCmvMatrix:
         char = twospec.brute_charpoly(mat.entries, n)
         psi = twospec.szego_popuc(alpha, b, n)
         assert char.coeffs == pytest.approx(psi.coeffs, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_band_sum_matches_dense_product(self, n):
+        # L * M as in the docstring, summed over every t: the band sum must
+        # give the same bits, signed zeros included
+        rng = random.Random(n)
+        alpha = tuple(
+            complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)) for _ in range(n - 1)
+        )
+        b = cmath.rect(1.0, rng.uniform(0, 2 * math.pi))
+        rhos = [complex(math.sqrt(1.0 - abs(a) ** 2)) for a in alpha]
+
+        def factor(start):
+            rows = [[0j] * n for _ in range(n)]
+            if start:
+                rows[0][0] = 1 + 0j
+            for k in range(start, n, 2):
+                if k + 1 < n:
+                    a, r = alpha[k], rhos[k]
+                    rows[k][k], rows[k][k + 1] = a.conjugate(), r
+                    rows[k + 1][k], rows[k + 1][k + 1] = r, -a
+                else:
+                    rows[k][k] = b.conjugate()
+            return rows
+
+        lf, mf = factor(0), factor(1)
+        dense = [
+            [sum(lf[i][t] * mf[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+
+        def bits(rows):
+            return [[(repr(z.real), repr(z.imag)) for z in row] for row in rows]
+
+        assert bits(twospec.cmv_matrix(alpha, b).entries) == bits(dense)
+
+    def test_defect_matches_dense_sum(self):
+        rng = random.Random(2)
+        alpha = tuple(complex(rng.uniform(-0.6, 0.6), 0.1) for _ in range(6))
+        full = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(5)] for _ in range(5)]
+        for rows in (twospec.cmv_matrix(alpha, 1j).entries, full):
+            n, acc = len(rows), 0.0
+            for i in range(n):
+                for j in range(n):
+                    s = sum(rows[i][k] * rows[j][k].conjugate() for k in range(n))
+                    acc += abs(s - 1 if i == j else s) ** 2
+            assert unitarity_defect(rows) == math.sqrt(acc)
 
 
 class TestRoundTrip:

@@ -1,10 +1,14 @@
+import cmath
 import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
 
 import twospec
 from twospec.fuzz import random_circle_instance, random_real_instance, _rng
+from twospec.interlacing import TWO_PI
+from twospec.kernel import WeightSelection
 from twospec.verify import STANDARD, STRICT
 
 
@@ -157,7 +161,6 @@ class TestBruteOracles:
             STANDARD,
         )
         assert not report.verdict
-        assert any("pivots below" in w for w in report.warnings)
 
 
 class TestProfiles:
@@ -174,3 +177,99 @@ class TestProfiles:
             circle_3_2, profile=twospec.Profile.custom(1e-30)
         )
         assert not sol.report.verdict
+
+
+def _gap(point, union, period=None):
+    """Distance from ``point`` to its nearest other point of ``union``."""
+    dists = [abs(point - p) for p in union]
+    if period:
+        dists = [min(d % period, period - d % period) for d in dists]
+    return min(d for d in dists if d > 0)
+
+
+class TestSpectrumCalibration:
+    """A solution verified against its own pair with one prescribed point
+    moved by 2 tol g_j (g_j its local gap) fails that order's spectrum
+    residual, and moved by 0.5 tol g_j passes it."""
+
+    @pytest.mark.parametrize("order", ["n", "m"])
+    @pytest.mark.parametrize("n, m", [(8, 3), (200, 60)])
+    def test_line(self, n, m, order):
+        pair = random_real_instance(_rng(11, n), n, m)
+        sol = twospec.reconstruct_real(pair)
+        assert sol.report.verdict
+        tol = STANDARD.tolerance
+        field = "xs" if order == "n" else "ys"
+        points = list(getattr(pair, field))
+        j = len(points) // 2
+        g = _gap(points[j], pair.xs + pair.ys)
+        for factor, exceeds in ((2.0, True), (0.5, False)):
+            moved = points[:]
+            moved[j] += factor * tol * g
+            moved_pair = dataclasses.replace(pair, **{field: tuple(moved)})
+            report = twospec.verify_oprl(moved_pair, sol.weight.omega, sol.jacobi, STANDARD)
+            assert (getattr(report, f"spectrum_residual_{order}") > tol) == exceeds
+
+    @pytest.mark.parametrize("order", ["n", "m"])
+    def test_circle(self, order):
+        pair = random_circle_instance(_rng(11, 12), 12, 5)
+        sol = twospec.reconstruct_circle(pair)
+        assert sol.report.verdict
+        tol = STANDARD.tolerance
+        points, angles = ("zetas", "thetas") if order == "n" else ("xis", "phis")
+        theta = list(getattr(pair, angles))
+        j = len(theta) // 2
+        g = _gap(theta[j], pair.thetas + pair.phis, TWO_PI)
+        for factor, exceeds in ((2.0, True), (0.5, False)):
+            moved = theta[:]
+            moved[j] += factor * tol * g
+            moved_pair = dataclasses.replace(
+                pair,
+                **{points: tuple(cmath.rect(1.0, t) for t in moved), angles: tuple(moved)},
+            )
+            report = twospec.verify_popuc(
+                moved_pair, sol.weight.omega, sol.verblunsky, (sol.c_n, sol.c_m), STANDARD
+            )
+            assert (getattr(report, f"spectrum_residual_{order}") > tol) == exceeds
+
+
+# Instance 49 of the seed-1 circle benchmark workload (n=32, m=14): the
+# cover weight reconstructs a CMV matrix with no eigenvalue within 1e-8 of
+# its local gap of the theta at 4.0137 (point 25 in this order).
+THETAS_49 = (
+    5.379727786398462, 5.561814364622185, 5.738166844878621, 5.923103281425568,
+    6.156234844116889, 0.008806599094608458, 0.24273365916454281, 0.44287018263976385,
+    0.6344032049450501, 0.8126133615778652, 1.054186360947968, 1.2527737444273725,
+    1.433321083447713, 1.6050071086555882, 1.8354830138919027, 2.03680331381932,
+    2.2396897097321435, 2.4301656557409004, 2.6288728108256016, 2.800515461199492,
+    3.0270656161631493, 3.229849132165274, 3.4255165949319633, 3.5980612536534284,
+    3.749802440237799, 4.013678028787606, 4.138556021005055, 4.376690972198176,
+    4.573583057664365, 4.74271605663901, 4.933318522260432, 5.11754865230051,
+)
+PHIS_49 = (
+    5.487908128933473, 0.12253530453467221, 0.34920876040014104, 0.5765954322638276,
+    0.7122573520401403, 0.9438739494257495, 1.1225362236739613, 1.7527671715930584,
+    2.1643878131798306, 2.7187744591274896, 3.5103012462351018, 3.6770086158417765,
+    4.441218876141683, 5.261674906940176,
+)
+
+
+class TestDeclinedAnswers:
+    def test_circle_point_without_eigenvalue_in_its_window(self):
+        pair = twospec.circle_pair_from_angles(THETAS_49, PHIS_49)
+        sol = twospec.reconstruct_circle(pair, WeightSelection(strategy="cover"))
+        r = sol.report
+        assert not r.verdict
+        assert r.spectrum_residual_n > STANDARD.tolerance
+        assert any(f.startswith("spectrum_residual_n=") for f in r.failures)
+
+    def test_non_finite_residual_is_none_and_fails(self, pair_4_2):
+        sol = twospec.reconstruct_real(pair_4_2)
+        floats = twospec.RealSpectrumPair(
+            xs=tuple(float(x) for x in pair_4_2.xs), ys=tuple(float(y) for y in pair_4_2.ys)
+        )
+        omega = (math.nan,) + tuple(float(w) for w in sol.weight.omega[1:])
+        report = twospec.verify_oprl(floats, omega, sol.jacobi, STANDARD)
+        assert report.kernel_residual is None
+        assert not report.verdict
+        assert "kernel_residual=nan" in report.failures
