@@ -48,8 +48,10 @@ from .kernel import (
     admissible_family,
     admissible_size,
     assemble_system,
+    circuit,
     circuit_circle,
     circuit_real,
+    circuits,
     family_listing,
     iter_admissible,
     positive_weight,

@@ -25,7 +25,7 @@ from .errors import (
     TwospecError,
 )
 from .fuzz import run_fuzz
-from .kernel import WeightSelection, family_listing, iter_admissible, setting_of
+from .kernel import WeightSelection, circuits, family_listing, iter_admissible
 from .pipeline import interlace, reconstruct
 
 EXIT_OK = 0
@@ -174,10 +174,7 @@ def _cmd_circuits(problem: files.Problem, args) -> int:
         "family_size": size,
     }
     if family is not None:
-        circuit = setting_of(problem.pair).circuit
-        doc["circuits"] = files._encode_circuits(
-            circuit(problem.pair, s) for s in family
-        )
+        doc["circuits"] = files._encode_circuits(circuits(problem.pair, family))
     else:
         doc["family_head"] = [list(s) for s in islice(iter_admissible(bands), 10)]
     _emit_doc(args, doc)

@@ -59,6 +59,11 @@ class RealSpectrumPair:
     def m(self) -> int:
         return len(self.ys)
 
+    @property
+    def circuit_size(self) -> int:
+        """Support size of a kernel circuit: one node in each of m+1 bands."""
+        return self.m + 1
+
 
 @dataclass(frozen=True)
 class CircleSpectrumPair:
@@ -86,6 +91,11 @@ class CircleSpectrumPair:
     @property
     def m(self) -> int:
         return len(self.xis)
+
+    @property
+    def circuit_size(self) -> int:
+        """Support size of a kernel circuit: one node in each of m bands."""
+        return self.m
 
 
 @dataclass(frozen=True)

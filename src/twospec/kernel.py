@@ -4,9 +4,12 @@ strictly positive weights.
 The real-line system has entries ``A[k][j] = x_j^k * P_m(x_j)`` for
 ``k = 0..m-1`` (full row rank m); the circle system has entries
 ``A[k][j] = zeta_j^k * P_m(zeta_j) / zeta_j^(m-1)`` for ``k = 0..m-2``
-(full row rank m-1).  Minimal-support kernel elements (circuits) come from
-barycentric-weight formulas; a circuit supported on one index per band is
-entrywise nonnegative after the global sign choice, and conical
+(full row rank m-1).  Minimal-support kernel elements (circuits) follow one
+barycentric formula in both settings: on a support S the entry at j is
+1 / (P_m(x_j) prod_{i in S, i != j} d(x_j, x_i)), with P_m(x_j) the product
+of d(x_j, y) over the m-set and d the setting's signed difference, x - y on
+the line and sin((x - y)/2) on the circle.  A circuit supported on one index
+per band is entrywise nonnegative after the sign choice, and conical
 combinations of those circuits that cover every index are exactly the
 strictly positive solutions.  The sum of the whole one-per-band family
 factors over the bands, so the default weight is computed in closed form in
@@ -16,8 +19,10 @@ O(n^2) whatever the family size.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import product as _cartesian
+from itertools import repeat
 from typing import Callable
 
 from .errors import (
@@ -111,57 +116,33 @@ class WeightResult:
     circuits: tuple | None
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _product_at(roots, x):
-    """prod_r (x - root_r), evaluated factor by factor.
-
-    Never via expanded coefficients: Horner on the expansion cancels
-    catastrophically between well-separated roots in binary64, flipping
-    signs of small circuit entries.
-    """
-    acc = 1
-    for r in roots:
-        acc = acc * (x - r)
-    return acc
-
-
 def assemble_system(pair) -> SystemMatrix:
     """Build the Vandermonde-type system annihilated by admissible weights."""
     return setting_of(pair).system(pair)
 
 
+def _system(nodes, diag, count, one) -> SystemMatrix:
+    """Rows k = 0..count-1 with entries nodes_j^k * diag_j."""
+    rows, pw = [], [one] * len(nodes)
+    for k in range(count):
+        rows.append(tuple(p * d for p, d in zip(pw, diag)))
+        if k + 1 < count:
+            pw = [p * z for p, z in zip(pw, nodes)]
+    return SystemMatrix(entries=tuple(rows), shape=(count, len(nodes)))
+
+
 def _assemble_real(pair: RealSpectrumPair) -> SystemMatrix:
-    n, m = pair.n, pair.m
-    pmx = [_product_at(pair.ys, x) for x in pair.xs]
-    for j, v in enumerate(pmx):
-        if v == 0:
-            raise SharedPointError(f"xs[{j}] is a zero of the m-set polynomial")
-    rows = []
-    pw = [1] * n
-    for k in range(m):
-        rows.append(tuple(pw[j] * pmx[j] for j in range(n)))
-        if k + 1 < m:
-            pw = [pw[j] * pair.xs[j] for j in range(n)]
-    return SystemMatrix(entries=tuple(rows), shape=(m, n))
+    pmx = [_pm_at(_REAL, j, x, pair.ys) for j, x in enumerate(pair.xs)]
+    return _system(pair.xs, pmx, pair.m, 1)
 
 
 def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
-    n, m = pair.n, pair.m
     diag = []
     for j, z in enumerate(pair.zetas):
         if min(abs(z - w) for w in pair.xis) <= POINT_TOL:
             raise SharedPointError(f"zn[{j}] coincides with a zm point")
-        diag.append(_product_at(pair.xis, z) / z ** (m - 1))
-    rows = []
-    pw = [1.0 + 0.0j] * n
-    for k in range(m - 1):
-        rows.append(tuple(pw[j] * diag[j] for j in range(n)))
-        if k + 1 < m - 1:
-            pw = [pw[j] * pair.zetas[j] for j in range(n)]
-    return SystemMatrix(entries=tuple(rows), shape=(m - 1, n))
+        diag.append(math.prod([z - w for w in pair.xis]) / z ** (pair.m - 1))
+    return _system(pair.zetas, diag, pair.m - 1, 1.0 + 0.0j)
 
 
 def admissible_size(bands: BandDecomposition) -> int:
@@ -207,99 +188,87 @@ def family_listing(bands: BandDecomposition) -> tuple:
     return size, tuple(iter_admissible(bands)) if size <= LIST_LIMIT else None
 
 
-def circuit_real(pair: RealSpectrumPair, support) -> CircuitVector:
-    """Sparse kernel element on a size-(m+1) support.
-
-    Entries are ``1 / (P_m(x_j) * Q'(x_j))`` with Q the monic polynomial
-    with roots at the supported nodes, then the global sign is flipped when
-    the support entries' signs sum negative.  On a one-per-band support the
-    result is entrywise nonnegative.
-    """
-    support = tuple(sorted(support))
-    if len(set(support)) != pair.m + 1:
-        raise ValueError("support must hold m+1 distinct indices")
-    if not (1 <= support[0] and support[-1] <= pair.n):
-        raise ValueError("support indices must lie in 1..n")
-    # Off-support zeros in the pair's scalar field: "0" in rational output,
-    # 0.0 in binary64; the sign flip below leaves them untouched.
-    weights = [0 if is_exact_scalar(pair.xs[0]) else 0.0] * pair.n
-    for j in support:
-        x = pair.xs[j - 1]
-        pmx = _product_at(pair.ys, x)
-        if pmx == 0:
-            raise SharedPointError(f"xs[{j - 1}] is a zero of the m-set polynomial")
-        qprime = 1
-        for i in support:
-            if i != j:
-                qprime *= x - pair.xs[i - 1]
-        if qprime == 0:
-            raise ValueError("duplicate nodes in support")
-        weights[j - 1] = 1 / (pmx * qprime)
-    if sum(_sign(weights[j - 1]) for j in support) < 0:
-        for j in support:
-            weights[j - 1] = -weights[j - 1]
-    return CircuitVector(support=support, weights=tuple(weights))
+def _pm_at(setting, j, x, points):
+    """P_m at node j (coordinate x) as the product of its signed differences
+    to the m-set; never via expanded coefficients, whose Horner evaluation
+    cancels catastrophically in binary64.  SharedPointError when a factor is
+    within the setting's tolerance or the product is 0."""
+    factors = [setting.diff(x, y) for y in points]
+    pm = math.prod(factors)
+    if pm == 0 or min(map(abs, factors)) <= setting.tol:
+        raise SharedPointError(f"node {j} coincides with an m-set point")
+    return pm
 
 
-def circuit_circle(pair: CircleSpectrumPair, support) -> CircuitVector:
-    """Sparse real kernel element on a size-m support, via half-angle sines.
+def _check_distinct(setting, nodes):
+    """DegenerateAngleError unless all nodes are more than the tolerance
+    apart: neighbours in sorted order, the wrap pair included."""
+    s = sorted(nodes)
+    if min(abs(setting.diff(a, b)) for a, b in zip(s, s[1:] + s[:1])) <= setting.tol:
+        raise DegenerateAngleError("two nodes coincide")
 
-    Entries are ``1 / (prod_k sin((theta_j - phi_k)/2) * prod_{i != j}
-    sin((theta_j - theta_i)/2))`` over the support, which keeps the kernel
-    vector exactly real; the same global sign rule as on the line applies.
-    """
-    support = tuple(sorted(support))
-    if len(set(support)) != pair.m:
-        raise ValueError("support must hold m distinct indices")
-    if not (1 <= support[0] and support[-1] <= pair.n):
-        raise ValueError("support indices must lie in 1..n")
-    weights = [0.0] * pair.n
-    for j in support:
-        th = pair.thetas[j - 1]
-        denom = 1.0
-        for ph in pair.phis:
-            s = math.sin((th - ph) / 2.0)
-            if abs(s) <= _SIN_TOL:
-                raise SharedPointError(f"zn[{j - 1}] coincides with a zm point")
-            denom *= s
-        for i in support:
-            if i == j:
-                continue
-            s = math.sin((th - pair.thetas[i - 1]) / 2.0)
-            if abs(s) <= _SIN_TOL:
-                raise DegenerateAngleError(f"zn[{j - 1}] and zn[{i - 1}] coincide")
-            denom *= s
-        weights[j - 1] = 1.0 / denom
-    if sum(_sign(weights[j - 1]) for j in support) < 0:
-        weights = [-w for w in weights]
-    return CircuitVector(support=support, weights=tuple(weights))
+
+def circuits(pair, supports) -> tuple:
+    """The circuits on ``supports`` (each of ``pair.circuit_size`` 1-based
+    node indices) by the formula of the module docstring, each entry one
+    running product, P_m first; the support entries are negated when more of
+    them are negative than positive.  P_m is computed once per node."""
+    setting = setting_of(pair)
+    nodes, points = setting.coords(pair)
+    diff, size = setting.diff, pair.circuit_size
+    supports = [tuple(sorted(s)) for s in supports]
+    for s in supports:
+        if len(set(s)) != size or not (1 <= s[0] and s[-1] <= pair.n):
+            raise ValueError(f"support must hold {size} distinct indices in 1..n")
+    _check_distinct(setting, nodes)
+    used = sorted(set().union(*supports))
+    pm = {j: _pm_at(setting, j - 1, nodes[j - 1], points) for j in used}
+    # Off-support zeros in the pair's scalar field: "0" in rational output.
+    zero = 0 if is_exact_scalar(nodes[0]) else 0.0
+    out = []
+    for s in supports:
+        weights = [zero] * pair.n
+        xs = [nodes[i - 1] for i in s]
+        for p, j in enumerate(s):
+            diffs = map(diff, repeat(xs[p]), xs[:p] + xs[p + 1 :])
+            try:
+                weights[j - 1] = 1 / math.prod(diffs, start=pm[j])
+            except ZeroDivisionError:  # the running product underflows binary64
+                raise NonpositiveWeightError(f"circuit entry {j} overflows") from None
+        if sum((weights[j - 1] > 0) - (weights[j - 1] < 0) for j in s) < 0:
+            for j in s:
+                weights[j - 1] = -weights[j - 1]
+        out.append(CircuitVector(support=s, weights=tuple(weights)))
+    return tuple(out)
+
+
+def circuit(pair, support) -> CircuitVector:
+    """The circuit on one support (see :func:`circuits`)."""
+    return circuits(pair, (support,))[0]
+
+
+# The one formula serves both settings under their former names.
+circuit_real = circuit_circle = circuit
 
 
 def _sum_all_omega(pair, setting, bands: BandDecomposition, band_of: dict) -> list:
     """The sum of every admissible circuit, in O(n^2) without building one.
 
     The entries of a one-per-band circuit share one sign, so the entry at j
-    is 1 / (|P_m(x_j)| prod_{i in S, i != j} d(x_j, x_i)) and the sum
+    is 1 / (|P_m(x_j)| prod_{i in S, i != j} |d(x_j, x_i)|) and the sum
     factors over the bands: omega_j = (1 / |P_m(x_j)|) prod_{r != band(j)}
-    sum_{i in I_r} 1 / d(x_j, x_i), with d the setting's distance.
+    |sum_{i in I_r} 1 / d(x_j, x_i)|, with d the setting's signed
+    difference, of one sign over a band that does not hold j.
     """
     nodes, points = setting.coords(pair)
-    dist, tol = setting.dist, setting.dist_tol
+    _check_distinct(setting, nodes)
     omega = []
     for j, x in enumerate(nodes):
-        factors = [dist(x, y) for y in points]
-        pm = math.prod(factors)
-        if pm == 0 or min(factors) <= tol:
-            raise SharedPointError(f"node {j} coincides with an m-set point")
         acc = 1
         for r, band in enumerate(bands.bands):
-            if r == band_of[j + 1]:
-                continue
-            ds = [dist(x, nodes[i - 1]) for i in band]
-            if min(ds) <= tol:
-                raise DegenerateAngleError(f"node {j} coincides with a node of band {r}")
-            acc *= sum([1 / d for d in ds])
-        omega.append(acc / pm)
+            if r != band_of[j + 1]:
+                acc *= abs(sum([1 / setting.diff(x, nodes[i - 1]) for i in band]))
+        omega.append(acc / abs(_pm_at(setting, j, x, points)))
     return omega
 
 
@@ -318,25 +287,21 @@ def positive_weight(
     circuit entries under- or overflow binary64.
     """
     n = pair.n
-    setting = setting_of(pair)
-    circuit = setting.circuit
     size = admissible_size(bands)
     band_of = {j: r for r, b in enumerate(bands.bands) for j in b}
     omega = [0] * n
 
     def combine(chosen):
-        vecs = []
-        for coeff, support in chosen:
-            vec = circuit(pair, support)
+        vecs = circuits(pair, [support for _, support in chosen])
+        for (coeff, _), vec in zip(chosen, vecs):
             for j in vec.support:
                 omega[j - 1] = omega[j - 1] + coeff * vec.weights[j - 1]
-            vecs.append(vec)
-        return tuple(vecs)
+        return vecs
 
     if selection.strategy == SUM_ALL:
-        omega = _sum_all_omega(pair, setting, bands, band_of)
+        omega = _sum_all_omega(pair, setting_of(pair), bands, band_of)
         family = family_listing(bands)[1]
-        circuits = None if family is None else tuple(circuit(pair, s) for s in family)
+        vecs = None if family is None else circuits(pair, family)
     elif selection.strategy == COEFFICIENTS:
         coeffs = dict(selection.coefficients or {})
         for jdx, value in coeffs.items():
@@ -354,47 +319,46 @@ def positive_weight(
                 f"index {missing[0]} is not covered by a positively "
                 "weighted circuit"
             )
-        circuits = combine(chosen)
+        vecs = combine(chosen)
     else:  # COVER
         firsts = [b[0] for b in bands.bands]
-        circuits = combine(
+        vecs = combine([
             (1, tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)))
             for j in range(1, n + 1)
-        )
+        ])
 
     # A Fraction compared with inf is never converted to float (no overflow).
     for j, w in enumerate(omega):
         if not 0 < w < math.inf:
             raise NonpositiveWeightError(f"omega[{j}] is not positive and finite")
-    return WeightResult(tuple(omega), selection.strategy, size, circuits)
+    return WeightResult(tuple(omega), selection.strategy, size, vecs)
 
 
 @dataclass(frozen=True)
 class Setting:
     """The per-setting steps of the construction: the interlacing check,
-    the band decomposition of an accepted pair, the kernel system, the
-    circuit on one support, and the pieces of the closed-form sum_all
-    weight: the node and m-set coordinates, their distance, and the
-    distance at or below which two points coincide."""
+    the band decomposition of an accepted pair, the kernel system, and what
+    the circuit formula and the closed-form sum_all weight read: the node
+    and m-set coordinates, their signed difference, and the magnitude at or
+    below which a difference means two points coincide."""
 
     name: str
     check: Callable
     bands: Callable
     system: Callable
-    circuit: Callable
     coords: Callable
-    dist: Callable
-    dist_tol: float
+    diff: Callable
+    tol: float
 
 
 _REAL = Setting(
-    REAL, check_interlace_real, bands_real, _assemble_real, circuit_real,
-    lambda pair: (pair.xs, pair.ys), lambda x, y: abs(x - y), 0,
+    REAL, check_interlace_real, bands_real, _assemble_real,
+    lambda pair: (pair.xs, pair.ys), operator.sub, 0,
 )  # fmt: skip
 _CIRCLE = Setting(
     CIRCLE, check_interlace_circle, lambda pair, verdict: bands_circle(pair),
-    _assemble_circle, circuit_circle, lambda pair: (pair.thetas, pair.phis),
-    lambda x, y: abs(math.sin((x - y) / 2.0)), _SIN_TOL,
+    _assemble_circle, lambda pair: (pair.thetas, pair.phis),
+    lambda x, y: math.sin((x - y) / 2.0), _SIN_TOL,
 )  # fmt: skip
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import LengthMismatchError, ZeroNormError
-from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub
+from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
 from .scalars import coerce_real_field, is_exact_scalar
 
 @dataclass(frozen=True)
@@ -74,18 +74,8 @@ class JacobiData:
 
 def moments_real(xs, omega, count=None) -> RealMomentSequence:
     """mu_k for k = 0..count-1 (default 2n) by direct summation."""
-    if len(omega) != len(xs):
-        raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
     xs, omega = coerce_real_field(xs, omega)
-    n = len(xs)
-    if count is None:
-        count = 2 * n
-    mu = []
-    pw = list(omega)
-    for k in range(count):
-        mu.append(sum(pw))
-        if k + 1 < count:
-            pw = [pw[j] * xs[j] for j in range(n)]
+    mu = power_sums(xs, omega, 2 * len(xs) if count is None else count)
     return RealMomentSequence(mu=tuple(mu))
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import LengthMismatchError
+
 __all__ = [
     "MonicPolynomial",
     "poly_eval",
@@ -20,6 +22,7 @@ __all__ = [
     "poly_shift",
     "poly_mul",
     "poly_from_roots",
+    "power_sums",
 ]
 
 
@@ -72,6 +75,19 @@ def poly_from_roots(roots):
     for r in roots:
         p = poly_mul(p, [-r, 1])
     return p
+
+
+def power_sums(nodes, weights, count) -> list:
+    """[sum_j w_j z_j^k for k = 0..count-1], the powers as one running
+    product per node."""
+    if len(weights) != len(nodes):
+        raise LengthMismatchError(f"{len(weights)} weights for {len(nodes)} nodes")
+    mu, pw = [], list(weights)
+    for k in range(count):
+        mu.append(sum(pw))
+        if k + 1 < count:
+            pw = [p * z for p, z in zip(pw, nodes)]
+    return mu
 
 
 @dataclass(frozen=True)

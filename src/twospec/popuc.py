@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .errors import AlphaOutOfDiskError, LengthMismatchError, ZeroDenominatorError
 from .linalg import unitarity_defect
-from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub
+from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
 
 # |alpha| at or above 1 - this margin is an error, never a clamp.
 DISK_MARGIN = 1e-12
@@ -93,17 +93,8 @@ class PentadiagonalUnitary:
 
 def trig_moments(zetas, omega, count=None) -> TrigMomentSequence:
     """mu_k = sum_j w_j zeta_j^k for k = 0..count-1 (default n)."""
-    n = len(zetas)
-    if len(omega) != n:
-        raise LengthMismatchError(f"{len(omega)} weights for {n} nodes")
-    if count is None:
-        count = n
-    mu = []
-    pw = [complex(w) for w in omega]
-    for k in range(count):
-        mu.append(sum(pw))
-        if k + 1 < count:
-            pw = [pw[j] * zetas[j] for j in range(n)]
+    weights = [complex(w) for w in omega]
+    mu = power_sums(zetas, weights, len(zetas) if count is None else count)
     return TrigMomentSequence(mu=tuple(mu))
 
 

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import kernel as _kernel
-from .errors import DimensionTooLargeError, RankDeficientError
+from .errors import AlphaOutOfDiskError, DimensionTooLargeError, RankDeficientError
 from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair
 from .linalg import det_bareiss, det_lu, mat_vec, rref_nullspace, unitarity_defect
 from .oprl import JacobiData, eval_charpoly
@@ -224,16 +224,20 @@ def verify_popuc(
     (c) both matrices are unitary and equal the CMV products of (alpha, b)
         (the unitarity defect); (d) every |alpha_k| < 1 and |b| = 1.  The
     coefficient match of Psi_n and Psi_m against the zero products is
-    reported only.
+    reported only.  An alpha outside the disk fails (d); the coefficient
+    match and the CMV product it leaves undefined read None.
     """
     n, m = pair.n, pair.m
     alpha = [complex(a) for a in data.alpha]
     b_n = boundary_param(pair.zetas) if data.b is None else complex(data.b)
     b_m = boundary_param(pair.xis)
-    psi_n = szego_popuc(alpha, b_n, n).coeffs
-    poly_n = _poly_residual(psi_n, poly_from_roots(pair.zetas), exact=False)
-    psi_m = szego_popuc(alpha, b_m, m).coeffs
-    poly_m = _poly_residual(psi_m, poly_from_roots(pair.xis), exact=False)
+
+    def poly_match(k, b, points):
+        try:
+            psi = szego_popuc(alpha, b, k).coeffs
+        except AlphaOutOfDiskError:
+            return None
+        return _poly_residual(psi, poly_from_roots(points), exact=False)
 
     def spectrum(k, b, points, gaps):
         def value(z):
@@ -249,9 +253,12 @@ def verify_popuc(
 
     def defect(given, k, b):
         rows = given.entries if hasattr(given, "entries") else tuple(given)
-        want = cmv_matrix(alpha[: k - 1], b).entries
         if [len(r) for r in rows] != [k] * k:
             return math.inf
+        try:
+            want = cmv_matrix(alpha[: k - 1], b).entries
+        except AlphaOutOfDiskError:
+            return math.nan
         deviation = _worst(abs(x - y) for r, w in zip(rows, want) for x, y in zip(r, w))
         return _worst([unitarity_defect(rows), deviation])
 
@@ -266,6 +273,7 @@ def verify_popuc(
     coeff_ok = all(abs(a) < 1.0 - DISK_MARGIN for a in data.alpha) and (
         data.b is None or abs(abs(complex(data.b)) - 1.0) <= 1e-12
     )
+    poly_n, poly_m = poly_match(n, b_n, pair.zetas), poly_match(m, b_m, pair.xis)
     return _report(False, profile, coeff_ok, gating, poly_n, poly_m)
 
 

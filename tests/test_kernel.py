@@ -1,6 +1,6 @@
+import cmath
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -348,8 +348,7 @@ class TestSumAllClosedForm:
         pair = generate[setting](rng, n, m)
         bands = _bands(pair)
         result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
-        circuit = twospec.kernel.setting_of(pair).circuit
-        want = _normalized(_enumerated_sum(pair, bands, circuit))
+        want = _normalized(_enumerated_sum(pair, bands, twospec.kernel.circuit))
         assert _normalized(result.omega) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_huge_family_builds_no_circuit(self, monkeypatch):
@@ -361,11 +360,10 @@ class TestSumAllClosedForm:
         bands = _bands(pair)
         assert bands.sizes == (2,) * 40
 
-        def no_circuit(pair, support):
+        def no_circuit(pair, supports):
             raise AssertionError("a circuit was built")
 
-        setting = replace(twospec.kernel.setting_of(pair), circuit=no_circuit)
-        monkeypatch.setattr(twospec.kernel, "setting_of", lambda pair: setting)
+        monkeypatch.setattr(twospec.kernel, "circuits", no_circuit)
         result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
         assert result.circuits is None
         assert result.family_size == 2**40
@@ -384,3 +382,130 @@ class TestNonpositiveWeight:
         with pytest.raises(twospec.NonpositiveWeightError) as info:
             twospec.positive_weight(pair, bands, selection)
         assert info.value.code == "NONPOSITIVE_WEIGHT"
+
+    def test_underflowing_circuit_product_is_coded(self):
+        # 120 nodes within 0.01: a running product of differences underflows
+        # to 0.0, so 1 / product would divide by zero
+        pair = fuzz.random_real_instance(
+            random.Random(1), 120, 60, lo=0.0, hi=0.01, min_gap=1e-6
+        )
+        selection = twospec.WeightSelection(strategy=COVER)
+        with pytest.raises(twospec.NonpositiveWeightError):
+            twospec.positive_weight(pair, _bands(pair), selection)
+
+
+def _instance(kind, seed):
+    rng = random.Random(seed)
+    if kind == "exact":
+        return _exact_line_instance(rng)
+    n = rng.randint(4, 12)
+    m = rng.randint(1, min(6, n - 1))
+    generate = {"float": fuzz.random_real_instance, "circle": fuzz.random_circle_instance}
+    return generate[kind](rng, n, m)
+
+
+class TestBatchedCircuits:
+    """positive_weight builds its circuits in one ``circuits`` call; the
+    batch equals one-at-a-time ``circuit`` calls summed in the same order,
+    bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind", ["exact", "float", "circle"])
+    @pytest.mark.parametrize("strategy", [COVER, COEFFICIENTS])
+    def test_batch_equals_single_calls(self, strategy, kind, seed):
+        pair = _instance(kind, seed)
+        bands = _bands(pair)
+        size = twospec.admissible_size(bands)
+        if strategy == COVER:
+            firsts = [b[0] for b in bands.bands]
+            band_of = {j: r for r, b in enumerate(bands.bands) for j in b}
+            chosen = [
+                (1, tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)))
+                for j in range(1, pair.n + 1)
+            ]
+            selection = twospec.WeightSelection(strategy=COVER)
+        else:
+            coeffs = {k: F(k, 7) if kind == "exact" else k / 7 for k in range(1, size)}
+            chosen = [(1, twospec.admissible_at(bands, 0))] + [
+                (c, twospec.admissible_at(bands, k)) for k, c in sorted(coeffs.items())
+            ]
+            selection = twospec.WeightSelection(COEFFICIENTS, coeffs)
+        omega = [0] * pair.n
+        want = []
+        for coeff, support in chosen:
+            vec = twospec.circuit(pair, support)
+            for j in vec.support:
+                omega[j - 1] = omega[j - 1] + coeff * vec.weights[j - 1]
+            want.append(vec)
+        result = twospec.positive_weight(pair, bands, selection)
+        # repr round-trips floats, so equal reprs are equal bits
+        assert repr(result.omega) == repr(tuple(omega))
+        assert repr(result.circuits) == repr(tuple(want))
+
+    def test_one_function_serves_both_settings(self, pair_4_2, circle_3_2):
+        assert twospec.circuit_real is twospec.circuit_circle is twospec.circuit
+        assert twospec.circuits(pair_4_2, [(1, 2, 4), (1, 3, 4)]) == (
+            twospec.circuit(pair_4_2, (1, 2, 4)),
+            twospec.circuit(pair_4_2, (1, 3, 4)),
+        )
+        assert pair_4_2.circuit_size == pair_4_2.m + 1
+        assert circle_3_2.circuit_size == circle_3_2.m
+
+
+def _raw_circle(thetas, phis):
+    """A circle pair built without normalization or collision checks."""
+    return twospec.CircleSpectrumPair(
+        zetas=tuple(cmath.rect(1.0, t) for t in thetas),
+        xis=tuple(cmath.rect(1.0, p) for p in phis),
+        thetas=tuple(thetas),
+        phis=tuple(phis),
+    )
+
+
+# Raw pairs that never went through interlacing, each with hand-made bands
+# and a support through the coincidence.
+_COINCIDENT = {
+    "duplicate_exact_nodes": (
+        twospec.RealSpectrumPair(xs=(0, 1, 1, 3), ys=(F(1, 2), 2)),
+        ((1,), (2,), (3, 4)),
+        (1, 2, 3),
+    ),
+    "duplicate_float_nodes": (
+        twospec.RealSpectrumPair(xs=(0.0, 1.0, 1.0, 3.0), ys=(0.5, 2.0)),
+        ((1,), (2,), (3, 4)),
+        (1, 2, 3),
+    ),
+    "node_equals_a_zero": (
+        twospec.RealSpectrumPair(xs=(0, 1, 2, 3), ys=(1, F(5, 2))),
+        ((1,), (2, 3), (4,)),
+        (1, 2, 4),
+    ),
+    "equal_circle_thetas": (
+        _raw_circle((1.0, 2.0, 2.0), (0.5, 2.5)),
+        ((1, 2), (3,)),
+        (2, 3),
+    ),
+    "circle_thetas_equal_across_the_wrap": (
+        _raw_circle((0.5, 2.0, 0.5 + 2 * math.pi), (0.25, 1.0)),
+        ((1, 2), (3,)),
+        (1, 3),
+    ),
+}
+_CODED = (twospec.DegenerateAngleError, twospec.SharedPointError)
+
+
+class TestCoincidentPointsAreCoded:
+    @pytest.mark.parametrize("case", sorted(_COINCIDENT))
+    def test_circuit(self, case):
+        pair, _, support = _COINCIDENT[case]
+        with pytest.raises(_CODED):
+            twospec.circuit(pair, support)
+
+    @pytest.mark.parametrize("strategy", [SUM_ALL, COEFFICIENTS, COVER])
+    @pytest.mark.parametrize("case", sorted(_COINCIDENT))
+    def test_positive_weight(self, case, strategy):
+        pair, bands, _ = _COINCIDENT[case]
+        coefficients = {1: 1} if strategy == COEFFICIENTS else {}
+        selection = twospec.WeightSelection(strategy, coefficients)
+        with pytest.raises(_CODED):
+            twospec.positive_weight(pair, twospec.BandDecomposition(bands), selection)

@@ -113,6 +113,21 @@ class TestVerifyCircle:
         )
         assert not report.verdict
 
+    def test_alpha_outside_the_disk_is_reported(self):
+        pair = twospec.circle_pair_from_angles((0.4, 1.9, 3.3, 5.0), (0.1, 2.5))
+        sol = twospec.reconstruct_circle(pair)
+        bad = dataclasses.replace(
+            sol.verblunsky, alpha=(1.5,) + sol.verblunsky.alpha[1:]
+        )
+        report = twospec.verify_popuc(pair, sol.weight.omega, bad, (sol.c_n, sol.c_m))
+        assert not report.coefficients_ok
+        assert not report.verdict
+        assert report.failures[0] == "coefficients_ok=False"
+        # no CMV product or Szego polynomial exists for |alpha_0| > 1
+        assert report.unitarity_defect is None
+        assert report.poly_match_n is None and report.poly_match_m is None
+        assert report.kernel_residual is not None
+
 
 class TestBruteOracles:
     def test_nullspace_dimension(self, pair_4_2):
