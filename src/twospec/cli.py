@@ -154,8 +154,8 @@ def _cmd_check(problem: files.Problem, args) -> int:
     }
     if verdict.accepted:
         if verdict.indices is not None:
-            doc["indices"] = list(verdict.indices)
-        doc["bands"] = [list(b) for b in bands.bands]
+            doc["indices"] = files.encode_value(verdict.indices)
+        doc["bands"] = files.encode_value(bands.bands)
     else:
         doc["code"] = verdict.code
         doc["detail"] = verdict.detail
@@ -170,11 +170,11 @@ def _cmd_circuits(problem: files.Problem, args) -> int:
         "schema": files.SCHEMA,
         "command": "circuits",
         "setting": problem.setting,
-        "bands": [list(b) for b in bands.bands],
+        "bands": files.encode_value(bands.bands),
         "family_size": size,
     }
     if family is not None:
-        doc["circuits"] = files._encode_circuits(circuits(problem.pair, family))
+        doc["circuits"] = files.encode_circuits(circuits(problem.pair, family))
     else:
         doc["family_head"] = [list(s) for s in islice(iter_admissible(bands), 10)]
     _emit_doc(args, doc)

@@ -1,10 +1,12 @@
 """ProblemFile / SolutionFile schemas (version "v1") and their serializers.
 
-Rationals travel as strings ("p/q" or an integer literal) so nothing is
-lost; complex numbers travel as {"re": .., "im": ..} objects; floats use
-the shortest round-trip representation.  Output is canonical (sorted keys,
-two-space indent, trailing newline), so identical inputs produce
-byte-identical files.
+In a solution, a value's type, not its position, fixes its JSON form: an
+exact rational is a string ("p/q" or an integer literal), so nothing is
+lost; a binary64 real is a number in its shortest round-trip form; a complex
+number is an {"re": .., "im": ..} object; an index or a size is an integer.
+encode_value writes every result value by that rule and decode_value reads
+it back.  Output is canonical (sorted keys, two-space indent, trailing
+newline), so identical inputs produce byte-identical files.
 
 Problem values: the real setting accepts integers, "p/q" strings and
 decimal strings; the circle setting accepts {"re", "im"} points, angle
@@ -20,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import NumberTooLargeError, ProblemFormatError, UnsupportedArithmeticError
 from .interlacing import (
@@ -35,7 +38,7 @@ from .oprl import JacobiData, RealMomentSequence
 from .pipeline import CircleSolution, RealSolution
 from .poly import MonicPolynomial
 from .popuc import PentadiagonalUnitary, TrigMomentSequence, VerblunskyData
-from .verify import STANDARD, STRICT, Profile, VerificationReport
+from .verify import RESIDUALS, STANDARD, STRICT, Profile, VerificationReport
 
 SCHEMA = "v1"
 RATIONAL = "rational"
@@ -73,10 +76,7 @@ def parse_real_value(value, arithmetic):
     if isinstance(value, bool) or value is None:
         raise ProblemFormatError(f"not a real value: {value!r}")
     try:
-        if isinstance(value, float):
-            exact = Fraction(str(value))
-        else:
-            exact = Fraction(value) if not isinstance(value, str) else Fraction(value.strip())
+        exact = Fraction(str(value) if isinstance(value, float) else value)
         return exact if arithmetic == RATIONAL else float(exact)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ProblemFormatError(f"cannot parse real value {value!r}") from exc
@@ -213,7 +213,7 @@ def load_problem(doc: dict) -> Problem:
 
 
 # --------------------------------------------------------------------------
-# encoding
+# the value codec: one encoder and one decoder for every result value
 
 
 def encode_real(x):
@@ -226,241 +226,168 @@ def encode_real(x):
         raise NumberTooLargeError("a rational exceeds the digits str() may write") from exc
 
 
-def encode_complex(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+def encode_value(value):
+    """The JSON form of a result value, by its type: a Fraction is a string
+    (encode_real), a complex number an {"re", "im"} object, a tuple or list
+    an array and a dict an object of encoded entries; float, int, None, str
+    and bool are written as they are.  Sequences of floats and ints only, or
+    of Fractions only, checked by type, take no call per entry."""
+    kind = type(value)
+    if kind is Fraction:
+        return encode_real(value)
+    if kind is complex:
+        return {"re": value.real, "im": value.imag}
+    if kind is tuple or kind is list:
+        kinds = set(map(type, value))
+        if kinds <= {float, int}:
+            return list(value)
+        if kinds == {Fraction}:
+            return list(map(encode_real, value))
+        return [encode_value(v) for v in value]
+    if kind is dict:
+        return {k: encode_value(v) for k, v in value.items()}
+    return value
 
 
-def _encode_real_seq(xs):
-    return [encode_real(x) for x in xs]
+def decode_value(value, arithmetic):
+    """The inverse of encode_value in the document's arithmetic: an array is
+    a tuple, an {"re", "im"} object a complex number, a number or numeric
+    string a parse_real_value scalar, null None."""
+    if isinstance(value, list):
+        return tuple([decode_value(v, arithmetic) for v in value])
+    if isinstance(value, dict):
+        return complex(*(parse_real_value(value[k], FLOAT64) for k in ("re", "im")))
+    return None if value is None else parse_real_value(value, arithmetic)
 
 
-def _encode_matrix_real(rows):
-    return [[encode_real(e) for e in row] for row in rows]
-
-
-def _encode_matrix_complex(rows):
-    return [[encode_complex(e) for e in row] for row in rows]
-
-
-def _encode_circuits(circuits):
-    if circuits is None:
+def encode_circuits(vecs):
+    """Circuit vectors as {"support", "weights"} objects; None stays None."""
+    if vecs is None:
         return None
-    return [
-        {"support": list(c.support), "weights": _encode_real_seq(c.weights)}
-        for c in circuits
-    ]
+    return encode_value([{"support": v.support, "weights": v.weights} for v in vecs])
 
 
-def _encode_report(report: VerificationReport) -> dict:
-    return {
-        "mode": report.mode,
-        "profile": report.profile.name,
-        "tolerance": report.profile.tolerance,
-        "kernel_residual": report.kernel_residual,
-        "poly_match_n": report.poly_match_n,
-        "poly_match_m": report.poly_match_m,
-        "spectrum_residual_n": report.spectrum_residual_n,
-        "spectrum_residual_m": report.spectrum_residual_m,
-        "unitarity_defect": report.unitarity_defect,
-        "coefficients_ok": report.coefficients_ok,
-        "verdict": "pass" if report.verdict else "fail",
-        "warnings": list(report.warnings),
-    }
-
-
-def _encode_selection(selection: WeightSelection) -> dict:
-    return {
-        "strategy": selection.strategy,
-        "coefficients": {
-            f"s{j}": encode_real(v) for j, v in sorted(selection.coefficients.items())
-        },
-    }
+def _decode_report(doc) -> VerificationReport:
+    return VerificationReport(
+        mode=doc["mode"],
+        profile=Profile(doc["profile"], decode_value(doc["tolerance"], FLOAT64)),
+        coefficients_ok=doc["coefficients_ok"],
+        verdict=doc["verdict"] == "pass",
+        warnings=tuple(doc["warnings"]),
+        **{name: decode_value(doc[name], FLOAT64) for name in RESIDUALS},
+    )
 
 
 def encode_solution(solution, problem: Problem) -> dict:
     """SolutionFile document for either setting."""
-    common = {
+    selection, report = problem.selection, solution.report
+    doc = {
         "schema": SCHEMA,
         "setting": problem.setting,
         "arithmetic": problem.arithmetic,
+        "problem": {
+            "weights": {
+                "strategy": selection.strategy,
+                "coefficients": {f"s{j}": v for j, v in selection.coefficients.items()},
+            },
+            "profile": problem.profile.name,
+        },
         "verdict": {
-            "accepted": solution.verdict.accepted,
-            "indices": list(solution.verdict.indices)
-            if solution.verdict.indices is not None
-            else None,
+            "accepted": solution.verdict.accepted, "indices": solution.verdict.indices
         },
-        "bands": [list(b) for b in solution.bands.bands],
-        "admissible": {
-            "size": solution.family_size,
-            "family": [list(j) for j in solution.family]
-            if solution.family is not None
-            else None,
+        "bands": solution.bands.bands,
+        "admissible": {"size": solution.family_size, "family": solution.family},
+        "omega": solution.weight.omega,
+        "moments": solution.moments.mu,
+        "verification": {
+            "mode": report.mode,
+            "profile": report.profile.name,
+            "tolerance": report.profile.tolerance,
+            **{name: getattr(report, name) for name in RESIDUALS},
+            "coefficients_ok": report.coefficients_ok,
+            "verdict": "pass" if report.verdict else "fail",
+            "warnings": report.warnings,
         },
-        "circuits": _encode_circuits(solution.weight.circuits),
-        "omega": _encode_real_seq(solution.weight.omega),
-        "verification": _encode_report(solution.report),
     }
     if isinstance(solution, RealSolution):
-        common["problem"] = {
-            "zn": _encode_real_seq(solution.pair.xs),
-            "zm": _encode_real_seq(solution.pair.ys),
-            "weights": _encode_selection(problem.selection),
-            "profile": problem.profile.name,
-        }
-        common["moments"] = _encode_real_seq(solution.moments.mu)
-        common["recurrence"] = {
-            "beta": _encode_real_seq(solution.jacobi.beta),
-            "gamma": _encode_real_seq(solution.jacobi.gamma),
-        }
-        common["polynomials"] = [
-            _encode_real_seq(p.coeffs) for p in solution.jacobi.polys
-        ]
-        common["matrices"] = {"jacobi": _encode_matrix_real(solution.jacobi.matrix)}
+        pair, jacobi = solution.pair, solution.jacobi
+        doc["problem"].update(zn=pair.xs, zm=pair.ys)
+        doc["recurrence"] = {"beta": jacobi.beta, "gamma": jacobi.gamma}
+        doc["polynomials"] = [p.coeffs for p in jacobi.polys]
+        doc["matrices"] = {"jacobi": jacobi.matrix}
     else:
-        common["problem"] = {
-            "zn": [encode_complex(z) for z in solution.pair.zetas],
-            "zm": [encode_complex(z) for z in solution.pair.xis],
-            "thetas": list(solution.pair.thetas),
-            "phis": list(solution.pair.phis),
-            "weights": _encode_selection(problem.selection),
-            "profile": problem.profile.name,
+        pair, data = solution.pair, solution.verblunsky
+        doc["problem"].update(
+            zn=pair.zetas, zm=pair.xis, thetas=pair.thetas, phis=pair.phis
+        )
+        doc["recurrence"] = {
+            "alpha": data.alpha, "rho": data.rho, "b_n": data.b, "b_m": solution.b_m
         }
-        common["moments"] = [encode_complex(c) for c in solution.moments.mu]
-        common["recurrence"] = {
-            "alpha": [encode_complex(a) for a in solution.verblunsky.alpha],
-            "rho": list(solution.verblunsky.rho),
-            "b_n": encode_complex(solution.verblunsky.b),
-            "b_m": encode_complex(solution.b_m),
+        doc["polynomials"] = {
+            "psi_n": solution.psi_n.coeffs, "psi_m": solution.psi_m.coeffs
         }
-        common["polynomials"] = {
-            "psi_n": [encode_complex(c) for c in solution.psi_n.coeffs],
-            "psi_m": [encode_complex(c) for c in solution.psi_m.coeffs],
-        }
-        common["matrices"] = {
-            "c_n": _encode_matrix_complex(solution.c_n.entries),
-            "c_m": _encode_matrix_complex(solution.c_m.entries),
-        }
-    return common
-
-
-# --------------------------------------------------------------------------
-# decoding (lossless round trip of SolutionFiles)
-
-
-def _decode_complex(obj) -> complex:
-    return complex(float(str(obj["re"])), float(str(obj["im"])))
-
-
-def _decode_report(doc) -> VerificationReport:
-    profile = Profile(name=doc["profile"], tolerance=float(str(doc["tolerance"])))
-    def f(key):
-        v = doc[key]
-        return None if v is None else float(str(v))
-    return VerificationReport(
-        mode=doc["mode"],
-        profile=profile,
-        kernel_residual=f("kernel_residual"),
-        poly_match_n=f("poly_match_n"),
-        poly_match_m=f("poly_match_m"),
-        spectrum_residual_n=f("spectrum_residual_n"),
-        spectrum_residual_m=f("spectrum_residual_m"),
-        unitarity_defect=f("unitarity_defect"),
-        coefficients_ok=doc["coefficients_ok"],
-        verdict=doc["verdict"] == "pass",
-        warnings=tuple(doc["warnings"]),
-    )
+        doc["matrices"] = {"c_n": solution.c_n.entries, "c_m": solution.c_m.entries}
+    doc = encode_value(doc)
+    doc["circuits"] = encode_circuits(solution.weight.circuits)
+    return doc
 
 
 def decode_solution(doc: dict):
     """Rebuild a RealSolution / CircleSolution from its document; the
-    solution derives the real-setting polynomials and rho, which are not read."""
+    solution derives the real-setting polynomials and matrix and the circle
+    rho, which are not read."""
     if doc.get("schema") != SCHEMA:
         raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
-    setting = doc["setting"]
-    arithmetic = doc["arithmetic"]
+    dec = partial(decode_value, arithmetic=doc["arithmetic"])
+
+    def ints(rows):  # bands, family: plain integer tuples
+        return None if rows is None else tuple(map(tuple, rows))
+
+    indices = doc["verdict"]["indices"]
     verdict = InterlacingVerdict(
         accepted=doc["verdict"]["accepted"],
-        indices=tuple(doc["verdict"]["indices"])
-        if doc["verdict"]["indices"] is not None
-        else None,
+        indices=None if indices is None else tuple(indices),
     )
-    bands = BandDecomposition(
-        bands=tuple(tuple(b) for b in doc["bands"]), indices=verdict.indices
-    )
-    family = (
-        tuple(tuple(j) for j in doc["admissible"]["family"])
-        if doc["admissible"]["family"] is not None
-        else None
-    )
-    if setting == "real":
-        dec = lambda v: parse_real_value(v, arithmetic)
-    else:
-        dec = lambda v: float(str(v))
     circuits = doc["circuits"]
     common = dict(
         verdict=verdict,
-        bands=bands,
+        bands=BandDecomposition(bands=ints(doc["bands"]), indices=verdict.indices),
         family_size=doc["admissible"]["size"],
-        family=family,
+        family=ints(doc["admissible"]["family"]),
         weight=WeightResult(
-            omega=tuple(dec(v) for v in doc["omega"]),
+            omega=dec(doc["omega"]),
             strategy=doc["problem"]["weights"]["strategy"],
             family_size=doc["admissible"]["size"],
-            circuits=tuple(
-                CircuitVector(
-                    support=tuple(c["support"]),
-                    weights=tuple(dec(v) for v in c["weights"]),
-                )
+            circuits=None if circuits is None else tuple(
+                CircuitVector(support=tuple(c["support"]), weights=dec(c["weights"]))
                 for c in circuits
-            )
-            if circuits is not None
-            else None,
+            ),
         ),
         report=_decode_report(doc["verification"]),
     )
-
-    if setting == "real":
+    problem, rec = doc["problem"], doc["recurrence"]
+    if doc["setting"] == "real":
         return RealSolution(
-            pair=RealSpectrumPair(
-                xs=tuple(dec(v) for v in doc["problem"]["zn"]),
-                ys=tuple(dec(v) for v in doc["problem"]["zm"]),
-            ),
-            moments=RealMomentSequence(mu=tuple(dec(v) for v in doc["moments"])),
-            jacobi=JacobiData(
-                beta=tuple(dec(v) for v in doc["recurrence"]["beta"]),
-                gamma=tuple(dec(v) for v in doc["recurrence"]["gamma"]),
-            ),
+            pair=RealSpectrumPair(xs=dec(problem["zn"]), ys=dec(problem["zm"])),
+            moments=RealMomentSequence(mu=dec(doc["moments"])),
+            jacobi=JacobiData(beta=dec(rec["beta"]), gamma=dec(rec["gamma"])),
             **common,
         )
-
-    def matrix(rows):
-        return PentadiagonalUnitary(
-            entries=tuple(tuple(_decode_complex(e) for e in row) for row in rows)
-        )
-
-    def poly(coeffs):
-        return MonicPolynomial(tuple(_decode_complex(c) for c in coeffs))
-
+    polys, matrices = doc["polynomials"], doc["matrices"]
     return CircleSolution(
         pair=CircleSpectrumPair(
-            zetas=tuple(_decode_complex(z) for z in doc["problem"]["zn"]),
-            xis=tuple(_decode_complex(z) for z in doc["problem"]["zm"]),
-            thetas=tuple(dec(v) for v in doc["problem"]["thetas"]),
-            phis=tuple(dec(v) for v in doc["problem"]["phis"]),
+            zetas=dec(problem["zn"]),
+            xis=dec(problem["zm"]),
+            thetas=dec(problem["thetas"]),
+            phis=dec(problem["phis"]),
         ),
-        moments=TrigMomentSequence(
-            mu=tuple(_decode_complex(c) for c in doc["moments"])
-        ),
-        verblunsky=VerblunskyData(
-            alpha=tuple(_decode_complex(a) for a in doc["recurrence"]["alpha"]),
-            b=_decode_complex(doc["recurrence"]["b_n"]),
-        ),
-        b_m=_decode_complex(doc["recurrence"]["b_m"]),
-        c_n=matrix(doc["matrices"]["c_n"]),
-        c_m=matrix(doc["matrices"]["c_m"]),
-        psi_n=poly(doc["polynomials"]["psi_n"]),
-        psi_m=poly(doc["polynomials"]["psi_m"]),
+        moments=TrigMomentSequence(mu=dec(doc["moments"])),
+        verblunsky=VerblunskyData(alpha=dec(rec["alpha"]), b=dec(rec["b_n"])),
+        b_m=dec(rec["b_m"]),
+        c_n=PentadiagonalUnitary(entries=dec(matrices["c_n"])),
+        c_m=PentadiagonalUnitary(entries=dec(matrices["c_m"])),
+        psi_n=MonicPolynomial(dec(polys["psi_n"])),
+        psi_m=MonicPolynomial(dec(polys["psi_m"])),
         **common,
     )
 

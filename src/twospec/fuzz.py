@@ -59,22 +59,17 @@ def random_circle_instance(
     if not spacing > min_gap:  # equispaced gaps below min_gap: no draw fits
         raise ValueError(f"{n} angles {min_gap} apart do not fit on the circle")
     jitter = min(0.3, max(0.0, 0.5 - min_gap / spacing))
+    # Neighbours differ by at least spacing * (1 - 2 * jitter) >= 2 * min_gap,
+    # or by spacing > min_gap when jitter is 0: no draw needs rejecting.
     shift = rng.uniform(0.0, TWO_PI)
-    while True:
-        thetas = sorted(
-            (shift + (i + rng.uniform(-jitter, jitter)) * spacing) % TWO_PI
-            for i in range(n)
-        )
-        gaps = [thetas[i + 1] - thetas[i] for i in range(n - 1)]
-        gaps.append(TWO_PI - thetas[-1] + thetas[0])
-        if all(g >= min_gap for g in gaps):
-            break
+    thetas = sorted(
+        (shift + (i + rng.uniform(-jitter, jitter)) * spacing) % TWO_PI
+        for i in range(n)
+    )
+    gaps = [thetas[i + 1] - thetas[i] for i in range(n - 1)]
+    gaps.append(TWO_PI - thetas[-1] + thetas[0])
     arcs = sorted(rng.sample(range(n), m))
-    phis = []
-    for a in arcs:
-        start = thetas[a]
-        width = gaps[a]
-        phis.append((start + width * rng.uniform(0.3, 0.7)) % TWO_PI)
+    phis = [(thetas[a] + gaps[a] * rng.uniform(0.3, 0.7)) % TWO_PI for a in arcs]
     return circle_pair_from_angles(thetas, phis)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product as _cartesian
 from itertools import repeat
 from typing import Callable
@@ -192,11 +193,14 @@ def _pm_at(setting, j, x, points):
     """P_m at node j (coordinate x) as the product of its signed differences
     to the m-set; never via expanded coefficients, whose Horner evaluation
     cancels catastrophically in binary64.  SharedPointError when a factor is
-    within the setting's tolerance or the product is 0."""
+    within the setting's tolerance; NonpositiveWeightError when the product
+    of larger factors underflows binary64 to 0."""
     factors = [setting.diff(x, y) for y in points]
-    pm = math.prod(factors)
-    if pm == 0 or min(map(abs, factors)) <= setting.tol:
+    if min(map(abs, factors)) <= setting.tol:
         raise SharedPointError(f"node {j} coincides with an m-set point")
+    pm = math.prod(factors)
+    if pm == 0:
+        raise NonpositiveWeightError(f"P_m at node {j} underflows binary64")
     return pm
 
 
@@ -223,8 +227,8 @@ def circuits(pair, supports) -> tuple:
     _check_distinct(setting, nodes)
     used = sorted(set().union(*supports))
     pm = {j: _pm_at(setting, j - 1, nodes[j - 1], points) for j in used}
-    # Off-support zeros in the pair's scalar field: "0" in rational output.
-    zero = 0 if is_exact_scalar(nodes[0]) else 0.0
+    # Off-support zeros in the pair's scalar field.
+    zero = Fraction(0) if is_exact_scalar(nodes[0]) else 0.0
     out = []
     for s in supports:
         weights = [zero] * pair.n

@@ -8,7 +8,8 @@ alpha closed by b on the circle), never by an eigensolver.  Rational mode
 is exact: every gating residual must be zero.  Binary64 residuals are
 relative:
 
-* kernel_residual   -- max |(A w)_k| / (||A||_inf ||w||_inf)
+* kernel_residual   -- max_k |(A w)_k| / sum_j |A_kj w_j|, componentwise, so
+  the smallest weights count as much as the largest
 * spectrum_residual -- max_j |P_k(z_j)| / prod_{i != j} |z_j - z_i| / g_j,
   the first-order distance from z_j to the nearest zero of P_k in units of
   g_j, the distance from z_j to its nearest other prescribed point of
@@ -85,6 +86,17 @@ class VerificationReport:
     failures: tuple = field(default=(), compare=False)
 
 
+# The numeric fields of a VerificationReport, as solution files name them.
+RESIDUALS = (
+    "kernel_residual",
+    "poly_match_n",
+    "poly_match_m",
+    "spectrum_residual_n",
+    "spectrum_residual_m",
+    "unitarity_defect",
+)
+
+
 def _is_exact(values) -> bool:
     return all(is_exact_scalar(v) for v in values)
 
@@ -124,12 +136,14 @@ def _report(exact, profile, coefficients_ok, gating, poly_n, poly_m):
 def _kernel_residual(system, omega, exact):
     if system.rows == 0:
         return 0 if exact else 0.0
-    res = max(abs(r) for r in mat_vec(system.entries, omega))
     if exact:
-        return res
-    norm_a = max(sum(abs(e) for e in row) for row in system.entries)
-    norm_w = max(abs(w) for w in omega)
-    return res / max(norm_a * norm_w, 1e-300)
+        return max(abs(r) for r in mat_vec(system.entries, omega))
+    ratios = []
+    for row in system.entries:
+        terms = [a * w for a, w in zip(row, omega)]
+        scale = sum(map(abs, terms))  # 0 only when every term, so the sum, is 0
+        ratios.append(abs(sum(terms)) / scale if scale else 0.0)
+    return _worst(ratios)
 
 
 def _poly_residual(coeffs, target, exact):

@@ -169,6 +169,50 @@ class TestSolutionRoundTrip:
         assert a == b
 
 
+class TestValueCodec:
+    def test_the_type_fixes_the_form(self):
+        value = (F(3, 2), 2.5, 7, None, 1 - 2j, [F(-1), 0.0], ((1, 2), (3,)))
+        assert files.encode_value(value) == [
+            "3/2", 2.5, 7, None, {"re": 1.0, "im": -2.0}, ["-1", 0.0], [[1, 2], [3]]
+        ]
+
+    def test_plain_sequences_are_copied(self):
+        values = [0.5, 3, -1e-300]
+        encoded = files.encode_value(values)
+        assert encoded == values and encoded is not values
+        # a bool or a Fraction among them is not plain: each entry is encoded
+        assert files.encode_value((1.0, True, F(1, 3))) == [1.0, True, "1/3"]
+
+    def test_rational_past_digit_limit_is_coded(self):
+        with pytest.raises(twospec.NumberTooLargeError):
+            files.encode_value([F(10**4400 + 1, 3)])
+
+    @pytest.mark.parametrize(
+        "value, arithmetic",
+        [
+            ((F(3, 2), (F(-1), F(0)), None), files.RATIONAL),
+            ((0.1, (1e-320, -2.5), None), files.FLOAT64),
+            (((1 + 0.5j, -0.25j), (2.0, 3.0)), files.FLOAT64),
+        ],
+        ids=["rational", "float64", "complex"],
+    )
+    def test_decode_inverts_encode(self, value, arithmetic):
+        text = files.dumps_canonical(files.encode_value(value))
+        for load in (json.loads, files.loads_document):
+            back = files.decode_value(load(text), arithmetic)
+            assert back == value
+            assert [type(v) for v in back] == [type(v) for v in value]
+
+    def test_exact_circuit_zeros_are_rational(self):
+        problem = files.load_problem(REAL_DOC)
+        solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
+        weights = [w for c in solution.weight.circuits for w in c.weights]
+        assert 0 in weights
+        assert all(type(w) is F for w in weights)
+        circuits = files.encode_circuits(solution.weight.circuits)
+        assert "0" in circuits[0]["weights"]
+
+
 def run_cli(tmp_path, doc, *argv):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -433,6 +477,24 @@ class TestCli:
             "zn": list(pair.xs),
             "zm": list(pair.ys),
         }
+        code, text = run_cli(tmp_path, doc, "reconstruct", "--strategy", strategy)
+        assert code == 3
+        assert json.loads(text)["error"]["code"] == "NONPOSITIVE_WEIGHT"
+
+    @pytest.mark.parametrize("strategy", ["sum_all", "cover"])
+    def test_underflowing_pm_exit_3(self, tmp_path, strategy):
+        # the pair interlaces, so check accepts it; P_m(x_0) underflows
+        pair = fuzz.random_real_instance(
+            random.Random(1), 200, 150, lo=0.0, hi=0.01, min_gap=1e-7
+        )
+        doc = {
+            "schema": "v1",
+            "setting": "real",
+            "arithmetic": "float64",
+            "zn": list(pair.xs),
+            "zm": list(pair.ys),
+        }
+        assert run_cli(tmp_path, doc, "check")[0] == 0
         code, text = run_cli(tmp_path, doc, "reconstruct", "--strategy", strategy)
         assert code == 3
         assert json.loads(text)["error"]["code"] == "NONPOSITIVE_WEIGHT"

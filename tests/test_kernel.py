@@ -393,6 +393,19 @@ class TestNonpositiveWeight:
         with pytest.raises(twospec.NonpositiveWeightError):
             twospec.positive_weight(pair, _bands(pair), selection)
 
+    @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
+    def test_underflowing_pm_is_not_a_shared_point(self, strategy):
+        # 200 nodes within 0.01, 150 of their gaps holding a y: every factor
+        # of P_m(x_0) is at least 3e-8, yet the product underflows to 0.0
+        pair = fuzz.random_real_instance(
+            random.Random(1), 200, 150, lo=0.0, hi=0.01, min_gap=1e-7
+        )
+        selection = twospec.WeightSelection(strategy=strategy)
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.positive_weight(pair, _bands(pair), selection)
+        assert info.value.code == "NONPOSITIVE_WEIGHT"
+        assert "underflows" in str(info.value)
+
 
 def _instance(kind, seed):
     rng = random.Random(seed)

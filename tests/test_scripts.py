@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,22 @@ def test_run_large_instance_float64_exits_zero():
     # the rational run (about 4.5 s) is left to the script's own users
     out = run_script("run_large_instance.py", "--arithmetic", "float64")
     assert "verified  True" in out
+
+
+def test_output_digest_cli_cases():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "scripts" / "output_digest.py"
+    )
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    lines = digest.cli_cases()
+    problems = len(list((ROOT / "problems").glob("*.json")))
+    assert len(lines) == problems * len(digest.PROBLEM_RUNS) + len(digest.FUZZ_RUNS)
+    assert lines == sorted(lines)
+    cases = dict(line.split("\t", 1) for line in lines)
+    assert len(cases) == len(lines)
+    assert all(re.fullmatch(r"[0-9a-f]{40}\t[0234]", v) for v in cases.values())
+    assert cases["cli real_small.json reconstruct"].endswith("\t0")
+    # circle problems run in binary64 only
+    assert cases["cli circle_small.json circuits --arithmetic rational"].endswith("\t3")
+    assert digest.cli_cases() == lines

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ import twospec
 from twospec.fuzz import random_circle_instance, random_real_instance, _rng
 from twospec.interlacing import TWO_PI
 from twospec.kernel import WeightSelection
+from twospec.popuc import cmv_matrix
 from twospec.verify import STANDARD, STRICT
 
 
@@ -288,3 +290,57 @@ class TestDeclinedAnswers:
         assert report.kernel_residual is None
         assert not report.verdict
         assert "kernel_residual=nan" in report.failures
+
+
+COVER = WeightSelection(strategy="cover")
+
+
+class TestMutations:
+    """One recurrence coefficient perturbed in a verified solution: a change
+    of 1e-6 (relative on the line, absolute on the circle) fails the
+    verdict, a change of 1e-15 passes it."""
+
+    @pytest.mark.parametrize("n, m", [(8, 3), (200, 60)])
+    @pytest.mark.parametrize("field", ["beta", "gamma"])
+    def test_line(self, n, m, field):
+        pair = random_real_instance(random.Random(1), n, m)
+        sol = twospec.reconstruct_real(pair, COVER)
+        assert sol.report.verdict
+        for k in (0, n // 2, n - 2):
+            for factor, passes in ((1 + 1e-6, False), (1 + 1e-15, True)):
+                values = list(getattr(sol.jacobi, field))
+                values[k] *= factor
+                data = dataclasses.replace(sol.jacobi, **{field: tuple(values)})
+                report = twospec.verify_oprl(pair, sol.weight.omega, data, STANDARD)
+                assert report.verdict == passes, (k, factor, report.failures)
+
+    @pytest.mark.parametrize("k", [0, 6, 9])
+    def test_circle(self, k):
+        pair = random_circle_instance(random.Random(2), 12, 4)
+        sol = twospec.reconstruct_circle(pair, COVER)
+        assert sol.report.verdict
+        data = sol.verblunsky
+        for delta, passes in ((1e-6, False), (1e-15, True)):
+            alpha = list(data.alpha)
+            alpha[k] += delta
+            matrices = (cmv_matrix(alpha, data.b), cmv_matrix(alpha[: pair.m - 1], sol.b_m))
+            report = twospec.verify_popuc(
+                pair, sol.weight.omega, dataclasses.replace(data, alpha=tuple(alpha)),
+                matrices, STANDARD,
+            )  # fmt: skip
+            assert report.verdict == passes, (delta, report.failures)
+
+
+class TestKernelResidual:
+    def test_small_weight_change_fails_at_n_200(self):
+        # omega spans 1e-108 .. 1e-64 here; a 1% change of omega[150] was
+        # invisible next to ||A|| ||omega|| (a residual of 8e-50)
+        pair = random_real_instance(random.Random(1), 200, 60)
+        sol = twospec.reconstruct_real(pair, COVER)
+        assert sol.report.kernel_residual < 1e-14
+        omega = list(sol.weight.omega)
+        omega[150] *= 1.01
+        report = twospec.verify_oprl(pair, tuple(omega), sol.jacobi, STANDARD)
+        assert report.kernel_residual > 1e-7
+        assert not report.verdict
+        assert any(f.startswith("kernel_residual=") for f in report.failures)
