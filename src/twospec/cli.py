@@ -7,7 +7,8 @@ stdout (canonical form: sorted keys, two-space indent), so identical inputs
 and flags produce byte-identical files.
 
 Exit codes: 0 success-and-verified, 2 interlacing rejected, 3 problem or
-reconstruction error, 4 verification failure.
+reconstruction error (or, code BAD_OUTPUT, an -o path that cannot be
+written), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -91,28 +92,36 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_input(args) -> dict:
     if not args.input:
         raise ProblemFormatError("no problem file: pass -i PATH or -i -")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ProblemFormatError(f"cannot read {args.input}: {exc}") from exc
-    return files.loads_document(text)
+    try:  # strict UTF-8 from a file and from stdin alike
+        if args.input == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+        return files.loads_document(data.decode("utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFormatError(f"cannot read {args.input}: {exc}") from exc
 
 
 def _apply_overrides(doc: dict, args) -> dict:
+    """The document with the flags applied; a document, weights or
+    coefficients that is not an object is left for load_problem to reject."""
+    if not isinstance(doc, dict):
+        return doc
     doc = dict(doc)
     if args.arithmetic:
         doc["arithmetic"] = args.arithmetic
     if args.profile:
         doc["profile"] = args.profile
-    weights = dict(doc.get("weights") or {})
+    weights = doc.get("weights") or {}
+    coeffs = isinstance(weights, dict) and (weights.get("coefficients") or {})
+    if not isinstance(coeffs, dict):
+        return doc
+    weights = dict(weights)
     if args.strategy:
         weights["strategy"] = args.strategy
     if args.param:
-        coeffs = dict(weights.get("coefficients") or {})
+        coeffs = dict(coeffs)
         for item in args.param:
             key, sep, value = item.partition("=")
             if not sep:
@@ -125,23 +134,11 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_doc(args, doc: dict) -> None:
-    _emit(args, files.dumps_canonical(doc))
-
-
 def _error_doc(code: str, message: str) -> dict:
     return {"schema": files.SCHEMA, "error": {"code": code, "message": message}}
 
 
-def _cmd_check(problem: files.Problem, args) -> int:
+def _cmd_check(problem: files.Problem):
     try:
         verdict, bands = interlace(problem.pair)
     except InterlacingRejectedError as exc:
@@ -159,11 +156,10 @@ def _cmd_check(problem: files.Problem, args) -> int:
     else:
         doc["code"] = verdict.code
         doc["detail"] = verdict.detail
-    _emit_doc(args, doc)
-    return EXIT_OK if verdict.accepted else EXIT_REJECTED
+    return EXIT_OK if verdict.accepted else EXIT_REJECTED, doc
 
 
-def _cmd_circuits(problem: files.Problem, args) -> int:
+def _cmd_circuits(problem: files.Problem):
     _, bands = interlace(problem.pair)
     size, family = family_listing(bands)
     doc = {
@@ -177,17 +173,16 @@ def _cmd_circuits(problem: files.Problem, args) -> int:
         doc["circuits"] = files.encode_circuits(circuits(problem.pair, family))
     else:
         doc["family_head"] = [list(s) for s in islice(iter_admissible(bands), 10)]
-    _emit_doc(args, doc)
-    return EXIT_OK
+    return EXIT_OK, doc
 
 
-def _cmd_reconstruct(problem: files.Problem, args) -> int:
+def _cmd_reconstruct(problem: files.Problem):
     solution = reconstruct(problem.pair, problem.selection, problem.profile)
-    _emit_doc(args, files.encode_solution(solution, problem))
-    return EXIT_OK if solution.report.verdict else EXIT_VERIFICATION
+    doc = files.encode_solution(solution, problem)
+    return EXIT_OK if solution.report.verdict else EXIT_VERIFICATION, doc
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args):
     profile = files.parse_profile(args.profile)
     selection = None
     if args.strategy:
@@ -215,39 +210,49 @@ def _cmd_fuzz(args) -> int:
         "failed": len(report.failures),
         "failures": [dataclasses.asdict(f) for f in report.failures],
     }
-    _emit_doc(args, doc)
-    return EXIT_OK if report.ok else EXIT_VERIFICATION
+    return EXIT_OK if report.ok else EXIT_VERIFICATION, doc
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args):
+    """The command's exit code and its output, a document or a text."""
     try:
         if args.command == "fuzz":
             return _cmd_fuzz(args)
         doc = _apply_overrides(_read_input(args), args)
         problem = files.load_problem(doc)
         if args.emit_mathematica:
-            _emit(args, files.emit_mathematica(problem) + "\n")
-            return EXIT_OK
+            return EXIT_OK, files.emit_mathematica(problem) + "\n"
         if args.command == "check":
-            return _cmd_check(problem, args)
+            return _cmd_check(problem)
         if args.command == "circuits":
-            return _cmd_circuits(problem, args)
-        return _cmd_reconstruct(problem, args)
+            return _cmd_circuits(problem)
+        return _cmd_reconstruct(problem)
     except (InterlacingRejectedError, SharedPointError) as exc:
-        _emit_doc(
-            args,
-            {
-                "schema": files.SCHEMA,
-                "accepted": False,
-                "code": exc.code,
-                "detail": str(exc),
-            },
-        )
-        return EXIT_REJECTED
+        return EXIT_REJECTED, {
+            "schema": files.SCHEMA,
+            "accepted": False,
+            "code": exc.code,
+            "detail": str(exc),
+        }
     except TwospecError as exc:
-        _emit_doc(args, _error_doc(exc.code, str(exc)))
-        return EXIT_ERROR
+        return EXIT_ERROR, _error_doc(exc.code, str(exc))
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    code, out = _run(args)
+    text = out if isinstance(out, str) else files.dumps_canonical(out)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:  # the error document goes to stdout instead
+            message = f"cannot write {args.out}: {exc}"
+            code = EXIT_ERROR
+            text = files.dumps_canonical(_error_doc("BAD_OUTPUT", message))
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

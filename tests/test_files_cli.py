@@ -1,11 +1,15 @@
+import io
 import itertools
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twospec
 from twospec import cli, files, fuzz
@@ -86,6 +90,22 @@ class TestProblemParsing:
         problem = files.load_problem(doc)
         assert problem.selection.strategy == "coefficients"
         assert problem.selection.coefficients == {1: 3}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            None,
+            "x",
+            [1],
+            dict(REAL_DOC, weights="abc"),
+            dict(REAL_DOC, weights={"coefficients": [1]}),
+            dict(REAL_DOC, weights={"coefficients": []}),
+        ],
+        ids=["null", "string", "array", "weights", "coefficients", "empty_array"],
+    )
+    def test_non_objects_rejected(self, doc):
+        with pytest.raises(twospec.ProblemFormatError):
+            files.load_problem(doc)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(twospec.ProblemFormatError):
@@ -213,6 +233,96 @@ class TestValueCodec:
         assert "0" in circuits[0]["weights"]
 
 
+def reference_dumps(value):
+    """The definition of the canonical text."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+# raw newlines, quotes, escapes, template and bracket characters, NUL, non-ASCII
+TRICKY_TEXT = st.text(st.sampled_from('\n"\\%{[\x00 a,:é€\u2028😀'), max_size=5)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    st.floats(),
+    TRICKY_TEXT,
+)
+SAME_KEY_ROWS = st.lists(TRICKY_TEXT, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.lists(
+        st.fixed_dictionaries({k: SCALARS for k in keys}), min_size=1, max_size=4
+    )
+)
+VALUES = st.recursive(
+    SCALARS | SAME_KEY_ROWS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),  # ragged rows, rows of mixed kinds
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TRICKY_TEXT, children, max_size=4),
+        # objects that differ in keys or hold non-scalars
+        st.lists(st.dictionaries(TRICKY_TEXT, children, max_size=3), max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+class TestCanonicalWriter:
+    @given(VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reference(self, value):
+        assert files.dumps_canonical(value) == reference_dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            {},
+            ((), [{}], {"a": ()}),
+            [{1: [1], 2: [2]}, {2.5: [3]}, {math.nan: [4]}, {True: [5]}, {None: [6]}],
+            [{"a": 1, "b": 2}, {"b": 3, "a": 4}],  # same keys, another order
+            [{"a": 1}, {"a": 2, "b": 3}],
+            [{"%s": "%d", "{": "%"}, {"%s": "[", "{": None}],
+            [{"re": 1.0, "im": [2.0]}, {"re": 3.0, "im": 4.0}],
+            [[{"im": -0.0, "re": math.nan}] * 3, [{"im": math.inf, "re": 2**70}]],
+        ],
+    )
+    def test_edge_cases(self, value):
+        assert files.dumps_canonical(value) == reference_dumps(value)
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        value = {"c": [{"im": -0.0, "re": 1.0}] * 2, "d": ("%", None), "e": [2**70]}
+        assert files.dumps_canonical(value) == reference_dumps(value)
+
+    @pytest.mark.parametrize(
+        "name, arithmetic",
+        [
+            ("real_small.json", files.RATIONAL),
+            ("real_small.json", files.FLOAT64),
+            ("large_real.json", files.RATIONAL),
+            ("large_real.json", files.FLOAT64),
+            ("circle_small.json", files.FLOAT64),
+        ],
+    )
+    def test_problem_documents(self, name, arithmetic):
+        doc = dict(json.loads((PROBLEMS / name).read_text()), arithmetic=arithmetic)
+        problem = files.load_problem(doc)
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        value = files.encode_solution(solution, problem)
+        assert files.dumps_canonical(value) == reference_dumps(value)
+
+    def test_circle_instance_document(self):
+        pair = fuzz.random_circle_instance(random.Random(1), 40, 12)
+        problem = files.Problem(
+            "circle", files.FLOAT64, pair, twospec.WeightSelection(), twospec.STANDARD
+        )
+        solution = reconstruct_circle(pair)
+        value = files.encode_solution(solution, problem)
+        assert files.dumps_canonical(value) == reference_dumps(value)
+
+
 def run_cli(tmp_path, doc, *argv):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -258,6 +368,16 @@ BAD_NUMBERS = {
         None,
     ),
 }
+
+
+LIST_COEFFICIENTS = real_text(extra=', "weights": {"coefficients": [1]}')
+
+
+def assert_coded_error(capsys, code, expected):
+    """Exit 3 with the error document on stdout and nothing on stderr."""
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    assert json.loads(out)["error"]["code"] == expected
 
 
 class TestCli:
@@ -565,6 +685,39 @@ class TestCli:
         code, text = run_cli(tmp_path, doc, "reconstruct", "--emit-mathematica")
         assert code == 0
         assert text == "OPRLFamily[{1, 2, 3, 4}, {3/2, 7/2}, {s[1] -> 3}]\n"
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("null", []),
+            ('"x"', []),
+            ("[1]", []),
+            (real_text(extra=', "weights": "abc"'), ["--strategy", "cover"]),
+            (LIST_COEFFICIENTS, []),
+            (LIST_COEFFICIENTS, ["--param", "s1=2"]),
+        ],
+        ids=["null", "string", "array", "weights_string", "coefficients", "param"],
+    )
+    def test_malformed_problem_exit_3(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        code = cli.main(["reconstruct", "-i", str(path), *argv])
+        assert_coded_error(capsys, code, "BAD_PROBLEM")
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_problem_exit_3(self, tmp_path, capsys, monkeypatch, source):
+        data = real_text(extra=', "note": "\xff"').encode("latin-1")
+        path = tmp_path / "problem.json"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code = cli.main(["check", "-i", str(path) if source == "file" else "-"])
+        assert_coded_error(capsys, code, "BAD_PROBLEM")
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no_dir", "a_dir"])
+    def test_unwritable_output_exit_3(self, tmp_path, capsys, target):
+        argv = ["reconstruct", "-i", str(PROBLEMS / "real_small.json")]
+        code = cli.main([*argv, "-o", str(tmp_path / target)])
+        assert_coded_error(capsys, code, "BAD_OUTPUT")
 
     def test_emit_mathematica_circle_is_an_error(self, tmp_path):
         code, text = run_cli(tmp_path, CIRCLE_DOC, "check", "--emit-mathematica")
