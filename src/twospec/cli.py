@@ -6,9 +6,9 @@ pipeline with verification), ``circuits`` (admissible family enumeration),
 stdout (canonical form: sorted keys, two-space indent), so identical inputs
 and flags produce byte-identical files.
 
-Exit codes: 0 success-and-verified, 2 interlacing rejected, 3 problem or
-reconstruction error (or, code BAD_OUTPUT, an -o path that cannot be
-written), 4 verification failure.
+Exit codes: 0 success-and-verified, 2 interlacing rejected (coincident
+points included), 3 problem or reconstruction error (or, code BAD_OUTPUT,
+an -o path that cannot be written), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from itertools import islice
 
 from . import files
 from .errors import (
+    DegenerateAngleError,
     InterlacingRejectedError,
     ProblemFormatError,
     SharedPointError,
@@ -118,8 +119,8 @@ def _apply_overrides(doc: dict, args) -> dict:
     if not isinstance(coeffs, dict):
         return doc
     weights = dict(weights)
-    if args.strategy:
-        weights["strategy"] = args.strategy
+    if args.strategy or args.param:
+        weights["strategy"] = args.strategy or "coefficients"
     if args.param:
         coeffs = dict(coeffs)
         for item in args.param:
@@ -128,7 +129,6 @@ def _apply_overrides(doc: dict, args) -> dict:
                 raise ProblemFormatError(f"--param wants sK=V, got {item!r}")
             coeffs[key.strip()] = value.strip()
         weights["coefficients"] = coeffs
-        weights.setdefault("strategy", "coefficients")
     if weights:
         doc["weights"] = weights
     return doc
@@ -183,6 +183,8 @@ def _cmd_reconstruct(problem: files.Problem):
 
 
 def _cmd_fuzz(args):
+    if args.param:
+        raise ProblemFormatError("fuzz draws its own instances and takes no --param")
     profile = files.parse_profile(args.profile)
     selection = None
     if args.strategy:
@@ -227,7 +229,7 @@ def _run(args):
         if args.command == "circuits":
             return _cmd_circuits(problem)
         return _cmd_reconstruct(problem)
-    except (InterlacingRejectedError, SharedPointError) as exc:
+    except (InterlacingRejectedError, SharedPointError, DegenerateAngleError) as exc:
         return EXIT_REJECTED, {
             "schema": files.SCHEMA,
             "accepted": False,

@@ -164,17 +164,11 @@ def parse_circle_value(value):
     """Returns ("angle", radians) or ("point", complex), finite either way."""
     if isinstance(value, str) and _PI_TEXT.match(value):
         return "angle", parse_angle_text(value)
-
-    def finite(v):  # NaN, infinities and values beyond binary64 all raise
-        return float(Fraction(str(v).strip()))
-
-    try:
-        if isinstance(value, dict):
-            return "point", complex(finite(value["re"]), finite(value["im"]))
-        if isinstance(value, (str, int, float)):
-            return "angle", finite(value)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ProblemFormatError(f"cannot parse circle value {value!r}") from exc
+    if isinstance(value, dict) and "re" in value and "im" in value:
+        parts = (parse_real_value(value[k], FLOAT64) for k in ("re", "im"))
+        return "point", complex(*parts)
+    if isinstance(value, (str, int, float)):
+        return "angle", parse_real_value(value, FLOAT64)
     raise ProblemFormatError(f"cannot parse circle value {value!r}")
 
 

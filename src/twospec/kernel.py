@@ -92,7 +92,8 @@ class WeightSelection:
     ``coefficients`` maps the 1-based parameter index j to the scalar s_j
     multiplying the (j+1)-th admissible circuit in enumeration order; the
     first circuit always carries coefficient 1.  Unspecified parameters
-    default to 0, so sparse maps are fine for huge families.
+    default to 0, so sparse maps are fine for huge families.  Only the
+    coefficients strategy takes coefficients.
     """
 
     strategy: str = SUM_ALL
@@ -101,6 +102,8 @@ class WeightSelection:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.coefficients and self.strategy != COEFFICIENTS:
+            raise ValueError(f"strategy {self.strategy!r} takes no coefficients")
 
 
 @dataclass(frozen=True)

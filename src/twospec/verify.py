@@ -2,30 +2,31 @@
 oracles.
 
 The prescribed points are the spectrum of the order-k matrix iff its monic
-characteristic polynomial P_k vanishes at them, so each P_k is evaluated at
-its points by its recurrence (three-term beta/gamma on the line, Szego on
-alpha closed by b on the circle), never by an eigensolver.  Rational mode
-is exact: every gating residual must be zero.  Binary64 residuals are
-relative:
+characteristic polynomial P_k is prod_j (x - z_j) over them.  Each check is
+one formula for both arithmetic modes, which choose only the tolerance:
+zero in rational mode, the profile's in binary64.  The residuals:
 
 * kernel_residual   -- max_k |(A w)_k| / sum_j |A_kj w_j|, componentwise, so
   the smallest weights count as much as the largest
-* spectrum_residual -- max_j |P_k(z_j)| / prod_{i != j} |z_j - z_i| / g_j,
-  the first-order distance from z_j to the nearest zero of P_k in units of
-  g_j, the distance from z_j to its nearest other prescribed point of
-  either set (angular on the circle): at most tol means an eigenvalue
-  within tol * g_j of each point.  The recurrence is rescaled by powers of
-  two at each step and the product is summed as logarithms: no overflow.
+* poly_match_*      -- max coefficient deviation from the expanded zero
+  product / max(1, largest target coefficient)
+* spectrum_residual -- rational: poly_match of the same order, exactly.
+  Binary64: max_j |P_k(z_j)| / prod_{i != j} |z_j - z_i| / g_j, with P_k(z_j)
+  run by its recurrence (three-term beta/gamma on the line, Szego on alpha
+  closed by b on the circle), never by an eigensolver.  It is the
+  first-order distance from z_j to the nearest zero of P_k in units of g_j,
+  the distance from z_j to its nearest other prescribed point of either set
+  (angular on the circle): at most tol means an eigenvalue within
+  tol * g_j of each point.  The recurrence is rescaled by powers of two at
+  each step and the product is summed as logarithms: no overflow.
 * unitarity_defect  -- circle: the larger of ||C C* - I||_F and the largest
   entry deviation of C from the CMV product of (alpha, b), both matrices
-* poly_match_*      -- max coefficient deviation from the expanded zero
-  product / max(1, largest target coefficient); reported only, since a
-  monic degree-k polynomial vanishing at k distinct points is their product
 
 The verdict rule of both settings: coefficients_ok, and every gating
 residual (kernel, spectrum n and m, unitarity on the circle) at most the
-tolerance, zero in rational mode; a NaN or infinite one reads None and
-fails.
+tolerance; a NaN or infinite one reads None and fails.  poly_match only
+reports in binary64: a monic degree-k polynomial vanishing at k distinct
+points is their product.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 from . import kernel as _kernel
 from .errors import AlphaOutOfDiskError, DimensionTooLargeError, RankDeficientError
 from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair
-from .linalg import det_bareiss, det_lu, mat_vec, rref_nullspace, unitarity_defect
-from .oprl import JacobiData, eval_charpoly
+from .linalg import det_lu, rref_nullspace, unitarity_defect
+from .oprl import JacobiData
 from .poly import MonicPolynomial, poly_add, poly_from_roots, poly_mul, poly_scale
 from .popuc import DISK_MARGIN, VerblunskyData, boundary_param, cmv_matrix, szego_popuc
 from .scalars import is_exact_scalar
@@ -133,22 +134,20 @@ def _report(exact, profile, coefficients_ok, gating, poly_n, poly_m):
     )
 
 
-def _kernel_residual(system, omega, exact):
-    if system.rows == 0:
-        return 0 if exact else 0.0
-    if exact:
-        return max(abs(r) for r in mat_vec(system.entries, omega))
+def _kernel_residual(system, omega):
+    """max over rows of |sum_j a_j w_j| / sum_j |a_j w_j|; the scale is
+    taken only for a nonzero row sum, so an exact zero row costs one sum."""
     ratios = []
     for row in system.entries:
         terms = [a * w for a, w in zip(row, omega)]
-        scale = sum(map(abs, terms))  # 0 only when every term, so the sum, is 0
-        ratios.append(abs(sum(terms)) / scale if scale else 0.0)
+        total = sum(terms)  # nonzero only if some term, so the scale, is
+        ratios.append(abs(total) / sum(map(abs, terms)) if total else abs(total))
     return _worst(ratios)
 
 
-def _poly_residual(coeffs, target, exact):
+def _poly_residual(coeffs, target):
     res = max(abs(c - t) for c, t in zip(coeffs, target))
-    return res if exact else res / max(1.0, max(abs(t) for t in target))
+    return res / max(1, max(abs(t) for t in target))  # 1.0 would round a Fraction
 
 
 def _gaps(values, period=None):
@@ -162,9 +161,9 @@ def _gaps(values, period=None):
 
 
 def _worst(values):
-    """max, but NaN as soon as one value is NaN."""
+    """max (0 for none), but NaN as soon as one value is NaN."""
     values = list(values)
-    return math.nan if any(v != v for v in values) else max(values)
+    return math.nan if any(v != v for v in values) else max(values, default=0)
 
 
 def _spectrum_residual(value, points, gaps):
@@ -187,19 +186,19 @@ def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDAR
     """Check a real-line reconstruction end to end.
 
     (a) the weight vector is annihilated by the Vandermonde-type system;
-    (b) the recurrence evaluation of P_n (resp. P_m) vanishes at every
-        prescribed point, to the spectrum residual in binary64;
-    (c) every gamma_k is positive.  The coefficient match of P_n and P_m
-    against the zero products is reported only.
+    (b) P_n (resp. P_m) has the prescribed points as zeros: its
+        coefficients equal those of the zero product in rational mode, and
+        its recurrence evaluation passes the spectrum residual in binary64;
+    (c) every gamma_k is positive.  In binary64 the coefficient match of
+    P_n and P_m against the zero products is reported only.
     """
     n, m = pair.n, pair.m
     exact = _is_exact(list(pair.xs) + list(pair.ys) + list(omega))
     gamma = (0, *data.gamma)
+    poly_n = _poly_residual(data.polys[n].coeffs, poly_from_roots(pair.xs))
+    poly_m = _poly_residual(data.polys[m].coeffs, poly_from_roots(pair.ys))
 
     def spectrum(k, points, gaps):
-        if exact:
-            return max(abs(eval_charpoly(data, k, x)) for x in points)
-
         def value(x):
             u, v, e = 0.0, 1.0, 0  # 2**-e (P_{j-1}, P_j), 1/2 <= |P_j| < 1
             for b, g in zip(data.beta[:k], gamma):
@@ -209,14 +208,17 @@ def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDAR
 
         return _spectrum_residual(value, points, gaps)
 
-    gaps = [] if exact else _gaps(pair.xs + pair.ys)
+    if exact:
+        spectrum_n, spectrum_m = poly_n, poly_m
+    else:
+        gaps = _gaps(pair.xs + pair.ys)
+        spectrum_n = spectrum(n, pair.xs, gaps[:n])
+        spectrum_m = spectrum(m, pair.ys, gaps[n:])
     gating = {
-        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega, exact),
-        "spectrum_residual_n": spectrum(n, pair.xs, gaps[:n]),
-        "spectrum_residual_m": spectrum(m, pair.ys, gaps[n:]),
+        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega),
+        "spectrum_residual_n": spectrum_n,
+        "spectrum_residual_m": spectrum_m,
     }
-    poly_n = _poly_residual(data.polys[n].coeffs, poly_from_roots(pair.xs), exact)
-    poly_m = _poly_residual(data.polys[m].coeffs, poly_from_roots(pair.ys), exact)
     coeff_ok = all(g > 0 for g in data.gamma)
     return _report(exact, profile, coeff_ok, gating, poly_n, poly_m)
 
@@ -251,7 +253,7 @@ def verify_popuc(
             psi = szego_popuc(alpha, b, k).coeffs
         except AlphaOutOfDiskError:
             return None
-        return _poly_residual(psi, poly_from_roots(points), exact=False)
+        return _poly_residual(psi, poly_from_roots(points))
 
     def spectrum(k, b, points, gaps):
         def value(z):
@@ -279,7 +281,7 @@ def verify_popuc(
     gaps = _gaps(list(pair.thetas) + list(pair.phis), TWO_PI)
     c_n, c_m = matrices
     gating = {
-        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega, False),
+        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega),
         "spectrum_residual_n": spectrum(n, b_n, pair.zetas, gaps[:n]),
         "spectrum_residual_m": spectrum(m, b_m, pair.xis, gaps[n:]),
         "unitarity_defect": _worst([defect(c_n, n, b_n), defect(c_m, m, b_m)]),
@@ -340,12 +342,10 @@ def _poly_det(cells):
 
 
 def brute_det(matrix, point):
-    """det(point * I - M); LU with partial pivoting in float, fraction-free
-    elimination in rational arithmetic."""
+    """det(point * I - M) by LU with partial pivoting, in the scalar field
+    of the entries (exact pivots divide exactly)."""
     rows = matrix.entries if hasattr(matrix, "entries") else matrix
     n = len(rows)
-    shifted = [
-        [(point if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
-    ]
-    exact = _is_exact([e for r in shifted for e in r])
-    return det_bareiss(shifted) if exact else det_lu(shifted)
+    return det_lu(
+        [[(point if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+    )

@@ -435,6 +435,48 @@ class TestCli:
         assert doc["polynomials"][1] == ["-11/4", "1"]
         assert doc["polynomials"][3] == ["-187/16", "18", "-31/4", "1"]
 
+    def test_param_selects_coefficients_over_the_file_strategy(self, tmp_path):
+        doc = dict(REAL_DOC, weights={"strategy": "sum_all"})
+        code, text = run_cli(tmp_path, doc, "reconstruct", "--param", "s1=3")
+        doc = json.loads(text)
+        assert code == 0
+        assert doc["problem"]["weights"]["strategy"] == "coefficients"
+        assert doc["omega"] == ["2/3", "2/3", "2", "14/15"]
+
+    @pytest.mark.parametrize("strategy", ["sum_all", "cover"])
+    def test_param_under_another_strategy_exit_3(self, tmp_path, capsys, strategy):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(REAL_DOC))
+        argv = ["reconstruct", "-i", str(path), "--strategy", strategy]
+        code = cli.main([*argv, "--param", "s1=3"])
+        assert_coded_error(capsys, code, "BAD_PROBLEM")
+
+    def test_coefficients_under_sum_all_in_the_file_exit_3(self, tmp_path, capsys):
+        weights = {"strategy": "sum_all", "coefficients": {"s1": "3"}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(REAL_DOC, weights=weights)))
+        code = cli.main(["reconstruct", "-i", str(path)])
+        assert_coded_error(capsys, code, "BAD_PROBLEM")
+
+    def test_fuzz_param_exit_3(self, capsys):
+        argv = "fuzz --setting real --n 4 --m 1 --count 1 --param s1=3".split()
+        assert_coded_error(capsys, cli.main(argv), "BAD_PROBLEM")
+
+    @pytest.mark.parametrize(
+        "doc, code",
+        [
+            (dict(REAL_DOC, zn=["1", "2", "2", "4"]), "NOT_SORTED"),
+            (dict(CIRCLE_DOC, zn=["1/2 pi", "1/2 pi", "5/3 pi"]), "DEGENERATE_ANGLE"),
+        ],
+        ids=["real", "circle"],
+    )
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    def test_coincident_points_rejected_exit_2(self, tmp_path, doc, code, command):
+        exit_code, text = run_cli(tmp_path, doc, command)
+        out = json.loads(text)
+        assert exit_code == 2
+        assert (out["accepted"], out["code"]) == (False, code)
+
     def test_reconstruct_circle_default(self, tmp_path):
         code, text = run_cli(tmp_path, CIRCLE_DOC, "reconstruct")
         doc = json.loads(text)

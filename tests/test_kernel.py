@@ -202,6 +202,11 @@ class TestPositiveWeight:
                 ),
             )
 
+    @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
+    def test_coefficients_refused_by_other_strategies(self, strategy):
+        with pytest.raises(ValueError):
+            twospec.WeightSelection(strategy=strategy, coefficients={1: 3})
+
     def test_cover(self, pair_7_3):
         bands = _bands(pair_7_3)
         result = twospec.positive_weight(

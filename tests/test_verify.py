@@ -61,6 +61,45 @@ class TestVerifyReal:
             assert value <= 1e-9
 
 
+class TestRationalSpectrum:
+    """Rational mode proves P_k = prod (x - z_j) by its coefficients: the
+    spectrum residual is the exact coefficient match."""
+
+    @pytest.mark.parametrize("field", ["beta", "gamma"])
+    def test_change_of_1e_minus_400_fails(self, field):
+        # no zero-product coefficient exceeds 1, so a float 1.0 in the
+        # normalisation would round the change to 0.0
+        pair = twospec.RealSpectrumPair(
+            xs=(F(-1, 2), F(-1, 4), F(1, 4), F(1, 2)), ys=(F(-3, 8), F(3, 8))
+        )
+        sol = twospec.reconstruct_real(pair)
+        values = list(getattr(sol.jacobi, field))
+        values[0] += F(1, 10**400)
+        data = dataclasses.replace(sol.jacobi, **{field: tuple(values)})
+        report = twospec.verify_oprl(pair, sol.weight.omega, data, STRICT)
+        assert report.coefficients_ok
+        assert not report.verdict
+        assert {f.split("=")[0] for f in report.failures} == {
+            "spectrum_residual_n",
+            "spectrum_residual_m",
+        }
+
+    def test_spectrum_residual_is_the_coefficient_match(self, pair_4_2):
+        sol = twospec.reconstruct_real(pair_4_2)
+        beta = (sol.jacobi.beta[0] + F(1, 3),) + sol.jacobi.beta[1:]
+        data = dataclasses.replace(sol.jacobi, beta=beta)
+        report = twospec.verify_oprl(pair_4_2, sol.weight.omega, data, STRICT)
+        assert report.spectrum_residual_n == report.poly_match_n > 0
+        assert report.spectrum_residual_m == report.poly_match_m > 0
+
+    def test_kernel_residual_is_componentwise(self, pair_4_2):
+        sol = twospec.reconstruct_real(pair_4_2)
+        omega = list(sol.weight.omega)
+        omega[1] += 100
+        report = twospec.verify_oprl(pair_4_2, tuple(omega), sol.jacobi, STRICT)
+        assert 0 < report.kernel_residual <= 1  # the absolute row residual is 100
+
+
 class TestRandomRealInstance:
     def test_many_nodes_returns_with_gaps_inside_range(self):
         # 200 nodes 0.1 apart leave a slack of only 0.1 in [-10, 10]
@@ -160,6 +199,13 @@ class TestBruteOracles:
     def test_det_exact_mode(self):
         mat = ((F(1, 2), 1), (0, F(3, 2)))
         assert twospec.brute_det(mat, 2) == (2 - F(1, 2)) * (2 - F(3, 2))
+
+    def test_det_exact_zero_leading_pivot(self):
+        # at the point 2 the shifted matrix starts with a zero pivot
+        mat = ((F(2), F(1), F(0)), (F(1), F(3), F(1)), (F(0), F(1), F(5)))
+        det = twospec.brute_det(mat, 2)
+        assert det == twospec.brute_charpoly(mat, 3)(2) == 3
+        assert isinstance(det, F)
 
     def test_condition_warning_on_degenerate_elimination(self):
         # near-identity matrix evaluated at the prescribed point z = 1:
