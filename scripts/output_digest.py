@@ -3,7 +3,7 @@
 per case, sorted, holding the case name and the SHA-1 of its output text
 (or the error code it ended with).
 
-    python3 scripts/output_digest.py SEED
+    python3 scripts/output_digest.py SEED [--values]
 
 Cases:
 
@@ -16,6 +16,13 @@ Cases:
 
 Two checkouts write the same bytes on these cases iff their digests at the
 same seed are equal: ``diff`` them to see which cases moved.
+
+With ``--values`` each output document is reduced before it is hashed, so
+that a change of format alone moves no digest: ``polynomials`` and
+``matrices`` are dropped, and each circuit becomes its support and the
+values there, read from sparse ``entries`` or from a dense ``weights``
+array.  Exit and error codes are kept.  Copy the script into another
+checkout to compare the values two versions compute.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -55,26 +63,53 @@ def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
-def _run_cli(argv) -> str:
+def _circuit_values(circuit: dict) -> dict:
+    support = circuit["support"]
+    if "entries" in circuit:
+        values = circuit["entries"]
+    else:
+        values = [circuit["weights"][j - 1] for j in support]
+    return {"support": support, "values": values}
+
+
+def reduce_values(text: str) -> str:
+    """The canonical text of an output document without its format-only
+    parts (see the module docstring); a text that is no JSON object is
+    returned as it is."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return text
+    if not isinstance(doc, dict):
+        return text
+    doc.pop("polynomials", None)
+    doc.pop("matrices", None)
+    if doc.get("circuits") is not None:
+        doc["circuits"] = [_circuit_values(c) for c in doc["circuits"]]
+    return files.dumps_canonical(doc)
+
+
+def _run_cli(argv, values=False) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
-    return f"{_sha1(out.getvalue())}\t{code}"
+    text = reduce_values(out.getvalue()) if values else out.getvalue()
+    return f"{_sha1(text)}\t{code}"
 
 
-def cli_cases() -> list:
+def cli_cases(values=False) -> list:
     """Digest lines of the problems/ and fuzz cases, sorted."""
     lines = []
     for path in sorted((ROOT / "problems").glob("*.json")):
         for run in PROBLEM_RUNS:
             argv = (*run, "-i", str(path))
-            lines.append(f"cli {path.name} {' '.join(run)}\t{_run_cli(argv)}")
+            lines.append(f"cli {path.name} {' '.join(run)}\t{_run_cli(argv, values)}")
     for run in FUZZ_RUNS:
-        lines.append(f"cli fuzz {' '.join(run)}\t{_run_cli(('fuzz', *run))}")
+        lines.append(f"cli fuzz {' '.join(run)}\t{_run_cli(('fuzz', *run), values)}")
     return sorted(lines)
 
 
-def perfbench_cases(seed: int) -> list:
+def perfbench_cases(seed: int, values=False) -> list:
     """Digest lines of every perfbench instance at ``seed``, sorted."""
     from perfbench.workloads import WORKLOADS
 
@@ -84,8 +119,8 @@ def perfbench_cases(seed: int) -> list:
             try:
                 problem = files.load_problem(files.loads_document(inst.text))
                 solution = reconstruct(problem.pair, problem.selection, problem.profile)
-                doc = files.encode_solution(solution, problem)
-                value = _sha1(files.dumps_canonical(doc))
+                text = files.dumps_canonical(files.encode_solution(solution, problem))
+                value = _sha1(reduce_values(text) if values else text)
             except TwospecError as exc:
                 value = exc.code
             lines.append(f"perfbench {name} {seed} {inst.index:03d}\t{value}")
@@ -95,8 +130,12 @@ def perfbench_cases(seed: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seed", type=int, help="perfbench workload seed")
+    parser.add_argument(
+        "--values", action="store_true", help="hash the values, not the format"
+    )
     args = parser.parse_args(argv)
-    for line in sorted(cli_cases() + perfbench_cases(args.seed)):
+    lines = cli_cases(args.values) + perfbench_cases(args.seed, args.values)
+    for line in sorted(lines):
         print(line)
     return 0
 

@@ -37,7 +37,7 @@ from .interlacing import (
     circle_pair_from_angles,
     normalize_circle,
 )
-from .kernel import CircuitVector, WeightResult, WeightSelection
+from .kernel import LIST_LIMIT, CircuitVector, WeightResult, WeightSelection
 from .oprl import JacobiData, RealMomentSequence
 from .pipeline import CircleSolution, RealSolution
 from .poly import MonicPolynomial
@@ -196,8 +196,8 @@ def parse_weights(doc, arithmetic) -> WeightSelection:
         return WeightSelection()
     if not isinstance(doc, dict):
         raise ProblemFormatError("weights must be an object")
-    strategy = doc.get("strategy", "sum_all")
     given = {} if doc.get("coefficients") is None else doc["coefficients"]
+    strategy = doc.get("strategy", "coefficients" if given else "sum_all")
     if not isinstance(given, dict):
         raise ProblemFormatError("weights.coefficients must be an object")
     coeffs = {}
@@ -320,10 +320,11 @@ def decode_value(value, arithmetic):
 
 
 def encode_circuits(vecs):
-    """Circuit vectors as {"support", "weights"} objects; None stays None."""
+    """Circuit vectors as sparse {"support", "entries"} objects, the entries
+    in support order; None stays None."""
     if vecs is None:
         return None
-    return encode_value([{"support": v.support, "weights": v.weights} for v in vecs])
+    return encode_value([{"support": v.support, "entries": v.entries} for v in vecs])
 
 
 def _decode_report(doc) -> VerificationReport:
@@ -372,7 +373,9 @@ def encode_solution(solution, problem: Problem) -> dict:
         pair, jacobi = solution.pair, solution.jacobi
         doc["problem"].update(zn=pair.xs, zm=pair.ys)
         doc["recurrence"] = {"beta": jacobi.beta, "gamma": jacobi.gamma}
-        doc["polynomials"] = [p.coeffs for p in jacobi.polys]
+        # listed like the admissible family: P_0..P_n hold (n+1)(n+2)/2 coefficients
+        listed = (pair.n + 1) * (pair.n + 2) // 2 <= LIST_LIMIT
+        doc["polynomials"] = [p.coeffs for p in jacobi.polys] if listed else None
         doc["matrices"] = {"jacobi": jacobi.matrix}
     else:
         pair, data = solution.pair, solution.verblunsky
@@ -407,7 +410,7 @@ def decode_solution(doc: dict):
         accepted=doc["verdict"]["accepted"],
         indices=None if indices is None else tuple(indices),
     )
-    circuits = doc["circuits"]
+    circuits, n = doc["circuits"], len(doc["omega"])
     common = dict(
         verdict=verdict,
         bands=BandDecomposition(bands=ints(doc["bands"]), indices=verdict.indices),
@@ -418,7 +421,7 @@ def decode_solution(doc: dict):
             strategy=doc["problem"]["weights"]["strategy"],
             family_size=doc["admissible"]["size"],
             circuits=None if circuits is None else tuple(
-                CircuitVector(support=tuple(c["support"]), weights=dec(c["weights"]))
+                CircuitVector(support=tuple(c["support"]), entries=dec(c["entries"]), n=n)
                 for c in circuits
             ),
         ),

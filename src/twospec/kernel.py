@@ -79,10 +79,21 @@ class SystemMatrix:
 
 @dataclass(frozen=True)
 class CircuitVector:
-    """Sparse kernel generator: zero off ``support`` (1-based indices)."""
+    """Sparse kernel generator on ``n`` nodes: ``entries`` are its values on
+    ``support`` (ascending 1-based indices), in support order, and it is zero
+    off the support."""
 
     support: tuple
-    weights: tuple
+    entries: tuple
+    n: int
+
+    @property
+    def weights(self) -> tuple:
+        """The dense length-n vector, with zeros of the entries' field."""
+        dense = [Fraction(0) if is_exact_scalar(self.entries[0]) else 0.0] * self.n
+        for j, e in zip(self.support, self.entries):
+            dense[j - 1] = e
+        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -219,7 +230,14 @@ def circuits(pair, supports) -> tuple:
     """The circuits on ``supports`` (each of ``pair.circuit_size`` 1-based
     node indices) by the formula of the module docstring, each entry one
     running product, P_m first; the support entries are negated when more of
-    them are negative than positive.  P_m is computed once per node."""
+    them are negative than positive.  P_m is computed once per node, and each
+    distinct support once: a repeated support returns the same vector.
+
+    The running product of the entry at j starts with the factors it shares
+    with the first support S_0 (the members of the longest common prefix of
+    its support and S_0, j left out), kept once per node and extended one
+    factor at a time.  Products fold left, so sharing them changes no bit.
+    """
     setting = setting_of(pair)
     nodes, points = setting.coords(pair)
     diff, size = setting.diff, pair.circuit_size
@@ -230,23 +248,38 @@ def circuits(pair, supports) -> tuple:
     _check_distinct(setting, nodes)
     used = sorted(set().union(*supports))
     pm = {j: _pm_at(setting, j - 1, nodes[j - 1], points) for j in used}
-    # Off-support zeros in the pair's scalar field.
-    zero = Fraction(0) if is_exact_scalar(nodes[0]) else 0.0
-    out = []
+    first = supports[0] if supports else ()
+    heads = {}  # j -> P_m(x_j), then times d(x_j, x_f) for f in first, f != j
+
+    def head(j, k):
+        """P_m(x_j) times its first k factors over ``first``, j left out."""
+        run = heads.setdefault(j, [pm[j]])
+        if len(run) <= k:
+            x = nodes[j - 1]
+            for f in [f for f in first if f != j][len(run) - 1 : k]:
+                run.append(run[-1] * diff(x, nodes[f - 1]))
+        return run[k]
+
+    built = {}
     for s in supports:
-        weights = [zero] * pair.n
+        if s in built:
+            continue
+        shared = next((k for k, (a, b) in enumerate(zip(s, first)) if a != b), size)
         xs = [nodes[i - 1] for i in s]
+        entries = []
         for p, j in enumerate(s):
-            diffs = map(diff, repeat(xs[p]), xs[:p] + xs[p + 1 :])
+            if p < shared:  # j is one of the shared members
+                start, rest = head(j, shared - 1), xs[shared:]
+            else:
+                start, rest = head(j, shared), xs[shared:p] + xs[p + 1 :]
             try:
-                weights[j - 1] = 1 / math.prod(diffs, start=pm[j])
+                entries.append(1 / math.prod(map(diff, repeat(xs[p]), rest), start=start))
             except ZeroDivisionError:  # the running product underflows binary64
                 raise NonpositiveWeightError(f"circuit entry {j} overflows") from None
-        if sum((weights[j - 1] > 0) - (weights[j - 1] < 0) for j in s) < 0:
-            for j in s:
-                weights[j - 1] = -weights[j - 1]
-        out.append(CircuitVector(support=s, weights=tuple(weights)))
-    return tuple(out)
+        if sum((e > 0) - (e < 0) for e in entries) < 0:
+            entries = [-e for e in entries]
+        built[s] = CircuitVector(support=s, entries=tuple(entries), n=pair.n)
+    return tuple(built[s] for s in supports)
 
 
 def circuit(pair, support) -> CircuitVector:
@@ -301,8 +334,8 @@ def positive_weight(
     def combine(chosen):
         vecs = circuits(pair, [support for _, support in chosen])
         for (coeff, _), vec in zip(chosen, vecs):
-            for j in vec.support:
-                omega[j - 1] = omega[j - 1] + coeff * vec.weights[j - 1]
+            for j, e in zip(vec.support, vec.entries):
+                omega[j - 1] = omega[j - 1] + coeff * e
         return vecs
 
     if selection.strategy == SUM_ALL:

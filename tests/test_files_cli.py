@@ -180,6 +180,55 @@ class TestSolutionRoundTrip:
         back = files.decode_solution(files.loads_document(text))
         assert files.dumps_canonical(files.encode_solution(back, problem)) == text
 
+    def test_float_cover_text_round_trip_without_polynomials(self):
+        pair = fuzz.random_real_instance(random.Random(1), 60, 20)
+        problem = files.load_problem(_float_cover_doc(pair))
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        text = files.dumps_canonical(files.encode_solution(solution, problem))
+        doc = json.loads(text)
+        assert doc["polynomials"] is None
+        assert len(doc["circuits"]) == pair.n
+        for c in doc["circuits"]:
+            assert sorted(c) == ["entries", "support"]
+            assert len(c["support"]) == len(c["entries"]) == pair.m + 1
+        back = files.decode_solution(files.loads_document(text))
+        assert back == solution
+        assert files.dumps_canonical(files.encode_solution(back, problem)) == text
+
+    @pytest.mark.parametrize("n", [43, 44])
+    def test_polynomials_are_listed_up_to_list_limit_coefficients(self, n):
+        # P_0..P_n hold (n+1)(n+2)/2 coefficients: 990 at n = 43, 1035 at n = 44
+        pair = fuzz.random_real_instance(random.Random(n), n, 10)
+        problem = files.load_problem(_float_cover_doc(pair))
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        polys = files.encode_solution(solution, problem)["polynomials"]
+        if n == 43:
+            assert polys == [list(p.coeffs) for p in solution.jacobi.polys]
+        else:
+            assert polys is None
+
+    def test_dense_weights_view(self):
+        # the length-n vector with zeros of the pair's field off the support
+        problem = files.load_problem(REAL_DOC)
+        solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
+        dense = solution.weight.circuits[0].weights
+        assert dense == (F(4, 15), F(2, 3), F(0), F(2, 15))
+        assert all(type(w) is F for w in dense)
+        pair = fuzz.random_real_instance(random.Random(2), 12, 4)
+        problem = files.load_problem(_float_cover_doc(pair))
+        solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
+        xs = pair.xs
+        for vec in solution.weight.circuits:
+            want = [0.0] * pair.n
+            for j in vec.support:
+                pm = math.prod([xs[j - 1] - y for y in pair.ys])
+                others = [xs[j - 1] - xs[i - 1] for i in vec.support if i != j]
+                want[j - 1] = 1 / math.prod(others, start=pm)
+            if sum(want[j - 1] < 0 for j in vec.support) * 2 > len(vec.support):
+                want = [-w for w in want]
+            assert vec.weights == tuple(want)
+            assert all(type(w) is float for w in vec.weights)
+
     def test_dump_is_byte_stable(self):
         problem = files.load_problem(REAL_DOC)
         solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
@@ -230,7 +279,18 @@ class TestValueCodec:
         assert 0 in weights
         assert all(type(w) is F for w in weights)
         circuits = files.encode_circuits(solution.weight.circuits)
-        assert "0" in circuits[0]["weights"]
+        assert circuits[0] == {"support": [1, 2, 4], "entries": ["4/15", "2/3", "2/15"]}
+
+
+def _float_cover_doc(pair):
+    return dict(
+        REAL_DOC,
+        arithmetic="float64",
+        zn=list(pair.xs),
+        zm=list(pair.ys),
+        weights={"strategy": "cover"},
+        profile="standard",
+    )
 
 
 def reference_dumps(value):
@@ -451,6 +511,15 @@ class TestCli:
         code = cli.main([*argv, "--param", "s1=3"])
         assert_coded_error(capsys, code, "BAD_PROBLEM")
 
+    def test_coefficients_in_the_file_select_their_strategy(self, tmp_path):
+        doc = json.loads((PROBLEMS / "real_small.json").read_text())
+        doc["weights"] = {"coefficients": {"s1": "3"}}
+        code, text = run_cli(tmp_path, doc, "reconstruct")
+        out = json.loads(text)
+        assert code == 0
+        assert out["problem"]["weights"]["strategy"] == "coefficients"
+        assert out["omega"] == ["2/3", "2/3", "2", "14/15"]
+
     def test_coefficients_under_sum_all_in_the_file_exit_3(self, tmp_path, capsys):
         weights = {"strategy": "sum_all", "coefficients": {"s1": "3"}}
         path = tmp_path / "problem.json"
@@ -559,7 +628,13 @@ class TestCli:
         assert code == 0
         assert doc["family_size"] == 2
         assert doc["circuits"][0]["support"] == [1, 2, 4]
-        assert doc["circuits"][0]["weights"] == ["4/15", "2/3", "0", "2/15"]
+        assert doc["circuits"][0]["entries"] == ["4/15", "2/3", "2/15"]
+
+    def test_circuits_of_the_example_problem_are_sparse(self, capsys):
+        code = cli.main(["circuits", "-i", str(PROBLEMS / "real_small.json")])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["circuits"][0] == {"support": [1, 2, 4], "entries": ["4/15", "2/3", "2/15"]}
 
     def test_circuits_above_list_limit(self, tmp_path):
         # eleven two-node bands: 2**11 = 2048 members, above LIST_LIMIT

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction as F
+from itertools import repeat
 
 import pytest
 
@@ -468,6 +469,83 @@ class TestBatchedCircuits:
         )
         assert pair_4_2.circuit_size == pair_4_2.m + 1
         assert circle_3_2.circuit_size == circle_3_2.m
+
+
+def _reference_entries(pair, support):
+    """The circuit on ``support`` by the product formula: per node one
+    left-to-right product, P_m(x_j) first, then the other support members in
+    support order; negated when more entries are negative than positive."""
+    if isinstance(pair, twospec.RealSpectrumPair):
+        nodes, points, diff = pair.xs, pair.ys, lambda x, y: x - y
+    else:
+        nodes, points, diff = pair.thetas, pair.phis, lambda x, y: math.sin((x - y) / 2.0)
+    entries = []
+    for j in support:
+        x = nodes[j - 1]
+        others = [nodes[i - 1] for i in support if i != j]
+        pm = math.prod(map(diff, repeat(x), points))
+        entries.append(1 / math.prod(map(diff, repeat(x), others), start=pm))
+    if sum((e > 0) - (e < 0) for e in entries) < 0:
+        entries = [-e for e in entries]
+    return tuple(entries)
+
+
+class TestCircuitBits:
+    """One build per distinct support and shared product heads leave every
+    bit of the per-support formula, in the circuits and in omega."""
+
+    def _check(self, pair, selection):
+        bands = _bands(pair)
+        result = twospec.positive_weight(pair, bands, selection)
+        if selection.strategy == COVER:
+            firsts = [b[0] for b in bands.bands]
+            band_of = {j: r for r, b in enumerate(bands.bands) for j in b}
+            chosen = [
+                (1, tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)))
+                for j in range(1, pair.n + 1)
+            ]
+        elif selection.strategy == COEFFICIENTS:
+            chosen = [(1, twospec.admissible_at(bands, 0))] + [
+                (c, twospec.admissible_at(bands, k))
+                for k, c in sorted(selection.coefficients.items())
+            ]
+        else:
+            chosen = [(1, s) for s in twospec.admissible_family(bands)]
+        assert len(result.circuits) == len(chosen)
+        omega = [0] * pair.n
+        by_support = {}
+        for (coeff, support), vec in zip(chosen, result.circuits):
+            want = _reference_entries(pair, support)
+            assert vec.support == support
+            # repr round-trips floats, so equal reprs are equal bits
+            assert repr(vec.entries) == repr(want)
+            assert by_support.setdefault(support, vec) is vec
+            for j, e in zip(support, want):
+                omega[j - 1] = omega[j - 1] + coeff * e
+        if selection.strategy != SUM_ALL:  # sum_all's omega is its closed form
+            assert repr(result.omega) == repr(tuple(omega))
+        return by_support
+
+    @pytest.mark.parametrize(
+        "kind, n", [("float", 60), ("float", 200), ("circle", 16), ("circle", 64)]
+    )
+    def test_cover(self, kind, n):
+        generate = {"float": fuzz.random_real_instance, "circle": fuzz.random_circle_instance}
+        pair = generate[kind](random.Random(n), n, n // 4)
+        by_support = self._check(pair, twospec.WeightSelection(COVER))
+        # the base support serves every first index of a band
+        assert len(by_support) == pair.n - pair.circuit_size + 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["exact", "float", "circle"])
+    @pytest.mark.parametrize("strategy", [COEFFICIENTS, SUM_ALL])
+    def test_listed_families(self, strategy, kind, seed):
+        pair = _instance(kind, seed)
+        size = twospec.admissible_size(_bands(pair))
+        coeffs = {}
+        if strategy == COEFFICIENTS:
+            coeffs = {k: F(k, 7) if kind == "exact" else k / 7 for k in range(1, size)}
+        self._check(pair, twospec.WeightSelection(strategy, coeffs))
 
 
 def _raw_circle(thetas, phis):

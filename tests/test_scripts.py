@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -32,12 +33,17 @@ def test_run_large_instance_float64_exits_zero():
     assert "verified  True" in out
 
 
-def test_output_digest_cli_cases():
+def load_digest():
     spec = importlib.util.spec_from_file_location(
         "output_digest", ROOT / "scripts" / "output_digest.py"
     )
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_output_digest_cli_cases():
+    digest = load_digest()
     lines = digest.cli_cases()
     problems = len(list((ROOT / "problems").glob("*.json")))
     assert len(lines) == problems * len(digest.PROBLEM_RUNS) + len(digest.FUZZ_RUNS)
@@ -49,3 +55,35 @@ def test_output_digest_cli_cases():
     # circle problems run in binary64 only
     assert cases["cli circle_small.json circuits --arithmetic rational"].endswith("\t3")
     assert digest.cli_cases() == lines
+
+
+def test_output_digest_values_ignore_the_format():
+    digest = load_digest()
+    dense = {
+        "omega": ["1", "2", "3"],
+        "circuits": [{"support": [1, 3], "weights": ["1/2", "0", "-1/3"]}],
+        "polynomials": [["1"], ["-1", "1"]],
+        "matrices": {"jacobi": [["1"]]},
+    }
+    sparse = {
+        "omega": ["1", "2", "3"],
+        "circuits": [{"support": [1, 3], "entries": ["1/2", "-1/3"]}],
+        "polynomials": None,
+    }
+    reduced = digest.reduce_values(json.dumps(dense))
+    assert reduced == digest.reduce_values(json.dumps(sparse))
+    assert json.loads(reduced) == {
+        "omega": ["1", "2", "3"],
+        "circuits": [{"support": [1, 3], "values": ["1/2", "-1/3"]}],
+    }
+    moved = dict(sparse, omega=["1", "2", "4"])
+    assert digest.reduce_values(json.dumps(moved)) != reduced
+    assert digest.reduce_values("OPRLFamily[{1, 2}, {3/2}]\n") == "OPRLFamily[{1, 2}, {3/2}]\n"
+    # the same cases and exit codes, with other digests where a document
+    # holds circuits, polynomials or matrices
+    plain, values = digest.cli_cases(), digest.cli_cases(values=True)
+    split = [line.split("\t") for line in plain], [line.split("\t") for line in values]
+    assert [(c, code) for c, _, code in split[0]] == [(c, code) for c, _, code in split[1]]
+    same = {c for (c, a, _), (_, b, _) in zip(*split) if a == b}
+    assert "cli real_small.json check" in same
+    assert "cli real_small.json reconstruct" not in same
