@@ -21,8 +21,10 @@ With ``--values`` each output document is reduced before it is hashed, so
 that a change of format alone moves no digest: ``polynomials`` and
 ``matrices`` are dropped, and each circuit becomes its support and the
 values there, read from sparse ``entries`` or from a dense ``weights``
-array.  Exit and error codes are kept.  Copy the script into another
-checkout to compare the values two versions compute.
+array, and the rest is written again as json.dumps(doc, sort_keys=True,
+separators=(",", ":"), ensure_ascii=False) plus a newline, whatever
+whitespace the program writes.  Exit and error codes are kept.  Copy the
+script into another checkout to compare the values two versions compute.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ def _circuit_values(circuit: dict) -> dict:
 
 
 def reduce_values(text: str) -> str:
-    """The canonical text of an output document without its format-only
-    parts (see the module docstring); a text that is no JSON object is
-    returned as it is."""
+    """An output document without its format-only parts (see the module
+    docstring), written by the canonical rule but independently of the
+    program's writer; a text that is no JSON object is returned as it is."""
     try:
         doc = json.loads(text)
     except ValueError:
@@ -86,7 +88,7 @@ def reduce_values(text: str) -> str:
     doc.pop("matrices", None)
     if doc.get("circuits") is not None:
         doc["circuits"] = [_circuit_values(c) for c in doc["circuits"]]
-    return files.dumps_canonical(doc)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 def _run_cli(argv, values=False) -> str:

@@ -3,12 +3,15 @@
 Subcommands: ``check`` (interlacing verdict), ``reconstruct`` (full
 pipeline with verification), ``circuits`` (admissible family enumeration),
 ``fuzz`` (seeded random reconstruct+verify batches).  All output is JSON on
-stdout (canonical form: sorted keys, two-space indent), so identical inputs
-and flags produce byte-identical files.
+stdout in the canonical form of files.dumps_canonical (sorted keys, no
+insignificant whitespace), so identical inputs and flags produce
+byte-identical files; python -m json.tool --indent 2 --sort-keys
+--no-ensure-ascii indents it.
 
 Exit codes: 0 success-and-verified, 2 interlacing rejected (coincident
-points included), 3 problem or reconstruction error (or, code BAD_OUTPUT,
-an -o path that cannot be written), 4 verification failure.
+points included), 3 problem or reconstruction error (a usage error
+included, or, code BAD_OUTPUT, an -o path that cannot be written), 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_ERROR = 3
 EXIT_VERIFICATION = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ProblemFormatError, so they end like any other
+    malformed input: exit 3 and a BAD_PROBLEM document on stdout."""
+
+    def error(self, message):
+        raise ProblemFormatError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "and exit (real setting only)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twospec",
         description="Reconstruct orthogonal-polynomial families and their "
         "spectral matrices from two interlacing zero sets.",
@@ -217,40 +228,42 @@ def _cmd_fuzz(args):
 
 def _run(args):
     """The command's exit code and its output, a document or a text."""
+    if args.command == "fuzz":
+        return _cmd_fuzz(args)
+    doc = _apply_overrides(_read_input(args), args)
+    problem = files.load_problem(doc)
+    if args.emit_mathematica:
+        return EXIT_OK, files.emit_mathematica(problem) + "\n"
+    if args.command == "check":
+        return _cmd_check(problem)
+    if args.command == "circuits":
+        return _cmd_circuits(problem)
+    return _cmd_reconstruct(problem)
+
+
+def main(argv=None) -> int:
+    out_path = None
     try:
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        doc = _apply_overrides(_read_input(args), args)
-        problem = files.load_problem(doc)
-        if args.emit_mathematica:
-            return EXIT_OK, files.emit_mathematica(problem) + "\n"
-        if args.command == "check":
-            return _cmd_check(problem)
-        if args.command == "circuits":
-            return _cmd_circuits(problem)
-        return _cmd_reconstruct(problem)
+        args = _build_parser().parse_args(argv)
+        out_path = args.out
+        code, out = _run(args)
     except (InterlacingRejectedError, SharedPointError, DegenerateAngleError) as exc:
-        return EXIT_REJECTED, {
+        code, out = EXIT_REJECTED, {
             "schema": files.SCHEMA,
             "accepted": False,
             "code": exc.code,
             "detail": str(exc),
         }
     except TwospecError as exc:
-        return EXIT_ERROR, _error_doc(exc.code, str(exc))
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    code, out = _run(args)
+        code, out = EXIT_ERROR, _error_doc(exc.code, str(exc))
     text = out if isinstance(out, str) else files.dumps_canonical(out)
-    if args.out:
+    if out_path:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return code
         except OSError as exc:  # the error document goes to stdout instead
-            message = f"cannot write {args.out}: {exc}"
+            message = f"cannot write {out_path}: {exc}"
             code = EXIT_ERROR
             text = files.dumps_canonical(_error_doc("BAD_OUTPUT", message))
     sys.stdout.write(text)

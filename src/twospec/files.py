@@ -6,10 +6,10 @@ lost; a binary64 real is a number in its shortest round-trip form; a complex
 number is an {"re": .., "im": ..} object; an index or a size is an integer.
 encode_value writes every result value by that rule and decode_value reads
 it back.  Output is canonical: by definition its bytes are those of
-json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) plus a newline,
-so identical inputs produce byte-identical files.  dumps_canonical writes an
-array or object of scalars with one C-encoder call, and an array of
-same-key objects of scalars with two.
+json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+plus a newline, sorted keys and no insignificant whitespace, so identical
+inputs produce byte-identical files.  For an indented view, pipe a document
+through python -m json.tool --indent 2 --sort-keys --no-ensure-ascii.
 
 Problem values: the real setting accepts integers, "p/q" strings and
 decimal strings; the circle setting accepts {"re", "im"} points, angle
@@ -25,8 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from json.encoder import encode_basestring
+from functools import partial
 
 from .errors import NumberTooLargeError, ProblemFormatError, UnsupportedArithmeticError
 from .interlacing import (
@@ -72,66 +71,11 @@ def loads_document(text: str) -> dict:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-@cache  # one per nesting depth: items separated by a newline and depth indents
-def _encoder(depth):
-    return json.JSONEncoder(
-        ensure_ascii=False, sort_keys=True, separators=(",\n" + "  " * depth, ": ")
-    ).encode
-
-
 def dumps_canonical(doc) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) plus a
-    newline, byte for byte.  An array or object of scalars takes one call of
-    the C encoder, an array of same-key objects of scalars two (the values,
-    then a template); any other container is written entry by entry."""
-    out = []
-    _write(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(value, level, out):
-    inner = "\n" + "  " * (level + 1)
-    outer = "\n" + "  " * level
-    is_dict = isinstance(value, dict)
-    if not value or not (is_dict or isinstance(value, (list, tuple))):
-        out.append(_encoder(0)(value))  # a scalar, [] or {}
-        return
-    kinds = set(map(type, value.values() if is_dict else value))
-    if kinds <= _SCALARS:
-        text = _encoder(level + 1)(value)
-        out.append(text[0] + inner + text[1:-1] + outer + text[-1])
-        return
-    # objects with the same keys in the same order
-    if kinds == {dict} and not is_dict and len(set(map(tuple, value))) == 1:
-        keys = sorted(value[0])
-        flat = [row[k] for row in value for k in keys]
-        if set(map(type, keys)) == {str} and set(map(type, flat)) <= _SCALARS:
-            # an encoded token never holds a raw newline: the split is exact
-            tokens = _encoder(0)(flat)[1:-1].split(",\n")
-            field = inner + "  "
-            cell = "{" + field + ("," + field).join(
-                encode_basestring(k).replace("%", "%%") + ": %s" for k in keys
-            ) + inner + "}"
-            template = ("," + inner).join([cell] * len(value))
-            out.append("[" + inner + template % tuple(tokens) + outer + "]")
-            return
-    out.append("{" if is_dict else "[")
-    sep = inner
-    for item in sorted(value.items()) if is_dict else value:
-        if is_dict:  # the key and ": " as json writes them, for any key type
-            key, item = item
-            sep += (
-                encode_basestring(key) + ": " if isinstance(key, str)
-                else _encoder(0)({key: 0})[1:-2]
-            )
-        out.append(sep)
-        _write(item, level + 1, out)
-        sep = "," + inner
-    out.append(outer + ("}" if is_dict else "]"))
+    """The canonical text of doc, the module's definition: sorted keys, no
+    insignificant whitespace, non-ASCII text written as is, and a closing
+    newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 def parse_real_value(value, arithmetic):

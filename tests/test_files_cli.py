@@ -295,7 +295,7 @@ def _float_cover_doc(pair):
 
 def reference_dumps(value):
     """The definition of the canonical text."""
-    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -381,6 +381,37 @@ class TestCanonicalWriter:
         solution = reconstruct_circle(pair)
         value = files.encode_solution(solution, problem)
         assert files.dumps_canonical(value) == reference_dumps(value)
+
+    def test_check_output_bytes(self, capsys):
+        assert cli.main(["check", "-i", str(PROBLEMS / "real_small.json")]) == 0
+        assert capsys.readouterr().out == (
+            '{"accepted":true,"bands":[[1],[2,3],[4]],"command":"check",'
+            '"indices":[0,1,3,4],"schema":"v1","setting":"real"}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "name, arithmetic",
+        [
+            ("real_small.json", files.RATIONAL),
+            ("real_small.json", files.FLOAT64),
+            ("large_real.json", files.RATIONAL),
+            ("large_real.json", files.FLOAT64),
+            ("circle_small.json", files.FLOAT64),
+        ],
+    )
+    def test_indenting_the_text_gives_the_indented_document(self, name, arithmetic):
+        # the compact text holds every value: indenting it again gives the
+        # indent=2 text of the encoded document
+        doc = dict(json.loads((PROBLEMS / name).read_text()), arithmetic=arithmetic)
+        problem = files.load_problem(doc)
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        value = files.encode_solution(solution, problem)
+        text = files.dumps_canonical(value)
+
+        def indented(doc):
+            return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+        assert indented(json.loads(text)) == indented(value)
 
 
 def run_cli(tmp_path, doc, *argv):
@@ -783,6 +814,26 @@ class TestCli:
         assert json.loads(out)["error"]["code"] == "BAD_PROBLEM"
         assert err == ""
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "reconstruct --strategy foo",
+            "fuzz --setting real --n 5 --m 2 --count x",
+            "",
+        ],
+        ids=["bad_choice", "bad_int", "no_command"],
+    )
+    def test_usage_error_exit_3(self, capsys, argv):
+        assert_coded_error(capsys, cli.main(argv.split()), "BAD_PROBLEM")
+
+    @pytest.mark.parametrize("argv", ["--help", "-h", "reconstruct --help"])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv.split())
+        out, err = capsys.readouterr()
+        assert (info.value.code, err) == (0, "")
+        assert out.startswith("usage: twospec")
 
     def test_parameter_outside_family_exit_3(self, tmp_path):
         code, text = run_cli(tmp_path, REAL_DOC, "reconstruct", "--param", "s2=1")
