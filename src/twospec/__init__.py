@@ -67,6 +67,7 @@ from .oprl import (
 from .pipeline import (
     CircleSolution,
     RealSolution,
+    circle_parts,
     interlace,
     reconstruct,
     reconstruct_circle,

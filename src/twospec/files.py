@@ -25,22 +25,17 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .errors import NumberTooLargeError, ProblemFormatError, UnsupportedArithmeticError
 from .interlacing import (
-    BandDecomposition,
-    CircleSpectrumPair,
-    InterlacingVerdict,
-    RealSpectrumPair,
-    circle_pair_from_angles,
-    normalize_circle,
+    CircleSpectrumPair, RealSpectrumPair, circle_pair_from_angles, normalize_circle
 )
-from .kernel import LIST_LIMIT, CircuitVector, WeightResult, WeightSelection
-from .oprl import JacobiData, RealMomentSequence
-from .pipeline import CircleSolution, RealSolution
-from .poly import MonicPolynomial
-from .popuc import PentadiagonalUnitary, TrigMomentSequence, VerblunskyData
+from .kernel import (
+    LIST_LIMIT, STRATEGIES, CircuitVector, WeightResult, WeightSelection, family_listing
+)
+from .oprl import JacobiData, moments_real
+from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
+from .popuc import trig_moments
 from .verify import RESIDUALS, STANDARD, STRICT, Profile, VerificationReport
 
 SCHEMA = "v1"
@@ -339,63 +334,55 @@ def encode_solution(solution, problem: Problem) -> dict:
 
 
 def decode_solution(doc: dict):
-    """Rebuild a RealSolution / CircleSolution from its document; the
-    solution derives the real-setting polynomials and matrix and the circle
-    rho, which are not read."""
-    if doc.get("schema") != SCHEMA:
-        raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
-    dec = partial(decode_value, arithmetic=doc["arithmetic"])
+    """Rebuild a RealSolution / CircleSolution from what its reconstruction
+    computed: the problem's zero sets (zn/zm, and thetas/phis on the circle)
+    and weight strategy, omega, the circuits (each of len(omega) nodes), the
+    recurrence (beta/gamma, or alpha) and the verification report.  The rest
+    is derived by the pipeline's own steps, never read: verdict and bands by
+    interlace, the family by family_listing, the moments, and on the circle
+    b_n, b_m, C_n, C_m, Psi_n and Psi_m by circle_parts.  ProblemFormatError
+    when a field it reads is missing or mistyped, or a step refuses its value."""
+    try:
+        if doc.get("schema") != SCHEMA:
+            raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
+        setting, arithmetic = doc["setting"], doc["arithmetic"]
+        problem, rec = doc["problem"], doc["recurrence"]
+        strategy = problem["weights"]["strategy"]
+        if setting not in ("real", "circle") or arithmetic not in (RATIONAL, FLOAT64):
+            raise ProblemFormatError(f"unknown setting or arithmetic {setting!r}, {arithmetic!r}")
+        if strategy not in STRATEGIES:
+            raise ProblemFormatError(f"unknown strategy {strategy!r}")
 
-    def ints(rows):  # bands, family: plain integer tuples
-        return None if rows is None else tuple(map(tuple, rows))
+        def array(value):
+            if not isinstance(value, list):
+                raise ProblemFormatError(f"expected an array, got {value!r}")
+            return decode_value(value, arithmetic)
 
-    indices = doc["verdict"]["indices"]
-    verdict = InterlacingVerdict(
-        accepted=doc["verdict"]["accepted"],
-        indices=None if indices is None else tuple(indices),
-    )
-    circuits, n = doc["circuits"], len(doc["omega"])
-    common = dict(
-        verdict=verdict,
-        bands=BandDecomposition(bands=ints(doc["bands"]), indices=verdict.indices),
-        family_size=doc["admissible"]["size"],
-        family=ints(doc["admissible"]["family"]),
-        weight=WeightResult(
-            omega=dec(doc["omega"]),
-            strategy=doc["problem"]["weights"]["strategy"],
-            family_size=doc["admissible"]["size"],
-            circuits=None if circuits is None else tuple(
-                CircuitVector(support=tuple(c["support"]), entries=dec(c["entries"]), n=n)
-                for c in circuits
-            ),
-        ),
-        report=_decode_report(doc["verification"]),
-    )
-    problem, rec = doc["problem"], doc["recurrence"]
-    if doc["setting"] == "real":
-        return RealSolution(
-            pair=RealSpectrumPair(xs=dec(problem["zn"]), ys=dec(problem["zm"])),
-            moments=RealMomentSequence(mu=dec(doc["moments"])),
-            jacobi=JacobiData(beta=dec(rec["beta"]), gamma=dec(rec["gamma"])),
-            **common,
+        if setting == "real":
+            pair = RealSpectrumPair(xs=array(problem["zn"]), ys=array(problem["zm"]))
+        else:
+            keys = ("zn", "zm", "thetas", "phis")  # zetas, xis, thetas, phis
+            pair = CircleSpectrumPair(*(array(problem[k]) for k in keys))
+        verdict, bands = interlace(pair)
+        size, family = family_listing(bands)
+        omega = array(doc["omega"])
+        circuits = None if doc["circuits"] is None else tuple(
+            CircuitVector(tuple(c["support"]), array(c["entries"]), len(omega))
+            for c in doc["circuits"]
         )
-    polys, matrices = doc["polynomials"], doc["matrices"]
-    return CircleSolution(
-        pair=CircleSpectrumPair(
-            zetas=dec(problem["zn"]),
-            xis=dec(problem["zm"]),
-            thetas=dec(problem["thetas"]),
-            phis=dec(problem["phis"]),
-        ),
-        moments=TrigMomentSequence(mu=dec(doc["moments"])),
-        verblunsky=VerblunskyData(alpha=dec(rec["alpha"]), b=dec(rec["b_n"])),
-        b_m=dec(rec["b_m"]),
-        c_n=PentadiagonalUnitary(entries=dec(matrices["c_n"])),
-        c_m=PentadiagonalUnitary(entries=dec(matrices["c_m"])),
-        psi_n=MonicPolynomial(dec(polys["psi_n"])),
-        psi_m=MonicPolynomial(dec(polys["psi_m"])),
-        **common,
-    )
+        common = dict(
+            pair=pair, verdict=verdict, bands=bands, family_size=size, family=family,
+            weight=WeightResult(omega, strategy, size, circuits),
+            report=_decode_report(doc["verification"]),
+        )
+        if setting == "real":
+            jacobi = JacobiData(beta=array(rec["beta"]), gamma=array(rec["gamma"]))
+            moments = moments_real(pair.xs, omega)
+            return RealSolution(moments=moments, jacobi=jacobi, **common)
+        parts = circle_parts(pair, array(rec["alpha"]))
+        return CircleSolution(moments=trig_moments(pair.zetas, omega), **parts, **common)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"malformed solution document: {exc!r}") from exc
 
 
 def emit_mathematica(problem: Problem) -> str:

@@ -2,13 +2,13 @@
 
 Each driver runs the full chain -- interlacing check, band decomposition,
 circuit combination, moments, recurrence recovery, matrix assembly -- and
-always attaches an independent verification report.  ``interlace`` is the
-shared first step and ``reconstruct`` picks the driver from the pair.
+always attaches an independent verification report.  The solution decoder
+reuses ``interlace`` and ``circle_parts``; ``reconstruct`` picks the driver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InterlacingRejectedError
 from .interlacing import (
@@ -112,6 +112,20 @@ def reconstruct_real(
     )
 
 
+def circle_parts(pair: CircleSpectrumPair, alpha) -> dict:
+    """The CircleSolution fields that the pair and alpha_0..alpha_{n-2} fix:
+    the Verblunsky data with b_n, b_m, C_n, C_m, Psi_n and Psi_m."""
+    b_n, b_m = boundary_param(pair.zetas), boundary_param(pair.xis)
+    return dict(
+        verblunsky=VerblunskyData(alpha=alpha, b=b_n),
+        b_m=b_m,
+        c_n=cmv_matrix(alpha, b_n),
+        c_m=cmv_matrix(alpha[: pair.m - 1], b_m),
+        psi_n=szego_popuc(alpha, b_n, pair.n),
+        psi_m=szego_popuc(alpha, b_m, pair.m),
+    )
+
+
 def reconstruct_circle(
     pair: CircleSpectrumPair,
     selection: WeightSelection | None = None,
@@ -121,23 +135,10 @@ def reconstruct_circle(
     common = _weighted(pair, selection)
     omega = common["weight"].omega
     moments = trig_moments(pair.zetas, omega)
-    b_n = boundary_param(pair.zetas)
-    b_m = boundary_param(pair.xis)
-    data = replace(verblunsky_from_moments(moments), b=b_n)
-    c_n = cmv_matrix(data.alpha, b_n)
-    c_m = cmv_matrix(data.alpha[: pair.m - 1], b_m)
-    return CircleSolution(
-        pair=pair,
-        moments=moments,
-        verblunsky=data,
-        b_m=b_m,
-        c_n=c_n,
-        c_m=c_m,
-        psi_n=szego_popuc(data.alpha, b_n, pair.n),
-        psi_m=szego_popuc(data.alpha, b_m, pair.m),
-        report=verify_popuc(pair, omega, data, (c_n, c_m), profile),
-        **common,
-    )
+    parts = circle_parts(pair, verblunsky_from_moments(moments).alpha)
+    matrices = (parts["c_n"], parts["c_m"])
+    report = verify_popuc(pair, omega, parts["verblunsky"], matrices, profile)
+    return CircleSolution(pair=pair, moments=moments, report=report, **parts, **common)
 
 
 def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD):

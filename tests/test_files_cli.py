@@ -949,3 +949,180 @@ class TestVerificationOutput:
             assert set(named) == {k for k in gating if getattr(report, k) > 1e-30}
             for key, value in named.items():
                 assert float(value) == pytest.approx(getattr(report, key), rel=0.06)
+
+
+# Solution fields that decode_solution derives instead of reading them.
+DERIVED = (
+    "moments",
+    "polynomials",
+    "matrices",
+    "recurrence.rho",
+    "recurrence.b_n",
+    "recurrence.b_m",
+    "verdict",
+    "bands",
+    "admissible",
+)
+
+
+def _solved(doc):
+    """(problem, solution, canonical text) of a problem document."""
+    problem = files.load_problem(doc)
+    solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+    return problem, solution, files.dumps_canonical(files.encode_solution(solution, problem))
+
+
+def _solved_file(name):
+    return _solved(json.loads((PROBLEMS / name).read_text()))
+
+
+def _at(doc, path):
+    """The object holding the dotted path's last key, and that key."""
+    *parents, key = path.split(".")
+    for parent in parents:
+        doc = doc[parent]
+    return doc, key
+
+
+class TestSolutionDecoding:
+    """decode_solution reads the pair, omega, the circuits, the recurrence
+    coefficients and the report, and derives everything else."""
+
+    @pytest.mark.parametrize("field", DERIVED)
+    @pytest.mark.parametrize("name", ["real_small.json", "circle_small.json"])
+    def test_derived_fields_are_not_read(self, name, field):
+        _, solution, text = _solved_file(name)
+        doc = files.loads_document(text)
+        holder, key = _at(doc, field)
+        holder[key] = "not read"
+        assert files.decode_solution(doc) == solution
+
+    @pytest.mark.parametrize("name", ["real_small.json", "circle_small.json"])
+    def test_decodes_without_derived_fields(self, name):
+        problem, solution, text = _solved_file(name)
+        doc = files.loads_document(text)
+        for field in DERIVED:
+            holder, key = _at(doc, field)
+            holder.pop(key, None)
+        back = files.decode_solution(doc)
+        assert back == solution
+        assert files.dumps_canonical(files.encode_solution(back, problem)) == text
+
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("real_small.json", "omega"),
+            ("real_small.json", "recurrence.beta"),
+            ("circle_small.json", "omega"),
+            ("circle_small.json", "recurrence.alpha"),
+        ],
+    )
+    def test_read_fields_are_read(self, name, path):
+        _, solution, text = _solved_file(name)
+        doc = files.loads_document(text)
+        holder, key = _at(doc, path)
+        values = list(files.decode_value(holder[key], doc["arithmetic"]))
+        values[1] /= 2  # a Fraction stays exact
+        holder[key] = files.encode_value(values)
+        assert files.decode_solution(doc) != solution
+
+    def test_written_real_fields_match_the_library(self):
+        problem, _, text = _solved_file("real_small.json")
+        doc = files.loads_document(text)
+        xs, omega = problem.pair.xs, files.decode_value(doc["omega"], files.RATIONAL)
+        jacobi = twospec.stieltjes(xs, omega)
+        assert doc["moments"] == files.encode_value(twospec.moments_real(xs, omega).mu)
+        assert doc["recurrence"] == files.encode_value(
+            {"beta": jacobi.beta, "gamma": jacobi.gamma}
+        )
+        assert doc["polynomials"] == files.encode_value([p.coeffs for p in jacobi.polys])
+        matrix = twospec.jacobi_matrix(jacobi)
+        assert doc["matrices"] == {"jacobi": files.encode_value(matrix)}
+
+    def test_written_circle_fields_match_the_library(self):
+        problem, _, text = _solved_file("circle_small.json")
+        doc = json.loads(text)
+        pair = problem.pair
+        omega = files.decode_value(doc["omega"], files.FLOAT64)
+        moments = twospec.trig_moments(pair.zetas, omega)
+        alpha = twospec.verblunsky_from_moments(moments).alpha
+        b_n, b_m = twospec.boundary_param(pair.zetas), twospec.boundary_param(pair.xis)
+        assert doc["moments"] == files.encode_value(moments.mu)
+        assert doc["recurrence"] == files.encode_value(
+            {
+                "alpha": alpha,
+                "rho": tuple(math.sqrt(1.0 - abs(a) ** 2) for a in alpha),
+                "b_n": b_n,
+                "b_m": b_m,
+            }
+        )
+        assert doc["polynomials"] == files.encode_value(
+            {
+                "psi_n": twospec.szego_popuc(alpha, b_n, pair.n).coeffs,
+                "psi_m": twospec.szego_popuc(alpha, b_m, pair.m).coeffs,
+            }
+        )
+        assert doc["matrices"] == files.encode_value(
+            {
+                "c_n": twospec.cmv_matrix(alpha, b_n).entries,
+                "c_m": twospec.cmv_matrix(alpha[: pair.m - 1], b_m).entries,
+            }
+        )
+
+    def test_reconstruct_circle_builds_the_circle_parts(self):
+        _, solution, _ = _solved_file("circle_small.json")
+        parts = twospec.circle_parts(solution.pair, solution.verblunsky.alpha)
+        assert {k: getattr(solution, k) for k in parts} == parts
+
+    def test_non_finite_moments_round_trip(self):
+        # n = 400 binary64: 322 of the 800 moments overflow to inf or nan
+        pair = fuzz.random_real_instance(random.Random(1), 400, 100, min_gap=0.01)
+        problem, solution, text = _solved(_float_cover_doc(pair))
+        assert solution.report.verdict
+        assert not all(map(math.isfinite, solution.moments.mu))
+        for load in (json.loads, files.loads_document):
+            back = files.decode_solution(load(text))
+            # texts, not objects: nan != nan
+            assert files.dumps_canonical(files.encode_solution(back, problem)) == text
+
+    @staticmethod
+    def _real_doc():
+        return files.loads_document(_solved_file("real_small.json")[2])
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda doc: {"schema": "v1"},
+            lambda doc: {k: v for k, v in doc.items() if k != "omega"},
+            lambda doc: dict(doc, recurrence=dict(doc["recurrence"], beta=5)),
+            lambda doc: dict(
+                doc,
+                circuits=[
+                    {"support": c["support"], "weights": c["entries"]}
+                    for c in doc["circuits"]
+                ],
+            ),
+            lambda doc: None,
+            lambda doc: dict(doc, setting="sphere"),
+            lambda doc: dict(doc, arithmetic="decimal"),
+            lambda doc: dict(doc, problem=dict(doc["problem"], weights={"strategy": 5})),
+            lambda doc: dict(doc, verification=dict(doc["verification"], warnings=5)),
+            lambda doc: dict(doc, omega=["-" + w for w in doc["omega"]]),
+        ],
+        ids=[
+            "schema_only",
+            "no_omega",
+            "beta_number",
+            "dense_circuits",
+            "null",
+            "setting",
+            "arithmetic",
+            "strategy",
+            "warnings_number",
+            "negative_omega",
+        ],
+    )
+    def test_malformed_documents_are_bad_problem(self, mangle):
+        with pytest.raises(twospec.ProblemFormatError) as info:
+            files.decode_solution(mangle(self._real_doc()))
+        assert info.value.code == "BAD_PROBLEM"
