@@ -18,7 +18,6 @@ from .errors import (
     NonpositiveWeightError,
     NotCoveredError,
     NotUnitModulusError,
-    NumberTooLargeError,
     ProblemFormatError,
     RankDeficientError,
     SharedPointError,

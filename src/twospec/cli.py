@@ -162,8 +162,8 @@ def _cmd_check(problem: files.Problem):
     }
     if verdict.accepted:
         if verdict.indices is not None:
-            doc["indices"] = files.encode_value(verdict.indices)
-        doc["bands"] = files.encode_value(bands.bands)
+            doc["indices"] = verdict.indices
+        doc["bands"] = bands.bands
     else:
         doc["code"] = verdict.code
         doc["detail"] = verdict.detail
@@ -177,13 +177,13 @@ def _cmd_circuits(problem: files.Problem):
         "schema": files.SCHEMA,
         "command": "circuits",
         "setting": problem.setting,
-        "bands": files.encode_value(bands.bands),
+        "bands": bands.bands,
         "family_size": size,
     }
     if family is not None:
         doc["circuits"] = files.encode_circuits(circuits(problem.pair, family))
     else:
-        doc["family_head"] = [list(s) for s in islice(iter_admissible(bands), 10)]
+        doc["family_head"] = list(islice(iter_admissible(bands), 10))
     return EXIT_OK, doc
 
 

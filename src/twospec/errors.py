@@ -60,10 +60,6 @@ class DimensionTooLargeError(TwospecError):
     code = "DIMENSION_TOO_LARGE"
 
 
-class NumberTooLargeError(TwospecError):
-    code = "NUMBER_TOO_LARGE"
-
-
 class ProblemFormatError(TwospecError):
     code = "BAD_PROBLEM"
 

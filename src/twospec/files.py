@@ -1,11 +1,13 @@
 """ProblemFile / SolutionFile schemas (version "v1") and their serializers.
 
 In a solution, a value's type, not its position, fixes its JSON form: an
-exact rational is a string ("p/q" or an integer literal), so nothing is
-lost; a binary64 real is a number in its shortest round-trip form; a complex
-number is an {"re": .., "im": ..} object; an index or a size is an integer.
-encode_value writes every result value by that rule and decode_value reads
-it back.  Output is canonical: by definition its bytes are those of
+exact rational is a string ("p/q" or an integer literal) of any length, so
+nothing is lost; a binary64 real is a number in its shortest round-trip
+form; a complex number is an {"re": .., "im": ..} object; an index or a size
+is an integer; a tuple is an array.  encode_solution builds a document from
+the solution's own values, dumps_canonical writes it, its json.dumps hook
+giving Fractions and complex numbers their forms, and decode_value reads
+every value back.  Output is canonical: by definition its bytes are those of
 json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 plus a newline, sorted keys and no insignificant whitespace, so identical
 inputs produce byte-identical files.  For an indented view, pipe a document
@@ -24,9 +26,10 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
-from .errors import NumberTooLargeError, ProblemFormatError, UnsupportedArithmeticError
+from .errors import ProblemFormatError, UnsupportedArithmeticError
 from .interlacing import (
     CircleSpectrumPair, RealSpectrumPair, circle_pair_from_angles, normalize_circle
 )
@@ -44,6 +47,7 @@ FLOAT64 = "float64"
 
 _PI_TEXT = re.compile(r"(?i)^\s*(.*?)\s*\*?\s*pi\s*$")
 _PARAM_KEY = re.compile(r"^s([1-9][0-9]*)$")
+_INTEGER_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 @dataclass(frozen=True)
@@ -69,15 +73,24 @@ def loads_document(text: str) -> dict:
 def dumps_canonical(doc) -> str:
     """The canonical text of doc, the module's definition: sorted keys, no
     insignificant whitespace, non-ASCII text written as is, and a closing
-    newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    newline.  A Fraction is written by encode_real and a complex number as
+    an {"re", "im"} object; any other type JSON lacks is a TypeError."""
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_result_form
+    ) + "\n"
 
 
 def parse_real_value(value, arithmetic):
     if isinstance(value, bool) or value is None:
         raise ProblemFormatError(f"not a real value: {value!r}")
     try:
-        exact = Fraction(str(value) if isinstance(value, float) else value)
+        try:
+            exact = Fraction(str(value) if isinstance(value, float) else value)
+        except ValueError:  # such as past the int() digit limit, which decimal lacks
+            m = _INTEGER_RATIO.fullmatch(value)
+            if not m:
+                raise
+            exact = Fraction(int(Decimal(m[1])), int(Decimal(m[2] or 1)))
         return exact if arithmetic == RATIONAL else float(exact)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ProblemFormatError(f"cannot parse real value {value!r}") from exc
@@ -211,45 +224,33 @@ def load_problem(doc: dict) -> Problem:
 
 
 # --------------------------------------------------------------------------
-# the value codec: one encoder and one decoder for every result value
+# the value codec: one json.dumps hook for the result types JSON lacks, and
+# one decoder for every result value
 
 
 def encode_real(x):
-    """NumberTooLargeError past Python's integer string-conversion limit."""
+    """A Fraction as "p/q" or "p" text of any length; a float as it is."""
     if isinstance(x, float):
         return x
     try:
         return str(x)
-    except ValueError as exc:
-        raise NumberTooLargeError("a rational exceeds the digits str() may write") from exc
+    except ValueError:  # past the str() digit limit, which decimal lacks
+        p = str(Decimal(x.numerator))
+        return p if x.denominator == 1 else f"{p}/{Decimal(x.denominator)}"
 
 
-def encode_value(value):
-    """The JSON form of a result value, by its type: a Fraction is a string
-    (encode_real), a complex number an {"re", "im"} object, a tuple or list
-    an array and a dict an object of encoded entries; float, int, None, str
-    and bool are written as they are.  Sequences of floats and ints only, or
-    of Fractions only, checked by type, take no call per entry."""
+def _result_form(value):
     kind = type(value)
-    if kind is Fraction:
-        return encode_real(value)
     if kind is complex:
         return {"re": value.real, "im": value.imag}
-    if kind is tuple or kind is list:
-        kinds = set(map(type, value))
-        if kinds <= {float, int}:
-            return list(value)
-        if kinds == {Fraction}:
-            return list(map(encode_real, value))
-        return [encode_value(v) for v in value]
-    if kind is dict:
-        return {k: encode_value(v) for k, v in value.items()}
-    return value
+    if kind is Fraction:
+        return encode_real(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def decode_value(value, arithmetic):
-    """The inverse of encode_value in the document's arithmetic: an array is
-    a tuple, an {"re", "im"} object a complex number, a number or numeric
+    """A written value read back in the document's arithmetic: an array is a
+    tuple, an {"re", "im"} object a complex number, a number or numeric
     string a parse_real_value scalar, null None."""
     if isinstance(value, list):
         return tuple([decode_value(v, arithmetic) for v in value])
@@ -263,7 +264,7 @@ def encode_circuits(vecs):
     in support order; None stays None."""
     if vecs is None:
         return None
-    return encode_value([{"support": v.support, "entries": v.entries} for v in vecs])
+    return [{"support": v.support, "entries": v.entries} for v in vecs]
 
 
 def _decode_report(doc) -> VerificationReport:
@@ -297,6 +298,7 @@ def encode_solution(solution, problem: Problem) -> dict:
         "bands": solution.bands.bands,
         "admissible": {"size": solution.family_size, "family": solution.family},
         "omega": solution.weight.omega,
+        "circuits": encode_circuits(solution.weight.circuits),
         "moments": solution.moments.mu,
         "verification": {
             "mode": report.mode,
@@ -328,8 +330,6 @@ def encode_solution(solution, problem: Problem) -> dict:
             "psi_n": solution.psi_n.coeffs, "psi_m": solution.psi_m.coeffs
         }
         doc["matrices"] = {"c_n": solution.c_n.entries, "c_m": solution.c_m.entries}
-    doc = encode_value(doc)
-    doc["circuits"] = encode_circuits(solution.weight.circuits)
     return doc
 
 

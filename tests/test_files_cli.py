@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -201,7 +202,7 @@ class TestSolutionRoundTrip:
         pair = fuzz.random_real_instance(random.Random(n), n, 10)
         problem = files.load_problem(_float_cover_doc(pair))
         solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
-        polys = files.encode_solution(solution, problem)["polynomials"]
+        polys = written(files.encode_solution(solution, problem))["polynomials"]
         if n == 43:
             assert polys == [list(p.coeffs) for p in solution.jacobi.polys]
         else:
@@ -241,20 +242,33 @@ class TestSolutionRoundTrip:
 class TestValueCodec:
     def test_the_type_fixes_the_form(self):
         value = (F(3, 2), 2.5, 7, None, 1 - 2j, [F(-1), 0.0], ((1, 2), (3,)))
-        assert files.encode_value(value) == [
+        assert written(value) == [
             "3/2", 2.5, 7, None, {"re": 1.0, "im": -2.0}, ["-1", 0.0], [[1, 2], [3]]
         ]
 
-    def test_plain_sequences_are_copied(self):
-        values = [0.5, 3, -1e-300]
-        encoded = files.encode_value(values)
-        assert encoded == values and encoded is not values
-        # a bool or a Fraction among them is not plain: each entry is encoded
-        assert files.encode_value((1.0, True, F(1, 3))) == [1.0, True, "1/3"]
+    def test_bools_and_fractions_among_floats_keep_their_form(self):
+        assert written((1.0, True, F(1, 3))) == [1.0, True, "1/3"]
 
-    def test_rational_past_digit_limit_is_coded(self):
-        with pytest.raises(twospec.NumberTooLargeError):
-            files.encode_value([F(10**4400 + 1, 3)])
+    def test_rationals_past_the_digit_limit_round_trip(self):
+        limit = sys.get_int_max_str_digits()
+        value = (F(10**4400 + 1, 3), F(-(7**6000), 10**4500 + 3))
+        text = files.dumps_canonical(value)
+        for load in (json.loads, files.loads_document):
+            assert files.decode_value(load(text), files.RATIONAL) == value
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize(
+        "text, arithmetic",
+        [
+            ("1" * 5000 + ".5", files.RATIONAL),
+            ("1" * 5000 + "/0", files.RATIONAL),
+            ("1" * 5000, files.FLOAT64),
+        ],
+        ids=["decimal", "zero_denominator", "float64_overflow"],
+    )
+    def test_huge_number_strings_are_bad_problems(self, text, arithmetic):
+        with pytest.raises(twospec.ProblemFormatError):
+            files.parse_real_value(text, arithmetic)
 
     @pytest.mark.parametrize(
         "value, arithmetic",
@@ -266,7 +280,7 @@ class TestValueCodec:
         ids=["rational", "float64", "complex"],
     )
     def test_decode_inverts_encode(self, value, arithmetic):
-        text = files.dumps_canonical(files.encode_value(value))
+        text = files.dumps_canonical(value)
         for load in (json.loads, files.loads_document):
             back = files.decode_value(load(text), arithmetic)
             assert back == value
@@ -278,7 +292,7 @@ class TestValueCodec:
         weights = [w for c in solution.weight.circuits for w in c.weights]
         assert 0 in weights
         assert all(type(w) is F for w in weights)
-        circuits = files.encode_circuits(solution.weight.circuits)
+        circuits = written(files.encode_circuits(solution.weight.circuits))
         assert circuits[0] == {"support": [1, 2, 4], "entries": ["4/15", "2/3", "2/15"]}
 
 
@@ -296,6 +310,26 @@ def _float_cover_doc(pair):
 def reference_dumps(value):
     """The definition of the canonical text."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+def reference_encode(value):
+    """The JSON form of a result value, by its type: a Fraction is its str()
+    text, a complex number an {"re", "im"} object, a tuple or list an array
+    and a dict an object of encoded entries; anything else is as it is."""
+    if isinstance(value, F):
+        return str(value)
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, (tuple, list)):
+        return [reference_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: reference_encode(v) for k, v in value.items()}
+    return value
+
+
+def written(value):
+    """value as the canonical text writes it, read back by json.loads."""
+    return json.loads(files.dumps_canonical(value))
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -371,7 +405,7 @@ class TestCanonicalWriter:
         problem = files.load_problem(doc)
         solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
         value = files.encode_solution(solution, problem)
-        assert files.dumps_canonical(value) == reference_dumps(value)
+        assert files.dumps_canonical(value) == reference_dumps(reference_encode(value))
 
     def test_circle_instance_document(self):
         pair = fuzz.random_circle_instance(random.Random(1), 40, 12)
@@ -380,7 +414,14 @@ class TestCanonicalWriter:
         )
         solution = reconstruct_circle(pair)
         value = files.encode_solution(solution, problem)
-        assert files.dumps_canonical(value) == reference_dumps(value)
+        assert files.dumps_canonical(value) == reference_dumps(reference_encode(value))
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, Decimal("0.5"), object()], ids=["set", "decimal", "object"]
+    )
+    def test_other_types_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            files.dumps_canonical({"a": [value]})
 
     def test_check_output_bytes(self, capsys):
         assert cli.main(["check", "-i", str(PROBLEMS / "real_small.json")]) == 0
@@ -401,7 +442,7 @@ class TestCanonicalWriter:
     )
     def test_indenting_the_text_gives_the_indented_document(self, name, arithmetic):
         # the compact text holds every value: indenting it again gives the
-        # indent=2 text of the encoded document
+        # indent=2 text of the reference-encoded document
         doc = dict(json.loads((PROBLEMS / name).read_text()), arithmetic=arithmetic)
         problem = files.load_problem(doc)
         solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
@@ -411,7 +452,7 @@ class TestCanonicalWriter:
         def indented(doc):
             return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
-        assert indented(json.loads(text)) == indented(value)
+        assert indented(json.loads(text)) == indented(reference_encode(value))
 
 
 def run_cli(tmp_path, doc, *argv):
@@ -893,11 +934,18 @@ class TestCli:
 
 
 class TestVerificationOutput:
-    def test_rational_past_digit_limit_is_coded(self):
-        with pytest.raises(twospec.NumberTooLargeError) as info:
-            files.encode_real(F(10**4400 + 1, 3))
-        assert isinstance(info.value, twospec.TwospecError)
-        assert info.value.code == "NUMBER_TOO_LARGE"
+    def test_rational_past_digit_limit_is_written(self, tmp_path):
+        assert files.encode_real(F(10**4400 + 1, 3)) == "1" + "0" * 4399 + "1/3"
+        # a zero of 4,401 digits over 4,401: the whole solution is written
+        # and read back, and the process-wide limit stays as it was
+        limit = sys.get_int_max_str_digits()
+        doc = dict(REAL_DOC, zm=["3/2", "7" + "0" * 4399 + "1/2" + "0" * 4400])
+        code, text = run_cli(tmp_path, doc, "reconstruct")
+        assert code == 0
+        solution = files.decode_solution(files.loads_document(text))
+        problem = files.load_problem(doc)
+        assert files.dumps_canonical(files.encode_solution(solution, problem)) == text
+        assert sys.get_int_max_str_digits() == limit
 
     def test_non_finite_residual_is_written_as_null(self):
         # n=500: the coefficient match overflows to NaN, the spectrum
@@ -1023,7 +1071,7 @@ class TestSolutionDecoding:
         holder, key = _at(doc, path)
         values = list(files.decode_value(holder[key], doc["arithmetic"]))
         values[1] /= 2  # a Fraction stays exact
-        holder[key] = files.encode_value(values)
+        holder[key] = written(values)
         assert files.decode_solution(doc) != solution
 
     def test_written_real_fields_match_the_library(self):
@@ -1031,13 +1079,13 @@ class TestSolutionDecoding:
         doc = files.loads_document(text)
         xs, omega = problem.pair.xs, files.decode_value(doc["omega"], files.RATIONAL)
         jacobi = twospec.stieltjes(xs, omega)
-        assert doc["moments"] == files.encode_value(twospec.moments_real(xs, omega).mu)
-        assert doc["recurrence"] == files.encode_value(
+        assert doc["moments"] == written(twospec.moments_real(xs, omega).mu)
+        assert doc["recurrence"] == written(
             {"beta": jacobi.beta, "gamma": jacobi.gamma}
         )
-        assert doc["polynomials"] == files.encode_value([p.coeffs for p in jacobi.polys])
+        assert doc["polynomials"] == written([p.coeffs for p in jacobi.polys])
         matrix = twospec.jacobi_matrix(jacobi)
-        assert doc["matrices"] == {"jacobi": files.encode_value(matrix)}
+        assert doc["matrices"] == {"jacobi": written(matrix)}
 
     def test_written_circle_fields_match_the_library(self):
         problem, _, text = _solved_file("circle_small.json")
@@ -1047,8 +1095,8 @@ class TestSolutionDecoding:
         moments = twospec.trig_moments(pair.zetas, omega)
         alpha = twospec.verblunsky_from_moments(moments).alpha
         b_n, b_m = twospec.boundary_param(pair.zetas), twospec.boundary_param(pair.xis)
-        assert doc["moments"] == files.encode_value(moments.mu)
-        assert doc["recurrence"] == files.encode_value(
+        assert doc["moments"] == written(moments.mu)
+        assert doc["recurrence"] == written(
             {
                 "alpha": alpha,
                 "rho": tuple(math.sqrt(1.0 - abs(a) ** 2) for a in alpha),
@@ -1056,13 +1104,13 @@ class TestSolutionDecoding:
                 "b_m": b_m,
             }
         )
-        assert doc["polynomials"] == files.encode_value(
+        assert doc["polynomials"] == written(
             {
                 "psi_n": twospec.szego_popuc(alpha, b_n, pair.n).coeffs,
                 "psi_m": twospec.szego_popuc(alpha, b_m, pair.m).coeffs,
             }
         )
-        assert doc["matrices"] == files.encode_value(
+        assert doc["matrices"] == written(
             {
                 "c_n": twospec.cmv_matrix(alpha, b_n).entries,
                 "c_m": twospec.cmv_matrix(alpha[: pair.m - 1], b_m).entries,
