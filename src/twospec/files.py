@@ -15,8 +15,9 @@ through python -m json.tool --indent 2 --sort-keys --no-ensure-ascii.
 
 Problem values: the real setting accepts integers, "p/q" strings and
 decimal strings; the circle setting accepts {"re", "im"} points, angle
-strings of the form "p/q pi", and bare numbers meaning radians.  The
-combination circle + rational arithmetic is rejected.
+strings of the form "p/q pi", and bare numbers meaning radians.  A problem
+value has at most PROBLEM_DIGITS digits in its numerator and in its
+denominator.  The combination circle + rational arithmetic is rejected.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ FLOAT64 = "float64"
 _PI_TEXT = re.compile(r"(?i)^\s*(.*?)\s*\*?\s*pi\s*$")
 _PARAM_KEY = re.compile(r"^s([1-9][0-9]*)$")
 _INTEGER_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+# A problem value has at most PROBLEM_DIGITS digits in its numerator and in
+# its denominator, since reading a longer one costs time quadratic in its
+# length.  Solutions are read whatever their length.
+PROBLEM_DIGITS = 4300
+_PROBLEM_BOUND = 10**PROBLEM_DIGITS
+_LONG_DIGIT_RUN = re.compile(f"[0-9]{{{PROBLEM_DIGITS + 1}}}")
+_EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
 
 
 @dataclass(frozen=True)
@@ -80,9 +88,15 @@ def dumps_canonical(doc) -> str:
     ) + "\n"
 
 
-def parse_real_value(value, arithmetic):
+def parse_real_value(value, arithmetic, problem=False):
+    """value as a Fraction in rational arithmetic, a float in float64.  A
+    value of a problem document (problem=True) has at most PROBLEM_DIGITS
+    digits in its numerator and in its denominator; a text that must have
+    more is refused before it is read."""
     if isinstance(value, bool) or value is None:
         raise ProblemFormatError(f"not a real value: {value!r}")
+    if problem and isinstance(value, str):
+        _check_problem_text(value)
     try:
         try:
             exact = Fraction(str(value) if isinstance(value, float) else value)
@@ -91,9 +105,22 @@ def parse_real_value(value, arithmetic):
             if not m:
                 raise
             exact = Fraction(int(Decimal(m[1])), int(Decimal(m[2] or 1)))
+        if problem and max(abs(exact.numerator), exact.denominator) >= _PROBLEM_BOUND:
+            raise ProblemFormatError(f"a problem value has more than {PROBLEM_DIGITS} digits")
         return exact if arithmetic == RATIONAL else float(exact)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ProblemFormatError(f"cannot parse real value {value!r}") from exc
+
+
+def _check_problem_text(text):
+    """Refuse a text whose number must have more than PROBLEM_DIGITS digits:
+    a longer digit run, or an exponent of 10^4 or more (the mantissa of a
+    readable text has fewer than 10^4 digits)."""
+    exponent = _EXPONENT.search(text)
+    if _LONG_DIGIT_RUN.search(text) or (
+        exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4
+    ):
+        raise ProblemFormatError(f"a problem value has more than {PROBLEM_DIGITS} digits")
 
 
 def parse_angle_text(text: str) -> float:
@@ -115,12 +142,13 @@ def parse_angle_text(text: str) -> float:
 def parse_circle_value(value):
     """Returns ("angle", radians) or ("point", complex), finite either way."""
     if isinstance(value, str) and _PI_TEXT.match(value):
+        _check_problem_text(value)
         return "angle", parse_angle_text(value)
     if isinstance(value, dict) and "re" in value and "im" in value:
-        parts = (parse_real_value(value[k], FLOAT64) for k in ("re", "im"))
+        parts = (parse_real_value(value[k], FLOAT64, problem=True) for k in ("re", "im"))
         return "point", complex(*parts)
     if isinstance(value, (str, int, float)):
-        return "angle", parse_real_value(value, FLOAT64)
+        return "angle", parse_real_value(value, FLOAT64, problem=True)
     raise ProblemFormatError(f"cannot parse circle value {value!r}")
 
 
@@ -157,7 +185,7 @@ def parse_weights(doc, arithmetic) -> WeightSelection:
         m = _PARAM_KEY.match(str(key))
         if not m:
             raise ProblemFormatError(f"coefficient keys look like 's1', got {key!r}")
-        coeffs[int(m.group(1))] = parse_real_value(val, arithmetic)
+        coeffs[int(m.group(1))] = parse_real_value(val, arithmetic, problem=True)
     try:
         return WeightSelection(strategy=strategy, coefficients=coeffs)
     except ValueError as exc:
@@ -186,8 +214,8 @@ def load_problem(doc: dict) -> Problem:
         )
 
     if setting == "real":
-        xs = tuple(parse_real_value(v, arithmetic) for v in zn)
-        ys = tuple(parse_real_value(v, arithmetic) for v in zm)
+        xs = tuple(parse_real_value(v, arithmetic, problem=True) for v in zn)
+        ys = tuple(parse_real_value(v, arithmetic, problem=True) for v in zm)
         try:
             pair = RealSpectrumPair(xs=xs, ys=ys)
         except ValueError as exc:

@@ -44,7 +44,7 @@ from .interlacing import (
     check_interlace_circle,
     check_interlace_real,
 )
-from .scalars import is_exact_scalar
+from .scalars import is_exact_scalar, plain_sum
 
 REAL = "real"
 CIRCLE = "circle"
@@ -307,7 +307,7 @@ def _sum_all_omega(pair, setting, bands: BandDecomposition, band_of: dict) -> li
         acc = 1
         for r, band in enumerate(bands.bands):
             if r != band_of[j + 1]:
-                acc *= abs(sum([1 / setting.diff(x, nodes[i - 1]) for i in band]))
+                acc *= abs(plain_sum([1 / setting.diff(x, nodes[i - 1]) for i in band]))
         omega.append(acc / abs(_pm_at(setting, j, x, points)))
     return omega
 

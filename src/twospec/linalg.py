@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .scalars import plain_sum
+
 __all__ = [
     "mat_vec",
     "rref_nullspace",
@@ -110,7 +112,7 @@ def unitarity_defect(rows):
     for i, ri in enumerate(nonzero):
         for j in sorted({i}.union(*(rows_at[k] for k in ri))):
             rj = nonzero[j]
-            s = sum(v * rj[k].conjugate() for k, v in ri.items() if k in rj)
+            s = plain_sum(v * rj[k].conjugate() for k, v in ri.items() if k in rj)
             if i == j:
                 s = s - 1
             acc += abs(s) ** 2

@@ -1,28 +1,28 @@
 """Quadrature moments, the monic three-term recurrence, and Jacobi matrices.
 
 Given strictly positive weights on the real nodes, the recurrence
-coefficients beta_k, gamma_k of the discrete measure are rebuilt node by
-node by the square-root-free RKPW update, which solves this inverse
-eigenvalue problem for the Jacobi matrix with Givens rotations.  They fix
-the rest: the monic family P_0..P_n follows by the three-term recurrence,
-and the n-by-n Jacobi matrix carries beta on the diagonal, ones above it
-and gamma below it; its order-k leading block has characteristic
-polynomial P_k.
-
-The coefficients come from the nodes and weights directly, never from a
-moment-matrix factorization: the update is exact in rational arithmetic and
-avoids ill-conditioned Hankel matrices in binary64.
+coefficients beta_k, gamma_k of the discrete measure are rebuilt from the
+nodes and weights directly, never from a moment-matrix factorization, which
+would be ill-conditioned in binary64.  Exact inputs run the discrete
+Stieltjes procedure on primitive integer vectors, which is fraction-free but
+for one Fraction per coefficient; binary64 inputs run the square-root-free
+RKPW update, which solves this inverse eigenvalue problem for the Jacobi
+matrix with Givens rotations.  The coefficients fix the rest: the monic
+family P_0..P_n follows by the three-term recurrence, and the n-by-n Jacobi
+matrix carries beta on the diagonal, ones above it and gamma below it; its
+order-k leading block has characteristic polynomial P_k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import LengthMismatchError, ZeroNormError
 from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
-from .scalars import coerce_real_field, is_exact_scalar
+from .scalars import coerce_real_field, is_exact_scalar, plain_sum
 
 @dataclass(frozen=True)
 class RealMomentSequence:
@@ -57,15 +57,21 @@ class JacobiData:
     @cached_property
     def polys(self) -> tuple:
         """P_0..P_n from P_{k+1} = (x - beta_k) P_k - gamma_k P_{k-1}, with
-        coefficients in the scalar field of beta."""
-        exact = not self.beta or is_exact_scalar(self.beta[0])
-        p_prev, p = [], [Fraction(1) if exact else 1.0]  # typed: no "1" in binary64
-        out = [p]
-        for bk, gk in zip(self.beta, (0, *self.gamma)):  # P_{-1} = 0 absorbs gamma_0
-            nxt = poly_sub(poly_shift(p), poly_scale(p, bk))
-            p_prev, p = p, poly_sub(nxt, poly_scale(p_prev, gk))
-            out.append(p)
-        return tuple(MonicPolynomial(tuple(q)) for q in out)
+        coefficients in the scalar field of beta: exact coefficients as
+        primitive integer vectors (times x is a shift), binary64 ones by the
+        recurrence itself."""
+        if self.beta and not is_exact_scalar(self.beta[0]):
+            return _recurrence_polys(self.beta, self.gamma, 1.0)  # typed: no "1" in binary64
+        u_prev, u, ratio = [], [1], Fraction(0)
+        out = [MonicPolynomial((Fraction(1),))]
+        for k, bk in enumerate(self.beta):
+            if k:  # gamma_k P_{k-1} in units of P_k: P_k = u / lead(u)
+                ratio = Fraction(self.gamma[k - 1]) * u[-1] / u_prev[-1]
+            u_prev, (u, _) = u, _next_primitive(
+                [0, *u], 1, [*u, 0], [*u_prev, 0, 0], Fraction(bk), ratio
+            )
+            out.append(MonicPolynomial(tuple(Fraction(c, u[-1]) for c in u)))
+        return tuple(out)
 
     @cached_property
     def matrix(self) -> tuple:
@@ -80,28 +86,89 @@ def moments_real(xs, omega, count=None) -> RealMomentSequence:
 
 
 def stieltjes(xs, omega) -> JacobiData:
-    """beta/gamma of sum_j w_j delta_{x_j}, rebuilt one node at a time.
+    """beta/gamma of sum_j w_j delta_{x_j}.
 
-    RKPW (Gragg & Harrod, Numer. Math. 44 (1984); Gautschi, Orthogonal
-    Polynomials (2004), section 2.2.3): each added node borders the Jacobi
-    matrix of the measure so far, and Givens rotations in squared form
-    (gsq/sigsq: cosine/sine, pisq: bulge, gamma_k: off-diagonal, all squared)
-    chase the bulge down in O(k) with + - * / only: exact over ``Fraction``
-    (the discrete Stieltjes coefficients), accurate over binary64 with no
-    reorthogonalization.  ZeroNormError when the total mass or a weight is
-    not positive (for distinct nodes the Gram matrix of 1..x^{n-1} is
-    congruent to diag(omega), so exactly when some h_k = <P_k, P_k> is not),
-    or when a gamma_k is not (coincident nodes; NaN too).  No threshold.
+    Over ``Fraction`` by the discrete Stieltjes procedure (Gautschi,
+    Orthogonal Polynomials (2004), section 2.2.3): beta_k and gamma_k are
+    inner products of the values P_k(x_j), each vector held as a rational
+    scale times a primitive integer vector, so a step costs O(n) integer
+    products and one content gcd.  Over binary64 by RKPW (``_rkpw``), which
+    stays accurate with no reorthogonalization.  Both give the exact
+    coefficients over ``Fraction``.  ZeroNormError when the total mass or a
+    weight is not positive (for distinct nodes the Gram matrix of
+    1..x^{n-1} is congruent to diag(omega), so exactly when some
+    h_k = <P_k, P_k> is not), or when the nodes coincide (a zero P_k vector
+    exactly; a gamma_k that is not positive, NaN too, in binary64).  No
+    threshold.
     """
     if len(omega) != len(xs):
         raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
     xs, omega = coerce_real_field(xs, omega)
-    if not sum(omega) > 0:
+    if not plain_sum(omega) > 0:
         raise ZeroNormError("total mass is not positive")
     for j, w in enumerate(omega):
         if not w > 0:
             raise ZeroNormError(f"omega[{j}] is not positive")
+    beta, gamma = (_stieltjes_exact if is_exact_scalar(xs[0]) else _rkpw)(xs, omega)
+    if not all(g > 0 for g in gamma):
+        raise ZeroNormError("a gamma_k is not positive: coincident nodes")
+    return JacobiData(beta=tuple(beta), gamma=tuple(gamma))
 
+
+def _next_primitive(xu, scale, u, u_prev, beta, ratio):
+    """The vector xu / scale - beta u - ratio u_prev, for integer vectors
+    xu, u, u_prev and rationals beta, ratio, as (g, f): g a primitive
+    integer vector (zero if the vector is) and f a rational with
+    vector = f g."""
+    den = math.lcm(scale, beta.denominator, ratio.denominator)
+    c1, c0, cp = den // scale, den // beta.denominator, den // ratio.denominator
+    c0, cp = c0 * beta.numerator, cp * ratio.numerator
+    g = [c1 * a - c0 * b - cp * c for a, b, c in zip(xu, u, u_prev)]
+    content = math.gcd(*g)
+    if content > 1:
+        g = [v // content for v in g]
+    return g, Fraction(content, den)
+
+
+def _stieltjes_exact(xs, omega):
+    """beta, gamma over Fraction from P_{k+1} = (x - beta_k) P_k
+    - gamma_k P_{k-1} on the values at the nodes, with
+    beta_k = <x P_k, P_k> / h_k and gamma_k = h_k / h_{k-1}.  The nodes and
+    weights are scaled to integers x_j = X_j / D, w_j ~ W_j once; P_k(x_j)
+    = s_k u_kj with u_k primitive, and only t_k = s_k / s_{k-1} is kept,
+    since h_k ~ s_k^2 sum_j W_j u_kj^2."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    nodes = [x.numerator * (scale // x.denominator) for x in xs]
+    wden = math.lcm(*(w.denominator for w in omega))
+    weights = [w.numerator * (wden // w.denominator) for w in omega]
+    n = len(xs)
+    u, u_prev, ratio = [1] * n, [0] * n, Fraction(0)
+    t, norm_prev = Fraction(1), 1
+    beta, gamma = [], []
+    for k in range(n):
+        wuu = [w * a * a for w, a in zip(weights, u)]
+        norm = sum(wuu)
+        beta.append(Fraction(sum([x * q for x, q in zip(nodes, wuu)]), scale * norm))
+        if k:
+            ratio = t * norm / norm_prev  # gamma_k s_{k-1} / s_k
+            gamma.append(ratio * t)
+        if k + 1 == n:
+            break
+        xu = [x * a for x, a in zip(nodes, u)]
+        u_prev, (u, t) = u, _next_primitive(xu, scale, u, u_prev, beta[k], ratio)
+        if not t:
+            raise ZeroNormError(f"P_{k + 1} vanishes at every node: coincident nodes")
+        norm_prev = norm
+    return beta, gamma
+
+
+def _rkpw(xs, omega):
+    """beta, gamma by RKPW (Gragg & Harrod, Numer. Math. 44 (1984); Gautschi
+    (2004), section 2.2.3), over any ordered field: each added node
+    borders the Jacobi matrix of the measure so far, and Givens rotations in
+    squared form (gsq/sigsq: cosine/sine, pisq: bulge, gamma_k:
+    off-diagonal, all squared) chase the bulge down in O(k) with + - * /
+    only."""
     zero = omega[0] * 0
     beta, gamma = [xs[0]], [omega[0]]  # gamma[0]: the mass added so far
     for m in range(1, len(xs)):
@@ -122,9 +189,18 @@ def stieltjes(xs, omega) -> JacobiData:
             # sigsq = 0 after an exact t_k = 0 (symmetric measures): Gautschi's rule
             pisq = tk * tk / sigsq if sigsq > 0 else old_sigsq * old_gamma
             t = tk
-    if not all(g > 0 for g in gamma[1:]):
-        raise ZeroNormError("a gamma_k is not positive: coincident nodes")
-    return JacobiData(beta=tuple(beta), gamma=tuple(gamma[1:]))
+    return beta, gamma[1:]
+
+
+def _recurrence_polys(beta, gamma, one):
+    """P_0..P_n by the recurrence on coefficient lists, in the field of one."""
+    p_prev, p = [], [one]
+    out = [p]
+    for bk, gk in zip(beta, (0, *gamma)):  # P_{-1} = 0 absorbs gamma_0
+        nxt = poly_sub(poly_shift(p), poly_scale(p, bk))
+        p_prev, p = p, poly_sub(nxt, poly_scale(p_prev, gk))
+        out.append(p)
+    return tuple(MonicPolynomial(tuple(q)) for q in out)
 
 
 def jacobi_matrix(data: JacobiData) -> tuple:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LengthMismatchError
+from .scalars import plain_sum
 
 __all__ = [
     "MonicPolynomial",
@@ -84,7 +85,7 @@ def power_sums(nodes, weights, count) -> list:
         raise LengthMismatchError(f"{len(weights)} weights for {len(nodes)} nodes")
     mu, pw = [], list(weights)
     for k in range(count):
-        mu.append(sum(pw))
+        mu.append(plain_sum(pw))
         if k + 1 < count:
             pw = [p * z for p, z in zip(pw, nodes)]
     return mu

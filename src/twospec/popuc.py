@@ -21,6 +21,7 @@ from functools import cached_property
 from .errors import AlphaOutOfDiskError, LengthMismatchError, ZeroDenominatorError
 from .linalg import unitarity_defect
 from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
+from .scalars import plain_sum
 
 # |alpha| at or above 1 - this margin is an error, never a clamp.
 DISK_MARGIN = 1e-12
@@ -134,7 +135,7 @@ def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyDat
         )
 
     def functional(coeffs):
-        return sum(c * mu[i] for i, c in enumerate(coeffs))
+        return plain_sum(c * mu[i] for i, c in enumerate(coeffs))
 
     mu0 = mu[0].real
     phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]

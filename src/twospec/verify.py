@@ -41,7 +41,7 @@ from .linalg import det_lu, rref_nullspace, unitarity_defect
 from .oprl import JacobiData
 from .poly import MonicPolynomial, poly_add, poly_from_roots, poly_mul, poly_scale
 from .popuc import DISK_MARGIN, VerblunskyData, boundary_param, cmv_matrix, szego_popuc
-from .scalars import is_exact_scalar
+from .scalars import is_exact_scalar, plain_sum
 
 RATIONAL_MODE = "rational"
 FLOAT_MODE = "float64"
@@ -140,8 +140,8 @@ def _kernel_residual(system, omega):
     ratios = []
     for row in system.entries:
         terms = [a * w for a, w in zip(row, omega)]
-        total = sum(terms)  # nonzero only if some term, so the scale, is
-        ratios.append(abs(total) / sum(map(abs, terms)) if total else abs(total))
+        total = plain_sum(terms)  # nonzero only if some term, so the scale, is
+        ratios.append(abs(total) / plain_sum(map(abs, terms)) if total else abs(total))
     return _worst(ratios)
 
 

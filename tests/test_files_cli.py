@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import time
 from decimal import Decimal
@@ -117,6 +118,65 @@ class TestProblemParsing:
             files.load_problem(dict(REAL_DOC, zn=["one", "2", "3"], zm=["3/2"]))
         with pytest.raises(twospec.ProblemFormatError):
             files.load_problem(dict(REAL_DOC, profile="loose"))
+
+
+class TestProblemDigitCap:
+    """Problem values have at most PROBLEM_DIGITS digits in a numerator or a
+    denominator; solution values are read whatever their length."""
+
+    @pytest.mark.parametrize(
+        "where, value, arithmetic",
+        [
+            ("zm", "7" * 10**6 + "/3", files.RATIONAL),
+            ("zm", "3/" + "7" * 10**6, files.RATIONAL),
+            ("zm", "1" * 10**6, files.FLOAT64),
+            ("zm", "1e9999999", files.RATIONAL),
+            ("s1", "7" * 10**6 + "/3", files.RATIONAL),
+        ],
+        ids=["numerator", "denominator", "float64", "exponent", "coefficient"],
+    )
+    def test_a_million_digits_are_refused_at_once(self, where, value, arithmetic):
+        doc = dict(REAL_DOC, arithmetic=arithmetic)
+        if where == "s1":
+            doc["weights"] = {"coefficients": {"s1": value}}
+        else:
+            doc["zm"] = ["3/2", value]
+        start = time.perf_counter()
+        with pytest.raises(twospec.ProblemFormatError) as info:
+            files.load_problem(doc)
+        assert time.perf_counter() - start < 0.1
+        assert info.value.code == "BAD_PROBLEM"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" + "0" * 4300,
+            "1e4300",
+            "-1/" + "1" + "0" * 4300,
+            "0." + "0" * 4299 + "1",
+            "1" * 3000 + "." + "1" * 2000,
+        ],
+        ids=["integer", "exponent", "denominator", "decimal", "integer_and_fraction"],
+    )
+    def test_4301_digits_are_refused(self, text):
+        with pytest.raises(twospec.ProblemFormatError):
+            files.parse_real_value(text, files.RATIONAL, problem=True)
+        value = files.parse_real_value(text, files.RATIONAL)  # as solutions are read
+        assert max(abs(value.numerator), value.denominator) >= 10**4300
+
+    def test_4300_digits_are_read(self):
+        top = "9" * 4300
+        for text, value in (
+            (f"-{top}/{top[:-1]}8", F(-int(top), int(top) - 1)),
+            ("1e4299", F(10**4299)),
+            ("0." + "0" * 4298 + "1", F(1, 10**4299)),
+        ):
+            assert files.parse_real_value(text, files.RATIONAL, problem=True) == value
+
+    def test_circle_values_are_capped(self):
+        for value in ('"1e99999 pi"', '{"re": "1' + "0" * 5000 + '", "im": 0}'):
+            with pytest.raises(twospec.ProblemFormatError):
+                files.load_problem(files.loads_document(circle_text(value)))
 
 
 class TestSolutionRoundTrip:
@@ -936,16 +996,30 @@ class TestCli:
 class TestVerificationOutput:
     def test_rational_past_digit_limit_is_written(self, tmp_path):
         assert files.encode_real(F(10**4400 + 1, 3)) == "1" + "0" * 4399 + "1/3"
-        # a zero of 4,401 digits over 4,401: the whole solution is written
-        # and read back, and the process-wide limit stays as it was
+        # a zero of 1,000 digits over 1,000 gives a solution with rationals
+        # past the 4,300-digit limit: it is written and read back, and the
+        # process-wide limit stays as it was
         limit = sys.get_int_max_str_digits()
-        doc = dict(REAL_DOC, zm=["3/2", "7" + "0" * 4399 + "1/2" + "0" * 4400])
+        doc = dict(REAL_DOC, zm=["3/2", "7" + "0" * 998 + "1/2" + "0" * 999])
         code, text = run_cli(tmp_path, doc, "reconstruct")
         assert code == 0
+        assert re.search("[0-9]{4301}", text)
         solution = files.decode_solution(files.loads_document(text))
         problem = files.load_problem(doc)
         assert files.dumps_canonical(files.encode_solution(solution, problem)) == text
         assert sys.get_int_max_str_digits() == limit
+
+    def test_exact_n90_document_round_trips(self, tmp_path):
+        # short problem values, a solution with rationals of thousands of
+        # digits: the problem cap leaves the solution readable
+        doc = dict(REAL_DOC, zn=list(range(1, 180, 2)), zm=list(range(2, 101, 2)))
+        code, text = run_cli(tmp_path, doc, "reconstruct")
+        assert code == 0
+        assert re.search(f"[0-9]{{{files.PROBLEM_DIGITS + 1}}}", text)
+        solution = files.decode_solution(files.loads_document(text))
+        assert solution.report.verdict
+        problem = files.load_problem(doc)
+        assert files.dumps_canonical(files.encode_solution(solution, problem)) == text
 
     def test_non_finite_residual_is_written_as_null(self):
         # n=500: the coefficient match overflows to NaN, the spectrum

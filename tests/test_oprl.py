@@ -4,10 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twospec
 from twospec.fuzz import random_real_instance
-from twospec.oprl import JacobiData
+from twospec.oprl import JacobiData, _recurrence_polys, _rkpw, _stieltjes_exact
 from twospec.poly import poly_from_roots
 
 W_DEFAULT = (F(2, 5), F(2, 3), F(2, 3), F(2, 5))
@@ -86,6 +87,7 @@ class TestStieltjes:
 
     def test_single_node(self):
         a = F(5, 7)
+        assert twospec.stieltjes((a,), (F(10**30, 7),)).beta == (a,)
         data = twospec.stieltjes((a,), (1,))
         assert data.beta == (a,)
         assert data.gamma == ()
@@ -121,6 +123,10 @@ class TestStieltjes:
     def test_zero_norm_on_duplicate_nodes(self):
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((1, 1, 2), (F(1, 3), F(1, 3), F(1, 3)))
+        # a P_k that vanishes at every node, early or at the last step
+        for xs in ((0, 0), (F(1, 3), 2, F(2, 6), 5), (1, 2, 3, 3)):
+            with pytest.raises(twospec.ZeroNormError):
+                twospec.stieltjes(xs, (F(10**30, 7),) * len(xs))
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((1.0, 1.0, 2.0), (0.3, 0.3, 0.3))
 
@@ -132,6 +138,68 @@ class TestStieltjes:
             twospec.stieltjes((0, 1, 2), (1, F(-1, 10), 1))
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((0.0, 1.0, 2.0), (1.0, -0.1, 1.0))
+
+
+@st.composite
+def rational_measures(draw, max_n=9):
+    """Distinct rational nodes in any order, of either sign, with
+    denominators up to 10^6, and positive weights with numerators and
+    denominators up to 10^40."""
+    nodes = draw(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+            min_size=1,
+            max_size=max_n,
+            unique=True,
+        )
+    )
+    size = st.integers(1, 10**40)
+    weights = draw(
+        st.lists(st.builds(F, size, size), min_size=len(nodes), max_size=len(nodes))
+    )
+    return tuple(nodes), tuple(weights)
+
+
+class TestExactStieltjes:
+    """The fraction-free Stieltjes procedure that rational mode runs, against
+    RKPW and the generic recurrence over Fraction."""
+
+    @given(rational_measures())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rkpw(self, measure):
+        xs, omega = measure
+        beta, gamma = _stieltjes_exact(xs, omega)
+        assert (beta, gamma) == _rkpw(xs, omega)
+        assert all(type(v) is F for v in (*beta, *gamma))
+
+    @given(rational_measures(max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_family_is_orthogonal_and_matches_the_recurrence(self, measure):
+        xs, omega = measure
+        data = twospec.stieltjes(xs, omega)
+        assert data.polys == _recurrence_polys(data.beta, data.gamma, F(1))
+        values = [[p(x) for x in xs] for p in data.polys[:-1]]
+        for k, l in itertools.combinations(range(len(values)), 2):
+            assert sum(w * a * b for w, a, b in zip(omega, values[k], values[l])) == 0
+        assert all(data.polys[-1](x) == 0 for x in xs)
+
+    def test_symmetric_measure_has_zero_beta(self):
+        xs = (F(-5, 2), -1, F(-1, 3), 0, F(1, 3), 1, F(5, 2))
+        omega = (F(1, 9), 2, F(3, 7), 5, F(3, 7), 2, F(1, 9))
+        beta, gamma = _stieltjes_exact(xs, omega)
+        assert beta == [0] * 7
+        assert (beta, gamma) == _rkpw(xs, omega)
+
+    def test_exact_polys_match_the_recurrence_on_a_verified_instance(self):
+        pair = random_real_instance(random.Random(3), 14, 5)
+        pair = twospec.RealSpectrumPair(
+            xs=tuple(F(x) for x in pair.xs), ys=tuple(F(y) for y in pair.ys)
+        )
+        sol = twospec.reconstruct_real(pair)
+        assert sol.report.verdict
+        data = sol.jacobi
+        assert data.polys == _recurrence_polys(data.beta, data.gamma, F(1))
+        assert (list(data.beta), list(data.gamma)) == _rkpw(pair.xs, sol.weight.omega)
 
 
 class TestBinary64Recurrence:

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -390,3 +391,22 @@ class TestKernelResidual:
         assert report.kernel_residual > 1e-7
         assert not report.verdict
         assert any(f.startswith("kernel_residual=") for f in report.failures)
+
+
+class TestSameBitsOnEveryInterpreter:
+    def test_float_line_values_are_pinned(self):
+        # omega, beta/gamma, the moments and the kernel residual take only
+        # IEEE + - * / and abs, added left to right: no libm and no
+        # compensated sum(), so these bits are the same on every interpreter
+        # and platform
+        pair = random_real_instance(random.Random(1), 40, 12)
+        sol = twospec.reconstruct_real(pair)
+        assert sol.report.verdict
+        values = (
+            *sol.weight.omega, *sol.jacobi.beta, *sol.jacobi.gamma, *sol.moments.mu,
+            sol.report.kernel_residual,
+        )  # fmt: skip
+        text = " ".join(v.hex() for v in values)
+        assert hashlib.sha1(text.encode()).hexdigest() == (
+            "aeada0515bc6552d644bb92ad7bf11e0cfd988ff"
+        )
