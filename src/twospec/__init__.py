@@ -11,7 +11,6 @@ Every reconstruction ships with an independent verification report.
 from .errors import (
     AlphaOutOfDiskError,
     DegenerateAngleError,
-    DimensionTooLargeError,
     InterlacingRejectedError,
     LengthMismatchError,
     NegativeCoefficientError,
@@ -19,7 +18,6 @@ from .errors import (
     NotCoveredError,
     NotUnitModulusError,
     ProblemFormatError,
-    RankDeficientError,
     SharedPointError,
     TwospecError,
     UnsupportedArithmeticError,
@@ -48,8 +46,6 @@ from .kernel import (
     admissible_size,
     assemble_system,
     circuit,
-    circuit_circle,
-    circuit_real,
     circuits,
     family_listing,
     iter_admissible,
@@ -58,7 +54,6 @@ from .kernel import (
 from .oprl import (
     JacobiData,
     RealMomentSequence,
-    eval_charpoly,
     jacobi_matrix,
     moments_real,
     stieltjes,
@@ -74,7 +69,6 @@ from .pipeline import (
 )
 from .poly import MonicPolynomial
 from .popuc import (
-    PentadiagonalUnitary,
     TrigMomentSequence,
     VerblunskyData,
     boundary_param,
@@ -88,9 +82,6 @@ from .verify import (
     STRICT,
     Profile,
     VerificationReport,
-    brute_charpoly,
-    brute_det,
-    brute_nullspace,
     verify_oprl,
     verify_popuc,
 )

@@ -52,14 +52,6 @@ class ZeroDenominatorError(TwospecError):
     code = "ZERO_DENOMINATOR"
 
 
-class RankDeficientError(TwospecError):
-    code = "RANK_DEFICIENT"
-
-
-class DimensionTooLargeError(TwospecError):
-    code = "DIMENSION_TOO_LARGE"
-
-
 class ProblemFormatError(TwospecError):
     code = "BAD_PROBLEM"
 

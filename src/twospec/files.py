@@ -40,18 +40,21 @@ from .kernel import (
 from .oprl import JacobiData, moments_real
 from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
 from .popuc import trig_moments
-from .verify import RESIDUALS, STANDARD, STRICT, Profile, VerificationReport
+from .verify import (
+    FLOAT64, RATIONAL, RESIDUALS, STANDARD, STRICT, Profile, VerificationReport
+)
 
 SCHEMA = "v1"
-RATIONAL = "rational"
-FLOAT64 = "float64"
 
 _PI_TEXT = re.compile(r"(?i)^\s*(.*?)\s*\*?\s*pi\s*$")
 _PARAM_KEY = re.compile(r"^s([1-9][0-9]*)$")
 _INTEGER_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 # A problem value has at most PROBLEM_DIGITS digits in its numerator and in
 # its denominator, since reading a longer one costs time quadratic in its
-# length.  Solutions are read whatever their length.
+# length.  Solution values are read whatever their length.  No value text
+# may have an exponent of 10^4 or more: its power of ten alone would cost
+# time and memory without bound, and no written value has one (a float is
+# written with |exponent| <= 324, a rational as "p/q").
 PROBLEM_DIGITS = 4300
 _PROBLEM_BOUND = 10**PROBLEM_DIGITS
 _LONG_DIGIT_RUN = re.compile(f"[0-9]{{{PROBLEM_DIGITS + 1}}}")
@@ -90,13 +93,14 @@ def dumps_canonical(doc) -> str:
 
 def parse_real_value(value, arithmetic, problem=False):
     """value as a Fraction in rational arithmetic, a float in float64.  A
+    text with an exponent of 10^4 or more is refused before it is read.  A
     value of a problem document (problem=True) has at most PROBLEM_DIGITS
     digits in its numerator and in its denominator; a text that must have
     more is refused before it is read."""
     if isinstance(value, bool) or value is None:
         raise ProblemFormatError(f"not a real value: {value!r}")
-    if problem and isinstance(value, str):
-        _check_problem_text(value)
+    if isinstance(value, str):
+        _check_text(value, problem)
     try:
         try:
             exact = Fraction(str(value) if isinstance(value, float) else value)
@@ -112,15 +116,17 @@ def parse_real_value(value, arithmetic, problem=False):
         raise ProblemFormatError(f"cannot parse real value {value!r}") from exc
 
 
-def _check_problem_text(text):
-    """Refuse a text whose number must have more than PROBLEM_DIGITS digits:
-    a longer digit run, or an exponent of 10^4 or more (the mantissa of a
-    readable text has fewer than 10^4 digits)."""
+def _check_text(text, problem=True):
+    """Refuse a text with an exponent of 10^4 or more, and a problem text
+    whose number must have more than PROBLEM_DIGITS digits: a longer digit
+    run, or such an exponent (the mantissa of a readable text has fewer than
+    10^4 digits)."""
     exponent = _EXPONENT.search(text)
-    if _LONG_DIGIT_RUN.search(text) or (
-        exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4
-    ):
+    huge = exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4
+    if problem and (huge or _LONG_DIGIT_RUN.search(text)):
         raise ProblemFormatError(f"a problem value has more than {PROBLEM_DIGITS} digits")
+    if huge:
+        raise ProblemFormatError(f"exponent of 10^4 or more in {text[:40]!r}")
 
 
 def parse_angle_text(text: str) -> float:
@@ -142,7 +148,7 @@ def parse_angle_text(text: str) -> float:
 def parse_circle_value(value):
     """Returns ("angle", radians) or ("point", complex), finite either way."""
     if isinstance(value, str) and _PI_TEXT.match(value):
-        _check_problem_text(value)
+        _check_text(value)
         return "angle", parse_angle_text(value)
     if isinstance(value, dict) and "re" in value and "im" in value:
         parts = (parse_real_value(value[k], FLOAT64, problem=True) for k in ("re", "im"))
@@ -357,7 +363,7 @@ def encode_solution(solution, problem: Problem) -> dict:
         doc["polynomials"] = {
             "psi_n": solution.psi_n.coeffs, "psi_m": solution.psi_m.coeffs
         }
-        doc["matrices"] = {"c_n": solution.c_n.entries, "c_m": solution.c_m.entries}
+        doc["matrices"] = {"c_n": solution.c_n, "c_m": solution.c_m}
     return doc
 
 

@@ -3,7 +3,7 @@
 Instances are generated deterministically from (seed, index) so any failure
 is reproducible from the reported per-instance seed string.  Strictly
 interlacing instances place the smaller set by sampling distinct gaps of
-the larger set; non-interlacing instances realize one named violation each.
+the larger set.
 """
 
 from __future__ import annotations
@@ -71,58 +71,6 @@ def random_circle_instance(
     arcs = sorted(rng.sample(range(n), m))
     phis = [(thetas[a] + gaps[a] * rng.uniform(0.3, 0.7)) % TWO_PI for a in arcs]
     return circle_pair_from_angles(thetas, phis)
-
-
-def random_rejected_problem(rng: random.Random, kind: str) -> dict:
-    """A ProblemFile document violating interlacing in one named way."""
-    if kind == "gap_overfull":
-        n = rng.randint(4, 9)
-        pair = random_real_instance(rng, n, 1)
-        g = rng.randrange(n - 1)
-        x0, x1 = pair.xs[g], pair.xs[g + 1]
-        ys = sorted([x0 + (x1 - x0) * 0.3, x0 + (x1 - x0) * 0.7])
-        return {
-            "schema": "v1",
-            "setting": "real",
-            "arithmetic": "float64",
-            "zn": list(pair.xs),
-            "zm": ys,
-        }
-    if kind == "out_of_range":
-        n = rng.randint(3, 9)
-        pair = random_real_instance(rng, n, 1)
-        side = rng.choice([-1.0, 1.0])
-        stray = pair.xs[0] - 1.0 if side < 0 else pair.xs[-1] + 1.0
-        return {
-            "schema": "v1",
-            "setting": "real",
-            "arithmetic": "float64",
-            "zn": list(pair.xs),
-            "zm": [stray],
-        }
-    if kind == "empty_band":
-        n = rng.randint(4, 9)
-        m = rng.randint(2, min(3, n - 1))
-        pair = random_circle_instance(rng, n, m)
-        # Drop both phis into one theta-arc: the band between them is empty.
-        a = rng.randrange(n)
-        start = pair.thetas[a]
-        width = (pair.thetas[(a + 1) % n] - start) % TWO_PI or TWO_PI
-        phis = [
-            (start + width * 0.3) % TWO_PI,
-            (start + width * 0.7) % TWO_PI,
-        ] + [
-            (start + width * 0.5 + TWO_PI * (k + 1) / (m + 1)) % TWO_PI
-            for k in range(m - 2)
-        ]
-        return {
-            "schema": "v1",
-            "setting": "circle",
-            "arithmetic": "float64",
-            "zn": list(pair.thetas),
-            "zm": phis,
-        }
-    raise ValueError(f"unknown violation kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -68,14 +68,6 @@ class SystemMatrix:
     entries: tuple
     shape: tuple
 
-    @property
-    def rows(self) -> int:
-        return self.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.shape[1]
-
 
 @dataclass(frozen=True)
 class CircuitVector:
@@ -285,10 +277,6 @@ def circuits(pair, supports) -> tuple:
 def circuit(pair, support) -> CircuitVector:
     """The circuit on one support (see :func:`circuits`)."""
     return circuits(pair, (support,))[0]
-
-
-# The one formula serves both settings under their former names.
-circuit_real = circuit_circle = circuit
 
 
 def _sum_all_omega(pair, setting, bands: BandDecomposition, band_of: dict) -> list:

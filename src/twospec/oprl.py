@@ -220,19 +220,3 @@ def jacobi_matrix(data: JacobiData) -> tuple:
             row[i - 1] = data.gamma[i - 1]
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def eval_charpoly(data: JacobiData, k: int, x):
-    """P_k(x) by running the recurrence at the point (never by determinant
-    expansion); P_k is the characteristic polynomial of the order-k leading
-    block of the Jacobi matrix."""
-    if not 0 <= k <= data.n:
-        raise ValueError(f"order {k} outside 0..{data.n}")
-    p_prev, p = 0, 1
-    for j in range(k):
-        nxt = (x - data.beta[j]) * p
-        if j > 0:
-            nxt -= data.gamma[j - 1] * p_prev
-        p_prev, p = p, nxt
-    return p
-

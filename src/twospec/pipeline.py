@@ -28,7 +28,6 @@ from .kernel import (
 from .oprl import JacobiData, RealMomentSequence, moments_real, stieltjes
 from .poly import MonicPolynomial
 from .popuc import (
-    PentadiagonalUnitary,
     TrigMomentSequence,
     VerblunskyData,
     boundary_param,
@@ -64,8 +63,8 @@ class CircleSolution:
     moments: TrigMomentSequence
     verblunsky: VerblunskyData
     b_m: complex
-    c_n: PentadiagonalUnitary
-    c_m: PentadiagonalUnitary
+    c_n: tuple
+    c_m: tuple
     psi_n: MonicPolynomial
     psi_m: MonicPolynomial
     report: VerificationReport

@@ -17,7 +17,6 @@ from .scalars import plain_sum
 __all__ = [
     "MonicPolynomial",
     "poly_eval",
-    "poly_add",
     "poly_sub",
     "poly_scale",
     "poly_shift",
@@ -33,13 +32,6 @@ def poly_eval(coeffs, x):
     for c in reversed(coeffs):
         acc = c if acc is None else acc * x + c
     return 0 if acc is None else acc
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ]
 
 
 def poly_sub(a, b):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AlphaOutOfDiskError, LengthMismatchError, ZeroDenominatorError
-from .linalg import unitarity_defect
 from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
 from .scalars import plain_sum
 
@@ -57,9 +56,8 @@ class TrigMomentSequence:
 class VerblunskyData:
     """Szego recurrence coefficients: alpha_0..alpha_{n-2} in the open disk
     and the boundary parameter b (unimodular, possibly unset while only the
-    alpha part is known).  rho_k = sqrt(1 - |alpha_k|^2), the monic
-    polynomials Phi_k and their reversals Phi*_k are derived from alpha on
-    first use, the polynomials as coefficient tuples."""
+    alpha part is known).  rho_k = sqrt(1 - |alpha_k|^2) is derived from
+    alpha on first use."""
 
     alpha: tuple
     b: complex | None
@@ -67,29 +65,6 @@ class VerblunskyData:
     @cached_property
     def rho(self) -> tuple:
         return tuple(math.sqrt(1.0 - abs(a) ** 2) for a in self.alpha)
-
-    @cached_property
-    def phi(self) -> tuple:
-        return tuple(tuple(phi) for phi, _ in _szego(self.alpha))
-
-    @cached_property
-    def phi_star(self) -> tuple:
-        return tuple(tuple(phi_star) for _, phi_star in _szego(self.alpha))
-
-
-@dataclass(frozen=True)
-class PentadiagonalUnitary:
-    """Dense unitary matrix with bandwidth at most 2 on each side."""
-
-    entries: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def defect(self) -> float:
-        return unitarity_defect(self.entries)
 
 
 def trig_moments(zetas, omega, count=None) -> TrigMomentSequence:
@@ -106,15 +81,6 @@ def _advance(phi, phi_star, alpha_k):
     nxt = poly_sub(z_phi, poly_scale(phi_star, alpha_k.conjugate()))
     nxt_star = poly_sub(phi_star, poly_scale(z_phi, alpha_k))
     return nxt, nxt_star
-
-
-def _szego(alpha) -> list:
-    """[(Phi_0, Phi*_0), .., (Phi_k, Phi*_k)] for k = len(alpha), as
-    coefficient lists."""
-    steps = [([1.0 + 0.0j], [1.0 + 0.0j])]
-    for a in alpha:
-        steps.append(_advance(*steps[-1], complex(a)))
-    return steps
 
 
 def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyData:
@@ -181,14 +147,16 @@ def szego_popuc(alpha, b: complex, ell: int) -> MonicPolynomial:
     if len(alpha) < ell - 1:
         raise LengthMismatchError(f"need {ell - 1} alphas, got {len(alpha)}")
     _check_alpha(alpha[: ell - 1])
-    phi, phi_star = _szego(alpha[: ell - 1])[-1]
+    phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
+    for a in alpha[: ell - 1]:
+        phi, phi_star = _advance(phi, phi_star, complex(a))
     psi = poly_sub(poly_shift(phi), poly_scale(phi_star, complex(b).conjugate()))
     return MonicPolynomial(tuple(psi))
 
 
-def cmv_matrix(alpha, b: complex) -> PentadiagonalUnitary:
+def cmv_matrix(alpha, b: complex) -> tuple:
     """Unitary pentadiagonal matrix C(alpha_0, .., alpha_{n-2}, b), n =
-    len(alpha) + 1.
+    len(alpha) + 1, as a tuple of n rows.
 
     Assembled as the banded product L * M over the extended parameter list
     (alpha_0, ..., alpha_{n-2}, b) with rho_{n-1} = 0: Theta_k is the 2x2 block
@@ -227,4 +195,4 @@ def cmv_matrix(alpha, b: complex) -> PentadiagonalUnitary:
             for j in range(max(t - 1, 0), min(t + 2, n)):
                 row[j] += lf[i][t] * mf[t][j]
         prod.append(tuple(row))
-    return PentadiagonalUnitary(entries=tuple(prod))
+    return tuple(prod)

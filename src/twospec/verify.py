@@ -1,5 +1,4 @@
-"""Independent verification of reconstructions, plus small brute-force
-oracles.
+"""Independent verification of reconstructions.
 
 The prescribed points are the spectrum of the order-k matrix iff its monic
 characteristic polynomial P_k is prod_j (x - z_j) over them.  Each check is
@@ -35,19 +34,16 @@ import math
 from dataclasses import dataclass, field
 
 from . import kernel as _kernel
-from .errors import AlphaOutOfDiskError, DimensionTooLargeError, RankDeficientError
+from .errors import AlphaOutOfDiskError
 from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair
-from .linalg import det_lu, rref_nullspace, unitarity_defect
 from .oprl import JacobiData
-from .poly import MonicPolynomial, poly_add, poly_from_roots, poly_mul, poly_scale
+from .poly import poly_from_roots
 from .popuc import DISK_MARGIN, VerblunskyData, boundary_param, cmv_matrix, szego_popuc
 from .scalars import is_exact_scalar, plain_sum
 
-RATIONAL_MODE = "rational"
-FLOAT_MODE = "float64"
-
-# Cofactor-expansion oracles refuse orders above this.
-EXPANSION_LIMIT = 8
+# The arithmetic modes, as reports and documents name them.
+RATIONAL = "rational"
+FLOAT64 = "float64"
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def _report(exact, profile, coefficients_ok, gating, poly_n, poly_m):
         failures = ("coefficients_ok=False",) + failures
     values = dict(unitarity_defect=None, poly_match_n=poly_n, poly_match_m=poly_m)
     return VerificationReport(
-        mode=RATIONAL_MODE if exact else FLOAT_MODE,
+        mode=RATIONAL if exact else FLOAT64,
         profile=profile,
         coefficients_ok=coefficients_ok,
         verdict=not failures,
@@ -164,6 +160,27 @@ def _worst(values):
     """max (0 for none), but NaN as soon as one value is NaN."""
     values = list(values)
     return math.nan if any(v != v for v in values) else max(values, default=0)
+
+
+def unitarity_defect(rows):
+    """Frobenius norm of C C* - I.  Only rows that share a nonzero column
+    have a nonzero product, so row i meets those rows and itself, in
+    ascending order; the others would add zero.  The sum is the one over all
+    row pairs, bit for bit, and banded matrices take O(n) row pairs."""
+    nonzero = [{k: v for k, v in enumerate(r) if v != 0} for r in rows]
+    rows_at = {}  # column -> the rows nonzero there, ascending
+    for i, ri in enumerate(nonzero):
+        for k in ri:
+            rows_at.setdefault(k, []).append(i)
+    acc = 0.0
+    for i, ri in enumerate(nonzero):
+        for j in sorted({i}.union(*(rows_at[k] for k in ri))):
+            rj = nonzero[j]
+            s = plain_sum(v * rj[k].conjugate() for k, v in ri.items() if k in rj)
+            if i == j:
+                s = s - 1
+            acc += abs(s) ** 2
+    return math.sqrt(acc)
 
 
 def _spectrum_residual(value, points, gaps):
@@ -267,12 +284,11 @@ def verify_popuc(
 
         return _spectrum_residual(value, points, gaps)
 
-    def defect(given, k, b):
-        rows = given.entries if hasattr(given, "entries") else tuple(given)
+    def defect(rows, k, b):
         if [len(r) for r in rows] != [k] * k:
             return math.inf
         try:
-            want = cmv_matrix(alpha[: k - 1], b).entries
+            want = cmv_matrix(alpha[: k - 1], b)
         except AlphaOutOfDiskError:
             return math.nan
         deviation = _worst(abs(x - y) for r, w in zip(rows, want) for x, y in zip(r, w))
@@ -292,60 +308,3 @@ def verify_popuc(
     poly_n, poly_m = poly_match(n, b_n, pair.zetas), poly_match(m, b_m, pair.xis)
     return _report(False, profile, coeff_ok, gating, poly_n, poly_m)
 
-
-def brute_nullspace(system):
-    """Nullspace basis of a SystemMatrix by generic row reduction: exact
-    pivots for exact entries, a 1e-12 relative pivot threshold for floating
-    ones.
-
-    The dimension must come out as cols - rows (n - m on the line,
-    n - m + 1 on the circle); a larger kernel means duplicated nodes or
-    shared points upstream and raises RankDeficientError.
-    """
-    rows, cols = system.shape
-    exact = _is_exact(e for row in system.entries for e in row)
-    basis = rref_nullspace(system.entries, cols, tol=0.0 if exact else 1e-12)
-    if len(basis) != cols - rows:
-        raise RankDeficientError(f"rank {cols - len(basis)} below row count {rows}")
-    return basis
-
-
-def brute_charpoly(matrix, k: int) -> MonicPolynomial:
-    """Characteristic polynomial of the order-k leading block by direct
-    cofactor expansion (k <= EXPANSION_LIMIT)."""
-    if k > EXPANSION_LIMIT:
-        raise DimensionTooLargeError(
-            f"expansion oracle limited to order {EXPANSION_LIMIT}"
-        )
-    rows = matrix.entries if hasattr(matrix, "entries") else matrix
-    block = [
-        [[-rows[i][j], 1] if i == j else [-rows[i][j]] for j in range(k)]
-        for i in range(k)
-    ]
-    return MonicPolynomial(tuple(_poly_det(block)))
-
-
-def _poly_det(cells):
-    n = len(cells)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return list(cells[0][0])
-    acc = None
-    for i in range(n):
-        minor = [row[1:] for r, row in enumerate(cells) if r != i]
-        term = poly_mul(cells[i][0], _poly_det(minor))
-        if i % 2:
-            term = poly_scale(term, -1)
-        acc = term if acc is None else poly_add(acc, term)
-    return acc
-
-
-def brute_det(matrix, point):
-    """det(point * I - M) by LU with partial pivoting, in the scalar field
-    of the entries (exact pivots divide exactly)."""
-    rows = matrix.entries if hasattr(matrix, "entries") else matrix
-    n = len(rows)
-    return det_lu(
-        [[(point if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
-    )

@@ -122,7 +122,8 @@ class TestProblemParsing:
 
 class TestProblemDigitCap:
     """Problem values have at most PROBLEM_DIGITS digits in a numerator or a
-    denominator; solution values are read whatever their length."""
+    denominator; solution values are read whatever their length, but never
+    with an exponent of 10^4 or more."""
 
     @pytest.mark.parametrize(
         "where, value, arithmetic",
@@ -1186,8 +1187,8 @@ class TestSolutionDecoding:
         )
         assert doc["matrices"] == written(
             {
-                "c_n": twospec.cmv_matrix(alpha, b_n).entries,
-                "c_m": twospec.cmv_matrix(alpha[: pair.m - 1], b_m).entries,
+                "c_n": twospec.cmv_matrix(alpha, b_n),
+                "c_m": twospec.cmv_matrix(alpha[: pair.m - 1], b_m),
             }
         )
 
@@ -1247,4 +1248,16 @@ class TestSolutionDecoding:
     def test_malformed_documents_are_bad_problem(self, mangle):
         with pytest.raises(twospec.ProblemFormatError) as info:
             files.decode_solution(mangle(self._real_doc()))
+        assert info.value.code == "BAD_PROBLEM"
+
+    @pytest.mark.parametrize("arithmetic", [files.RATIONAL, files.FLOAT64])
+    def test_huge_exponent_is_refused_at_once(self, arithmetic):
+        # the power of ten of 1e999999999 alone has a billion digits
+        problem = json.loads((PROBLEMS / "real_small.json").read_text())
+        doc = files.loads_document(_solved(dict(problem, arithmetic=arithmetic))[2])
+        doc["omega"][0] = "1e999999999"
+        start = time.perf_counter()
+        with pytest.raises(twospec.ProblemFormatError) as info:
+            files.decode_solution(doc)
+        assert time.perf_counter() - start < 0.5
         assert info.value.code == "BAD_PROBLEM"
