@@ -17,7 +17,6 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from itertools import islice
 
@@ -30,7 +29,10 @@ from .errors import (
     TwospecError,
 )
 from .fuzz import run_fuzz
-from .kernel import WeightSelection, circuits, family_listing, iter_admissible
+from .kernel import (
+    CIRCLE, COEFFICIENTS, REAL, STRATEGIES, WeightSelection, circuits, family_listing,
+    iter_admissible,
+)
 from .pipeline import interlace, reconstruct
 
 EXIT_OK = 0
@@ -49,30 +51,29 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-i", "--input", help="problem file path, or - for stdin")
     common.add_argument("-o", "--out", help="output path (default: stdout)")
-    common.add_argument(
-        "--arithmetic",
-        choices=[files.RATIONAL, files.FLOAT64],
-        help="override the problem file's arithmetic",
-    )
     common.add_argument(
         "--profile",
         help="verification tolerance profile: strict, standard, or a number",
     )
     common.add_argument(
-        "--strategy",
-        choices=["sum_all", "coefficients", "cover"],
-        help="override the weight combination strategy",
+        "--strategy", choices=STRATEGIES, help="override the weight combination strategy"
     )
-    common.add_argument(
+    problem = argparse.ArgumentParser(add_help=False, parents=[common])
+    problem.add_argument("-i", "--input", help="problem file path, or - for stdin")
+    problem.add_argument(
+        "--arithmetic",
+        choices=[files.RATIONAL, files.FLOAT64],
+        help="override the problem file's arithmetic",
+    )
+    problem.add_argument(
         "--param",
         action="append",
         default=[],
         metavar="sK=V",
         help="coefficient for the (K+1)-th admissible circuit (repeatable)",
     )
-    common.add_argument(
+    problem.add_argument(
         "--emit-mathematica",
         action="store_true",
         help="print the problem in the reference notebook call syntax "
@@ -85,15 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "spectral matrices from two interlacing zero sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", parents=[common], help="interlacing verdict only")
+    sub.add_parser("check", parents=[problem], help="interlacing verdict only")
     sub.add_parser(
-        "reconstruct", parents=[common], help="full pipeline with verification"
+        "reconstruct", parents=[problem], help="full pipeline with verification"
     )
     sub.add_parser(
-        "circuits", parents=[common], help="enumerate the admissible circuits"
+        "circuits", parents=[problem], help="enumerate the admissible circuits"
     )
     fz = sub.add_parser("fuzz", parents=[common], help="seeded random batches")
-    fz.add_argument("--setting", choices=["real", "circle"], required=True)
+    fz.add_argument("--setting", choices=[REAL, CIRCLE], required=True)
     fz.add_argument("--n", type=int, required=True)
     fz.add_argument("--m", type=int, required=True)
     fz.add_argument("--count", type=int, default=100)
@@ -131,7 +132,7 @@ def _apply_overrides(doc: dict, args) -> dict:
         return doc
     weights = dict(weights)
     if args.strategy or args.param:
-        weights["strategy"] = args.strategy or "coefficients"
+        weights["strategy"] = args.strategy or COEFFICIENTS
     if args.param:
         coeffs = dict(coeffs)
         for item in args.param:
@@ -194,36 +195,13 @@ def _cmd_reconstruct(problem: files.Problem):
 
 
 def _cmd_fuzz(args):
-    if args.param:
-        raise ProblemFormatError("fuzz draws its own instances and takes no --param")
-    profile = files.parse_profile(args.profile)
-    selection = None
-    if args.strategy:
-        selection = WeightSelection(strategy=args.strategy)
-    report = run_fuzz(
-        setting=args.setting,
-        n=args.n,
-        m=args.m,
-        count=args.count,
-        seed=args.seed,
-        profile=profile,
-        selection=selection,
+    selection = WeightSelection(strategy=args.strategy) if args.strategy else None
+    body = run_fuzz(
+        args.setting, args.n, args.m, args.count, args.seed,
+        files.parse_profile(args.profile), selection,
     )
-    doc = {
-        "schema": files.SCHEMA,
-        "command": "fuzz",
-        "setting": report.setting,
-        "n": report.n,
-        "m": report.m,
-        "count": report.count,
-        "seed": report.seed,
-        "profile": report.profile.name,
-        "tolerance": report.profile.tolerance,
-        "passed": report.passed,
-        "failed": len(report.failures),
-        "failures": [dataclasses.asdict(f) for f in report.failures],
-    }
-    return EXIT_OK if report.ok else EXIT_VERIFICATION, doc
+    doc = {"schema": files.SCHEMA, "command": "fuzz", **body}
+    return EXIT_VERIFICATION if body["failed"] else EXIT_OK, doc
 
 
 def _run(args):

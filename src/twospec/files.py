@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import ProblemFormatError, UnsupportedArithmeticError
+from .errors import ProblemFormatError, TwospecError, UnsupportedArithmeticError
 from .interlacing import (
     CircleSpectrumPair, RealSpectrumPair, circle_pair_from_angles, normalize_circle
 )
 from .kernel import (
-    LIST_LIMIT, STRATEGIES, CircuitVector, WeightResult, WeightSelection, family_listing
+    CIRCLE, COEFFICIENTS, LIST_LIMIT, REAL, STRATEGIES, SUM_ALL, CircuitVector, WeightResult,
+    WeightSelection, family_listing,
 )
 from .oprl import JacobiData, moments_real
 from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
@@ -183,7 +184,7 @@ def parse_weights(doc, arithmetic) -> WeightSelection:
     if not isinstance(doc, dict):
         raise ProblemFormatError("weights must be an object")
     given = {} if doc.get("coefficients") is None else doc["coefficients"]
-    strategy = doc.get("strategy", "coefficients" if given else "sum_all")
+    strategy = doc.get("strategy", COEFFICIENTS if given else SUM_ALL)
     if not isinstance(given, dict):
         raise ProblemFormatError("weights.coefficients must be an object")
     coeffs = {}
@@ -204,22 +205,22 @@ def load_problem(doc: dict) -> Problem:
     if doc.get("schema", SCHEMA) != SCHEMA:
         raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
     setting = doc.get("setting")
-    if setting not in ("real", "circle"):
-        raise ProblemFormatError(f"setting must be 'real' or 'circle', got {setting!r}")
+    if setting not in (REAL, CIRCLE):
+        raise ProblemFormatError(f"setting must be {REAL!r} or {CIRCLE!r}, got {setting!r}")
     zn, zm = doc.get("zn"), doc.get("zm")
     if not isinstance(zn, list) or not isinstance(zm, list):
         raise ProblemFormatError("zn and zm must be arrays")
 
-    arithmetic = doc.get("arithmetic") or (RATIONAL if setting == "real" else FLOAT64)
+    arithmetic = doc.get("arithmetic") or (RATIONAL if setting == REAL else FLOAT64)
     if arithmetic not in (RATIONAL, FLOAT64):
         raise ProblemFormatError(f"unknown arithmetic {arithmetic!r}")
-    if setting == "circle" and arithmetic == RATIONAL:
+    if setting == CIRCLE and arithmetic == RATIONAL:
         raise UnsupportedArithmeticError(
             "circle problems run in float64; rational circle arithmetic is "
             "not supported"
         )
 
-    if setting == "real":
+    if setting == REAL:
         xs = tuple(parse_real_value(v, arithmetic, problem=True) for v in zn)
         ys = tuple(parse_real_value(v, arithmetic, problem=True) for v in zm)
         try:
@@ -370,67 +371,81 @@ def encode_solution(solution, problem: Problem) -> dict:
 def decode_solution(doc: dict):
     """Rebuild a RealSolution / CircleSolution from what its reconstruction
     computed: the problem's zero sets (zn/zm, and thetas/phis on the circle)
-    and weight strategy, omega, the circuits (each of len(omega) nodes), the
-    recurrence (beta/gamma, or alpha) and the verification report.  The rest
-    is derived by the pipeline's own steps, never read: verdict and bands by
-    interlace, the family by family_listing, the moments, and on the circle
-    b_n, b_m, C_n, C_m, Psi_n and Psi_m by circle_parts.  ProblemFormatError
-    when a field it reads is missing or mistyped, or a step refuses its value."""
+    and weight strategy, omega, the circuits, the recurrence (beta/gamma, or
+    alpha) and the verification report.  The rest is derived by the
+    pipeline's own steps, never read: verdict and bands by interlace, the
+    family by family_listing, the moments, and on the circle b_n, b_m, C_n,
+    C_m, Psi_n and Psi_m by circle_parts.  ProblemFormatError when a field it
+    reads is missing or mistyped; when an array's length does not fit the
+    zero sets (omega and beta n, gamma and alpha n-1, thetas n, phis m, and
+    a circuit's entries as many as its support); when a support is not
+    circuit_size distinct ascending ints in 1..n; or when a step refuses its
+    value with any TwospecError."""
     try:
         if doc.get("schema") != SCHEMA:
             raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
         setting, arithmetic = doc["setting"], doc["arithmetic"]
         problem, rec = doc["problem"], doc["recurrence"]
         strategy = problem["weights"]["strategy"]
-        if setting not in ("real", "circle") or arithmetic not in (RATIONAL, FLOAT64):
+        if setting not in (REAL, CIRCLE) or arithmetic not in (RATIONAL, FLOAT64):
             raise ProblemFormatError(f"unknown setting or arithmetic {setting!r}, {arithmetic!r}")
         if strategy not in STRATEGIES:
             raise ProblemFormatError(f"unknown strategy {strategy!r}")
 
-        def array(value):
-            if not isinstance(value, list):
-                raise ProblemFormatError(f"expected an array, got {value!r}")
+        def array(value, length=None):
+            if not isinstance(value, list) or length not in (None, len(value)):
+                want = "an array" if length is None else f"an array of {length} values"
+                raise ProblemFormatError(f"expected {want}")
             return decode_value(value, arithmetic)
 
-        if setting == "real":
-            pair = RealSpectrumPair(xs=array(problem["zn"]), ys=array(problem["zm"]))
+        zn, zm = array(problem["zn"]), array(problem["zm"])
+        if setting == REAL:
+            pair = RealSpectrumPair(xs=zn, ys=zm)
         else:
-            keys = ("zn", "zm", "thetas", "phis")  # zetas, xis, thetas, phis
-            pair = CircleSpectrumPair(*(array(problem[k]) for k in keys))
+            angles = array(problem["thetas"], len(zn)), array(problem["phis"], len(zm))
+            pair = CircleSpectrumPair(zn, zm, *angles)
+        n, k = pair.n, pair.circuit_size
         verdict, bands = interlace(pair)
         size, family = family_listing(bands)
-        omega = array(doc["omega"])
-        circuits = None if doc["circuits"] is None else tuple(
-            CircuitVector(tuple(c["support"]), array(c["entries"]), len(omega))
-            for c in doc["circuits"]
-        )
+        omega = array(doc["omega"], n)
+
+        def circuit(c):  # the support rule of kernel.circuits, bool excluded
+            s = c["support"]
+            if not (isinstance(s, list) and len(s) == k and all(type(j) is int for j in s)
+                    and s == sorted(set(s)) and 1 <= s[0] and s[-1] <= n):
+                raise ProblemFormatError(f"a support holds {k} ascending indices in 1..{n}")
+            return CircuitVector(tuple(s), array(c["entries"], k), n)
+
+        circuits = None if doc["circuits"] is None else tuple(map(circuit, doc["circuits"]))
         common = dict(
             pair=pair, verdict=verdict, bands=bands, family_size=size, family=family,
             weight=WeightResult(omega, strategy, size, circuits),
             report=_decode_report(doc["verification"]),
         )
-        if setting == "real":
-            jacobi = JacobiData(beta=array(rec["beta"]), gamma=array(rec["gamma"]))
+        if setting == REAL:
+            jacobi = JacobiData(beta=array(rec["beta"], n), gamma=array(rec["gamma"], n - 1))
             moments = moments_real(pair.xs, omega)
             return RealSolution(moments=moments, jacobi=jacobi, **common)
-        parts = circle_parts(pair, array(rec["alpha"]))
+        parts = circle_parts(pair, array(rec["alpha"], n - 1))
         return CircleSolution(moments=trig_moments(pair.zetas, omega), **parts, **common)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ProblemFormatError:
+        raise
+    except (TwospecError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed solution document: {exc!r}") from exc
 
 
 def emit_mathematica(problem: Problem) -> str:
     """The problem in the reference notebook's call syntax (real setting
     only); output-only, never parsed back."""
-    if problem.setting != "real":
+    if problem.setting != REAL:
         raise ProblemFormatError("notebook emission supports the real setting only")
 
     zn = "{" + ", ".join(str(x) for x in problem.pair.xs) + "}"
     zm = "{" + ", ".join(str(y) for y in problem.pair.ys) + "}"
     sel = problem.selection
-    if sel.strategy == "sum_all":
+    if sel.strategy == SUM_ALL:
         return f"OPRLFamily[{zn}, {zm}]"
-    if sel.strategy == "coefficients":
+    if sel.strategy == COEFFICIENTS:
         rules = ", ".join(
             f"s[{j}] -> {v}" for j, v in sorted(sel.coefficients.items())
         )

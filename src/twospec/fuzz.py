@@ -9,11 +9,10 @@ the larger set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import ProblemFormatError, TwospecError
 from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair, circle_pair_from_angles
-from .kernel import WeightSelection
+from .kernel import CIRCLE, REAL, WeightSelection
 from .pipeline import reconstruct
 from .verify import STANDARD, Profile
 
@@ -73,30 +72,6 @@ def random_circle_instance(
     return circle_pair_from_angles(thetas, phis)
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
-    index: int
-    seed: str
-    code: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class FuzzReport:
-    setting: str
-    n: int
-    m: int
-    count: int
-    seed: int
-    profile: Profile
-    passed: int
-    failures: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def run_fuzz(
     setting: str,
     n: int,
@@ -105,12 +80,15 @@ def run_fuzz(
     seed: int,
     profile: Profile = STANDARD,
     selection: WeightSelection | None = None,
-) -> FuzzReport:
+) -> dict:
     """Generate `count` strictly interlacing instances, reconstruct and
-    verify each; failures carry reproduction seeds.  ProblemFormatError for
-    a size that cannot be drawn: a negative count, m outside 1..n-1, or n
-    nodes the generator cannot place (it refuses before drawing)."""
-    generators = {"real": random_real_instance, "circle": random_circle_instance}
+    verify each, and return the body of the fuzz document: the run's
+    parameters (the profile by name and tolerance), the passed and failed
+    counts, and the failures, each {index, seed, code, detail} with its
+    reproduction seed.  ProblemFormatError for a size that cannot be drawn:
+    a negative count, m outside 1..n-1, or n nodes the generator cannot
+    place (it refuses before drawing)."""
+    generators = {REAL: random_real_instance, CIRCLE: random_circle_instance}
     if setting not in generators:
         raise ValueError(f"unknown setting {setting!r}")
     if count < 0:
@@ -118,37 +96,21 @@ def run_fuzz(
     if not 1 <= m < n:
         raise ProblemFormatError(f"need 1 <= m < n, got n={n}, m={m}")
     failures = []
-    passed = 0
     for i in range(count):
-        tag = f"{seed}:{i}"
         try:
             pair = generators[setting](_rng(seed, i), n, m)
         except ValueError as exc:
             raise ProblemFormatError(str(exc)) from exc
         try:
-            solution = reconstruct(pair, selection, profile)
-            if solution.report.verdict:
-                passed += 1
-            else:
-                failures.append(
-                    FuzzFailure(
-                        index=i,
-                        seed=tag,
-                        code="VERIFICATION_FAILED",
-                        detail=", ".join(solution.report.failures),
-                    )
-                )
+            report = reconstruct(pair, selection, profile).report
+            if report.verdict:
+                continue
+            code, detail = "VERIFICATION_FAILED", ", ".join(report.failures)
         except TwospecError as exc:
-            failures.append(
-                FuzzFailure(index=i, seed=tag, code=exc.code, detail=str(exc))
-            )
-    return FuzzReport(
-        setting=setting,
-        n=n,
-        m=m,
-        count=count,
-        seed=seed,
-        profile=profile,
-        passed=passed,
-        failures=tuple(failures),
-    )
+            code, detail = exc.code, str(exc)
+        failures.append({"index": i, "seed": f"{seed}:{i}", "code": code, "detail": detail})
+    return {
+        "setting": setting, "n": n, "m": m, "count": count, "seed": seed,
+        "profile": profile.name, "tolerance": profile.tolerance,
+        "passed": count - len(failures), "failed": len(failures), "failures": failures,
+    }

@@ -30,7 +30,7 @@ POINT_TOL = 1e-12
 UNIT_TOL = 1e-8
 
 NOT_SORTED = "NOT_SORTED"
-SHARED_POINT = "SHARED_POINT"
+SHARED_POINT = SharedPointError.code
 OUT_OF_RANGE = "OUT_OF_RANGE"
 GAP_OVERFULL = "GAP_OVERFULL"
 EMPTY_BAND = "EMPTY_BAND"

@@ -665,6 +665,14 @@ class TestCli:
         assert_coded_error(capsys, cli.main(argv), "BAD_PROBLEM")
 
     @pytest.mark.parametrize(
+        "flags", ["--arithmetic rational", "-i x.json", "--emit-mathematica"]
+    )
+    def test_fuzz_problem_flags_exit_3(self, capsys, flags):
+        # fuzz draws its own instances: a problem-file flag is a usage error
+        argv = f"fuzz --setting real --n 4 --m 1 --count 1 {flags}".split()
+        assert_coded_error(capsys, cli.main(argv), "BAD_PROBLEM")
+
+    @pytest.mark.parametrize(
         "doc, code",
         [
             (dict(REAL_DOC, zn=["1", "2", "2", "4"]), "NOT_SORTED"),
@@ -834,6 +842,17 @@ class TestCli:
         assert code == 4
         assert doc["failed"] == 3
         assert [f["seed"] for f in doc["failures"]] == ["1:0", "1:1", "1:2"]
+
+    def test_run_fuzz_returns_the_document_body(self, tmp_path):
+        out = tmp_path / "fuzz.json"
+        argv = "fuzz --setting real --n 8 --m 3 --count 6 --seed 1 --profile 1e-14"
+        assert cli.main([*argv.split(), "-o", str(out)]) == 4
+        doc = json.loads(out.read_text())
+        body = fuzz.run_fuzz("real", 8, 3, 6, 1, files.parse_profile("1e-14"))
+        assert written(body) == {k: v for k, v in doc.items() if k not in ("schema", "command")}
+        assert 0 < body["failed"] < body["count"]
+        assert body["passed"] + body["failed"] == body["count"]
+        assert [set(f) for f in body["failures"]] == [{"index", "seed", "code", "detail"}]
 
     @pytest.mark.parametrize("strategy", ["sum_all", "cover"])
     def test_underflowing_weight_exit_3(self, tmp_path, strategy):
@@ -1107,6 +1126,16 @@ def _at(doc, path):
     return doc, key
 
 
+def _with(doc, key, **changes):
+    """doc with doc[key] updated by changes."""
+    return dict(doc, **{key: dict(doc[key], **changes)})
+
+
+def _with_circuit(doc, **changes):
+    """doc with its first circuit updated by changes."""
+    return dict(doc, circuits=[dict(doc["circuits"][0], **changes), *doc["circuits"][1:]])
+
+
 class TestSolutionDecoding:
     """decode_solution reads the pair, omega, the circuits, the recurrence
     coefficients and the report, and derives everything else."""
@@ -1212,6 +1241,10 @@ class TestSolutionDecoding:
     def _real_doc():
         return files.loads_document(_solved_file("real_small.json")[2])
 
+    @staticmethod
+    def _circle_doc():
+        return files.loads_document(_solved_file("circle_small.json")[2])
+
     @pytest.mark.parametrize(
         "mangle",
         [
@@ -1231,6 +1264,14 @@ class TestSolutionDecoding:
             lambda doc: dict(doc, problem=dict(doc["problem"], weights={"strategy": 5})),
             lambda doc: dict(doc, verification=dict(doc["verification"], warnings=5)),
             lambda doc: dict(doc, omega=["-" + w for w in doc["omega"]]),
+            lambda doc: dict(doc, omega=doc["omega"][:-1]),
+            lambda doc: _with(doc, "recurrence", beta=doc["recurrence"]["beta"][:-1]),
+            lambda doc: _with(doc, "recurrence", gamma=doc["recurrence"]["gamma"] + ["1"]),
+            lambda doc: _with_circuit(doc, support=[1.0, 2, 4]),
+            lambda doc: _with_circuit(doc, support=["1", "2", "4"]),
+            lambda doc: _with_circuit(doc, support=[0, 2, 4]),
+            lambda doc: _with_circuit(doc, entries=doc["circuits"][0]["entries"][:-1]),
+            lambda doc: _with(doc, "problem", zm=["1", "7/2"]),
         ],
         ids=[
             "schema_only",
@@ -1243,11 +1284,47 @@ class TestSolutionDecoding:
             "strategy",
             "warnings_number",
             "negative_omega",
+            "omega_short",
+            "beta_short",
+            "gamma_long",
+            "support_float",
+            "support_text",
+            "support_zero",
+            "entries_short",
+            "not_interlacing",
         ],
     )
     def test_malformed_documents_are_bad_problem(self, mangle):
         with pytest.raises(twospec.ProblemFormatError) as info:
             files.decode_solution(mangle(self._real_doc()))
+        assert info.value.code == "BAD_PROBLEM"
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda doc: _with(doc, "recurrence", alpha=doc["recurrence"]["alpha"] + [0.0]),
+            lambda doc: _with(doc, "recurrence", alpha=doc["recurrence"]["alpha"][:-1]),
+            lambda doc: _with(
+                doc,
+                "recurrence",
+                alpha=[{"re": 2.0, "im": 0.0}, *doc["recurrence"]["alpha"][1:]],
+            ),
+            lambda doc: _with(doc, "problem", thetas=doc["problem"]["thetas"][:-1]),
+            lambda doc: _with(doc, "problem", phis=doc["problem"]["phis"] + [6.0]),
+            lambda doc: _with_circuit(doc, support=[1, 1]),
+        ],
+        ids=[
+            "alpha_long",
+            "alpha_short",
+            "alpha_out_of_disk",
+            "thetas_short",
+            "phis_long",
+            "support_repeated",
+        ],
+    )
+    def test_malformed_circle_documents_are_bad_problem(self, mangle):
+        with pytest.raises(twospec.ProblemFormatError) as info:
+            files.decode_solution(mangle(self._circle_doc()))
         assert info.value.code == "BAD_PROBLEM"
 
     @pytest.mark.parametrize("arithmetic", [files.RATIONAL, files.FLOAT64])
