@@ -53,7 +53,6 @@ from .kernel import (
 )
 from .oprl import (
     JacobiData,
-    RealMomentSequence,
     jacobi_matrix,
     moments_real,
     stieltjes,
@@ -69,7 +68,6 @@ from .pipeline import (
 )
 from .poly import MonicPolynomial
 from .popuc import (
-    TrigMomentSequence,
     VerblunskyData,
     boundary_param,
     cmv_matrix,

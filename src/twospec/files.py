@@ -32,11 +32,12 @@ from fractions import Fraction
 
 from .errors import ProblemFormatError, TwospecError, UnsupportedArithmeticError
 from .interlacing import (
-    CircleSpectrumPair, RealSpectrumPair, circle_pair_from_angles, normalize_circle
+    TWO_PI, UNIT_TOL, CircleSpectrumPair, RealSpectrumPair, _collision_checks,
+    circle_pair_from_angles, normalize_circle,
 )
 from .kernel import (
     CIRCLE, COEFFICIENTS, LIST_LIMIT, REAL, STRATEGIES, SUM_ALL, CircuitVector, WeightResult,
-    WeightSelection, family_listing,
+    WeightSelection, check_weights, family_listing,
 )
 from .oprl import JacobiData, moments_real
 from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
@@ -303,13 +304,23 @@ def encode_circuits(vecs):
 
 
 def _decode_report(doc) -> VerificationReport:
+    """The report as verify writes it: mode rational or float64, verdict
+    "pass" or "fail", a bool coefficients_ok, a named profile, and a
+    tolerance and residuals finite and >= 0 (residuals may be null)."""
+    tolerance = decode_value(doc["tolerance"], FLOAT64)
+    residuals = {name: decode_value(doc[name], FLOAT64) for name in RESIDUALS}
+    values = (tolerance, *(r for r in residuals.values() if r is not None))
+    if (doc["mode"] not in (RATIONAL, FLOAT64) or type(doc["coefficients_ok"]) is not bool
+            or doc["verdict"] not in ("pass", "fail") or type(doc["profile"]) is not str
+            or not all(0.0 <= v < math.inf for v in values)):
+        raise ProblemFormatError("a verification value the verifier never writes")
     return VerificationReport(
         mode=doc["mode"],
-        profile=Profile(doc["profile"], decode_value(doc["tolerance"], FLOAT64)),
+        profile=Profile(doc["profile"], tolerance),
         coefficients_ok=doc["coefficients_ok"],
         verdict=doc["verdict"] == "pass",
         warnings=tuple(doc["warnings"]),
-        **{name: decode_value(doc[name], FLOAT64) for name in RESIDUALS},
+        **residuals,
     )
 
 
@@ -334,7 +345,7 @@ def encode_solution(solution, problem: Problem) -> dict:
         "admissible": {"size": solution.family_size, "family": solution.family},
         "omega": solution.weight.omega,
         "circuits": encode_circuits(solution.weight.circuits),
-        "moments": solution.moments.mu,
+        "moments": solution.moments,
         "verification": {
             "mode": report.mode,
             "profile": report.profile.name,
@@ -368,6 +379,21 @@ def encode_solution(solution, problem: Problem) -> dict:
     return doc
 
 
+def _circle_pair(zn, zm, thetas, phis) -> CircleSpectrumPair:
+    """The circle pair of a solution document, held to what normalize_circle
+    builds: thetas and phis strictly ascending in [phis[0], phis[0] + 2 pi)
+    with thetas[0] > phis[0], each point within UNIT_TOL of the unit point
+    at its angle, and no two points coinciding."""
+    for angles in (phis, (phis[0], *thetas)):
+        if not all(a < b for a, b in zip(angles, (*angles[1:], phis[0] + TWO_PI))):
+            raise ProblemFormatError("angles not strictly ascending from phis[0]")
+    for z, angle in zip((*zn, *zm), (*thetas, *phis)):
+        if not abs(z - cmath.rect(1.0, angle)) <= UNIT_TOL:
+            raise ProblemFormatError(f"point {z!r} is not at angle {angle!r}")
+    _collision_checks(zn, zm)
+    return CircleSpectrumPair(zn, zm, thetas, phis)
+
+
 def decode_solution(doc: dict):
     """Rebuild a RealSolution / CircleSolution from what its reconstruction
     computed: the problem's zero sets (zn/zm, and thetas/phis on the circle)
@@ -379,8 +405,10 @@ def decode_solution(doc: dict):
     reads is missing or mistyped; when an array's length does not fit the
     zero sets (omega and beta n, gamma and alpha n-1, thetas n, phis m, and
     a circuit's entries as many as its support); when a support is not
-    circuit_size distinct ascending ints in 1..n; or when a step refuses its
-    value with any TwospecError."""
+    circuit_size distinct ascending ints in 1..n; when omega, the circle
+    pair or the report is not one the pipeline writes (check_weights,
+    _circle_pair, _decode_report); or when a step refuses its value with any
+    TwospecError."""
     try:
         if doc.get("schema") != SCHEMA:
             raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
@@ -403,11 +431,12 @@ def decode_solution(doc: dict):
             pair = RealSpectrumPair(xs=zn, ys=zm)
         else:
             angles = array(problem["thetas"], len(zn)), array(problem["phis"], len(zm))
-            pair = CircleSpectrumPair(zn, zm, *angles)
+            pair = _circle_pair(zn, zm, *angles)
         n, k = pair.n, pair.circuit_size
         verdict, bands = interlace(pair)
         size, family = family_listing(bands)
         omega = array(doc["omega"], n)
+        check_weights(omega)
 
         def circuit(c):  # the support rule of kernel.circuits, bool excluded
             s = c["support"]
@@ -424,8 +453,7 @@ def decode_solution(doc: dict):
         )
         if setting == REAL:
             jacobi = JacobiData(beta=array(rec["beta"], n), gamma=array(rec["gamma"], n - 1))
-            moments = moments_real(pair.xs, omega)
-            return RealSolution(moments=moments, jacobi=jacobi, **common)
+            return RealSolution(moments=moments_real(pair.xs, omega), jacobi=jacobi, **common)
         parts = circle_parts(pair, array(rec["alpha"], n - 1))
         return CircleSolution(moments=trig_moments(pair.zetas, omega), **parts, **common)
     except ProblemFormatError:

@@ -108,15 +108,10 @@ class InterlacingVerdict:
 
 @dataclass(frozen=True)
 class BandDecomposition:
-    """Partition of the node indices {1,..,n} into bands.
-
-    ``bands[r]`` holds the 1-based node indices between consecutive points
-    of the smaller set; ``indices`` are the interlacing indices
-    (i_0, ..., i_{m+1}) in the real case and ``None`` on the circle.
-    """
+    """Partition of the node indices {1,..,n} into bands: ``bands[r]`` holds
+    the 1-based node indices between consecutive points of the smaller set."""
 
     bands: tuple
-    indices: tuple | None = None
 
     @property
     def sizes(self) -> tuple:
@@ -180,7 +175,7 @@ def bands_real(pair: RealSpectrumPair, verdict: InterlacingVerdict) -> BandDecom
     bands = tuple(
         tuple(range(idx[r] + 1, idx[r + 1] + 1)) for r in range(len(idx) - 1)
     )
-    return BandDecomposition(bands=bands, indices=idx)
+    return BandDecomposition(bands=bands)
 
 
 def _principal_angle(z: complex) -> float:
@@ -293,4 +288,4 @@ def bands_circle(pair: CircleSpectrumPair) -> BandDecomposition:
     bands = _circle_bands(pair)
     if any(not b for b in bands):
         raise ValueError("bands_circle requires an interlacing pair")
-    return BandDecomposition(bands=tuple(bands), indices=None)
+    return BandDecomposition(bands=tuple(bands))

@@ -355,11 +355,16 @@ def positive_weight(
             for j in range(1, n + 1)
         ])
 
+    check_weights(omega)
+    return WeightResult(tuple(omega), selection.strategy, size, vecs)
+
+
+def check_weights(omega):
+    """NonpositiveWeightError unless every omega_j is positive and finite."""
     # A Fraction compared with inf is never converted to float (no overflow).
     for j, w in enumerate(omega):
         if not 0 < w < math.inf:
             raise NonpositiveWeightError(f"omega[{j}] is not positive and finite")
-    return WeightResult(tuple(omega), selection.strategy, size, vecs)
 
 
 @dataclass(frozen=True)

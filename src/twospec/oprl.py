@@ -24,22 +24,6 @@ from .errors import LengthMismatchError, ZeroNormError
 from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
 from .scalars import coerce_real_field, is_exact_scalar, plain_sum
 
-@dataclass(frozen=True)
-class RealMomentSequence:
-    """Power moments mu_k = sum_j w_j x_j^k of a positive discrete measure."""
-
-    mu: tuple
-
-    def __post_init__(self):
-        if not self.mu or not self.mu[0] > 0:
-            raise ValueError("mu_0 must be positive")
-
-    def __getitem__(self, k):
-        return self.mu[k]
-
-    def __len__(self):
-        return len(self.mu)
-
 
 @dataclass(frozen=True)
 class JacobiData:
@@ -78,11 +62,10 @@ class JacobiData:
         return jacobi_matrix(self)
 
 
-def moments_real(xs, omega, count=None) -> RealMomentSequence:
-    """mu_k for k = 0..count-1 (default 2n) by direct summation."""
+def moments_real(xs, omega) -> tuple:
+    """mu_k = sum_j w_j x_j^k for k = 0..2n-1, by direct summation."""
     xs, omega = coerce_real_field(xs, omega)
-    mu = power_sums(xs, omega, 2 * len(xs) if count is None else count)
-    return RealMomentSequence(mu=tuple(mu))
+    return tuple(power_sums(xs, omega, 2 * len(xs)))
 
 
 def stieltjes(xs, omega) -> JacobiData:

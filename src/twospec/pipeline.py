@@ -25,10 +25,9 @@ from .kernel import (
     positive_weight,
     setting_of,
 )
-from .oprl import JacobiData, RealMomentSequence, moments_real, stieltjes
+from .oprl import JacobiData, moments_real, stieltjes
 from .poly import MonicPolynomial
 from .popuc import (
-    TrigMomentSequence,
     VerblunskyData,
     boundary_param,
     cmv_matrix,
@@ -47,7 +46,7 @@ class RealSolution:
     family_size: int
     family: tuple | None
     weight: WeightResult
-    moments: RealMomentSequence
+    moments: tuple
     jacobi: JacobiData
     report: VerificationReport
 
@@ -60,7 +59,7 @@ class CircleSolution:
     family_size: int
     family: tuple | None
     weight: WeightResult
-    moments: TrigMomentSequence
+    moments: tuple
     verblunsky: VerblunskyData
     b_m: complex
     c_n: tuple
@@ -100,11 +99,10 @@ def reconstruct_real(
     prescribed sets do not strictly interlace."""
     common = _weighted(pair, selection)
     omega = common["weight"].omega
-    moments = moments_real(pair.xs, omega)
     jacobi = stieltjes(pair.xs, omega)
     return RealSolution(
         pair=pair,
-        moments=moments,
+        moments=moments_real(pair.xs, omega),
         jacobi=jacobi,
         report=verify_oprl(pair, omega, jacobi, profile),
         **common,

@@ -3,8 +3,11 @@
 Coefficients are stored ascending (``c[0] + c[1]*x + ...``).  Every helper
 works unchanged for ``Fraction``, ``float`` and ``complex`` entries, which is
 what lets the real pipeline run exactly and the circle pipeline run in
-binary64.  Sizes are desk scale, so dense lists and Horner evaluation win
-over anything cleverer.
+binary64.  Lists are dense and each helper costs at most quadratic time in
+the degree, the order of the recurrence itself: the pipeline builds n+1
+polynomials of degree at most n and up to 2n power sums over n nodes, with
+n in the hundreds.  It writes and compares expanded coefficients but never
+evaluates them near their roots, where Horner's scheme cancels in binary64.
 """
 
 from __future__ import annotations

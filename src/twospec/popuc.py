@@ -29,30 +29,6 @@ DENOM_REL = 1e-13
 
 
 @dataclass(frozen=True)
-class TrigMomentSequence:
-    """Truncated trigonometric moments mu_0..mu_{n-1}; negative indices by
-    Hermitian symmetry mu_{-k} = conj(mu_k)."""
-
-    mu: tuple
-
-    def __post_init__(self):
-        if not self.mu:
-            raise ValueError("need at least mu_0")
-        mu0 = complex(self.mu[0])
-        if not mu0.real > 0 or abs(mu0.imag) > 1e-12 * mu0.real:
-            raise ValueError("mu_0 must be positive real")
-
-    def __getitem__(self, k: int) -> complex:
-        if k >= 0:
-            return self.mu[k]
-        return self.mu[-k].conjugate()
-
-    @property
-    def order(self) -> int:
-        return len(self.mu) - 1
-
-
-@dataclass(frozen=True)
 class VerblunskyData:
     """Szego recurrence coefficients: alpha_0..alpha_{n-2} in the open disk
     and the boundary parameter b (unimodular, possibly unset while only the
@@ -67,11 +43,9 @@ class VerblunskyData:
         return tuple(math.sqrt(1.0 - abs(a) ** 2) for a in self.alpha)
 
 
-def trig_moments(zetas, omega, count=None) -> TrigMomentSequence:
-    """mu_k = sum_j w_j zeta_j^k for k = 0..count-1 (default n)."""
-    weights = [complex(w) for w in omega]
-    mu = power_sums(zetas, weights, len(zetas) if count is None else count)
-    return TrigMomentSequence(mu=tuple(mu))
+def trig_moments(zetas, omega) -> tuple:
+    """Trigonometric moments mu_k = sum_j w_j zeta_j^k for k = 0..n-1."""
+    return tuple(power_sums(zetas, [complex(w) for w in omega], len(zetas)))
 
 
 def _advance(phi, phi_star, alpha_k):
@@ -83,30 +57,26 @@ def _advance(phi, phi_star, alpha_k):
     return nxt, nxt_star
 
 
-def verblunsky_from_moments(mu: TrigMomentSequence, count=None) -> VerblunskyData:
-    """Recover alpha_0..alpha_{count-1} (default: order of ``mu``) through
-    the moment-functional recursion.
+def verblunsky_from_moments(mu) -> VerblunskyData:
+    """Recover alpha_0..alpha_{len(mu)-2} from the trigonometric moments
+    ``mu`` (mu_0 first) through the moment-functional recursion.
 
     With L(z^i) = mu_i, each step solves conj(alpha_k) = L(z Phi_k) /
     L(Phi*_k); the denominator equals <Phi_k, Phi_k> and stays positive for
-    a measure with enough support points.  Returns the alpha part only
-    (``b`` unset).
+    a measure with enough support points.  ZeroDenominatorError when it
+    does not, mu_0 = <Phi_0, Phi_0> <= 0 included.  Returns the alpha part
+    only (``b`` unset).
     """
-    if count is None:
-        count = mu.order
-    if count > mu.order:
-        raise LengthMismatchError(
-            f"recovering alpha_0..alpha_{count - 1} needs moments up to "
-            f"mu_{count}, got order {mu.order}"
-        )
 
     def functional(coeffs):
         return plain_sum(c * mu[i] for i, c in enumerate(coeffs))
 
     mu0 = mu[0].real
+    if not mu0 > 0:
+        raise ZeroDenominatorError("norm of Phi_0 (mu_0) is not positive")
     phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
     alpha = []
-    for k in range(count):
+    for k in range(len(mu) - 1):
         den = functional(phi_star)
         if abs(den) <= DENOM_REL * mu0:
             raise ZeroDenominatorError(f"norm of Phi_{k} vanished")

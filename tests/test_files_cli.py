@@ -1131,6 +1131,22 @@ def _with(doc, key, **changes):
     return dict(doc, **{key: dict(doc[key], **changes)})
 
 
+def _with_entry(doc, key, index, value):
+    """doc with doc[key][index] set to value."""
+    values = list(doc[key])
+    values[index] = value
+    return dict(doc, **{key: values})
+
+
+def _with_thetas(doc, order):
+    """doc with its thetas picked in the given index order."""
+    return _with(doc, "problem", thetas=[doc["problem"]["thetas"][i] for i in order])
+
+
+def _with_report(doc, **changes):
+    return _with(doc, "verification", **changes)
+
+
 def _with_circuit(doc, **changes):
     """doc with its first circuit updated by changes."""
     return dict(doc, circuits=[dict(doc["circuits"][0], **changes), *doc["circuits"][1:]])
@@ -1183,7 +1199,7 @@ class TestSolutionDecoding:
         doc = files.loads_document(text)
         xs, omega = problem.pair.xs, files.decode_value(doc["omega"], files.RATIONAL)
         jacobi = twospec.stieltjes(xs, omega)
-        assert doc["moments"] == written(twospec.moments_real(xs, omega).mu)
+        assert doc["moments"] == written(twospec.moments_real(xs, omega))
         assert doc["recurrence"] == written(
             {"beta": jacobi.beta, "gamma": jacobi.gamma}
         )
@@ -1199,7 +1215,7 @@ class TestSolutionDecoding:
         moments = twospec.trig_moments(pair.zetas, omega)
         alpha = twospec.verblunsky_from_moments(moments).alpha
         b_n, b_m = twospec.boundary_param(pair.zetas), twospec.boundary_param(pair.xis)
-        assert doc["moments"] == written(moments.mu)
+        assert doc["moments"] == written(moments)
         assert doc["recurrence"] == written(
             {
                 "alpha": alpha,
@@ -1231,7 +1247,7 @@ class TestSolutionDecoding:
         pair = fuzz.random_real_instance(random.Random(1), 400, 100, min_gap=0.01)
         problem, solution, text = _solved(_float_cover_doc(pair))
         assert solution.report.verdict
-        assert not all(map(math.isfinite, solution.moments.mu))
+        assert not all(map(math.isfinite, solution.moments))
         for load in (json.loads, files.loads_document):
             back = files.decode_solution(load(text))
             # texts, not objects: nan != nan
@@ -1272,6 +1288,14 @@ class TestSolutionDecoding:
             lambda doc: _with_circuit(doc, support=[0, 2, 4]),
             lambda doc: _with_circuit(doc, entries=doc["circuits"][0]["entries"][:-1]),
             lambda doc: _with(doc, "problem", zm=["1", "7/2"]),
+            lambda doc: _with_entry(doc, "omega", 0, "0"),
+            lambda doc: _with_entry(doc, "omega", 1, "-" + doc["omega"][1]),
+            lambda doc: _with_report(doc, mode="decimal"),
+            lambda doc: _with_report(doc, coefficients_ok="no"),
+            lambda doc: _with_report(doc, verdict="maybe"),
+            lambda doc: _with_report(doc, profile=7),
+            lambda doc: _with_report(doc, kernel_residual="-1"),
+            lambda doc: _with_report(doc, tolerance="-1e-10"),
         ],
         ids=[
             "schema_only",
@@ -1292,6 +1316,14 @@ class TestSolutionDecoding:
             "support_zero",
             "entries_short",
             "not_interlacing",
+            "omega_zero_entry",
+            "omega_negative_entry",
+            "report_mode",
+            "report_coefficients_ok_text",
+            "report_verdict",
+            "report_profile_number",
+            "report_negative_residual",
+            "report_negative_tolerance",
         ],
     )
     def test_malformed_documents_are_bad_problem(self, mangle):
@@ -1312,6 +1344,14 @@ class TestSolutionDecoding:
             lambda doc: _with(doc, "problem", thetas=doc["problem"]["thetas"][:-1]),
             lambda doc: _with(doc, "problem", phis=doc["problem"]["phis"] + [6.0]),
             lambda doc: _with_circuit(doc, support=[1, 1]),
+            lambda doc: _with_entry(doc, "omega", 0, "0"),
+            lambda doc: _with_entry(doc, "omega", 1, "-" + doc["omega"][1]),
+            lambda doc: _with(doc, "problem", thetas=[1.0, 4.0, 5.5]),
+            lambda doc: _with_thetas(doc, (0, 0, 2)),
+            lambda doc: _with_thetas(doc, (1, 0, 2)),
+            lambda doc: _with(
+                doc, "problem", zn=[{"re": 2, "im": 0}, *doc["problem"]["zn"][1:]]
+            ),
         ],
         ids=[
             "alpha_long",
@@ -1320,6 +1360,12 @@ class TestSolutionDecoding:
             "thetas_short",
             "phis_long",
             "support_repeated",
+            "omega_zero_entry",
+            "omega_negative_entry",
+            "thetas_off_the_points",
+            "theta_repeated",
+            "thetas_swapped",
+            "point_off_the_circle",
         ],
     )
     def test_malformed_circle_documents_are_bad_problem(self, mangle):

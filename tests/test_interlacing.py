@@ -68,7 +68,6 @@ class TestRealBands:
         verdict = twospec.check_interlace_real(pair_4_2)
         bands = twospec.bands_real(pair_4_2, verdict)
         assert bands.bands == ((1,), (2, 3), (4,))
-        assert bands.indices == (0, 1, 3, 4)
 
     def test_seven_node_bands(self, pair_7_3):
         verdict = twospec.check_interlace_real(pair_7_3)
@@ -156,7 +155,6 @@ class TestCircleCheck:
         assert verdict.accepted
         bands = twospec.bands_circle(circle_3_2)
         assert bands.bands == ((1,), (2, 3))
-        assert bands.indices is None
 
     def test_seven_node_bands(self, circle_7_3):
         assert twospec.check_interlace_circle(circle_7_3).accepted

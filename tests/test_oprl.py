@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import twospec
 from twospec.fuzz import random_real_instance
 from twospec.oprl import JacobiData, _recurrence_polys, _rkpw, _stieltjes_exact
-from twospec.poly import poly_from_roots
+from twospec.poly import poly_from_roots, power_sums
 
 from . import oracles
 
@@ -40,9 +40,15 @@ class TestMoments:
         assert mu[1] == F(16, 3)
 
     def test_single_node_powers(self):
+        # a unit point mass at a, split over two equal nodes
         a = F(7, 3)
-        mu = twospec.moments_real((a,), (1,), count=5)
-        assert tuple(mu.mu) == (1, a, a**2, a**3, a**4)
+        mu = twospec.moments_real((a, a), (F(1, 2), F(1, 2)))
+        assert mu == (1, a, a**2, a**3)
+
+    def test_plain_tuple_of_2n_power_sums(self):
+        mu = twospec.moments_real(NODES, W_DEFAULT)
+        assert type(mu) is tuple
+        assert mu == tuple(power_sums(NODES, W_DEFAULT, 2 * len(NODES)))
 
     def test_scaling_linearity(self):
         mu = twospec.moments_real(NODES, W_DEFAULT)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import twospec
-from twospec.poly import poly_from_roots
+from twospec.poly import poly_from_roots, power_sums
 from twospec.verify import unitarity_defect
 
 from . import oracles
@@ -33,18 +33,18 @@ class TestTrigMoments:
         approx_c(mu[1], 0.0)
         approx_c(mu[2], -8 * SQRT6 / 3)
 
-    def test_hermitian_symmetry(self, circle_3_2):
+    def test_plain_tuple_of_n_power_sums(self, circle_3_2):
         mu = twospec.trig_moments(circle_3_2.zetas, W_3_2)
-        for k in range(3):
-            assert mu[-k] == mu[k].conjugate()
+        assert type(mu) is tuple
+        assert mu == tuple(power_sums(circle_3_2.zetas, W_3_2, 3))
 
     def test_point_mass_at_one(self):
-        mu = twospec.trig_moments((1 + 0j,) * 1, (1.0,), count=4)
-        assert all(mu[k] == 1 for k in range(4))
+        mu = twospec.trig_moments((1 + 0j,) * 4, (0.25,) * 4)
+        assert mu == (1, 1, 1, 1)
 
     def test_conjugate_symmetric_measure_has_real_moments(self):
         z = cmath.rect(1.0, 0.8)
-        mu = twospec.trig_moments((z, z.conjugate()), (0.7, 0.7), count=2)
+        mu = twospec.trig_moments((z, z.conjugate()), (0.7, 0.7))
         assert abs(mu[1].imag) < 1e-15
 
     def test_length_mismatch(self):
@@ -87,17 +87,14 @@ class TestVerblunsky:
         assert d1.alpha == pytest.approx(d2.alpha, abs=1e-14)
 
     def test_too_few_support_points_detected(self):
-        # two point masses cannot define alpha_0, alpha_1, alpha_2
-        mu = twospec.trig_moments((1j, -1j), (1.0, 2.0), count=4)
-        with pytest.raises(
-            (twospec.AlphaOutOfDiskError, twospec.ZeroDenominatorError)
-        ):
-            twospec.verblunsky_from_moments(mu, count=3)
+        # three moments of a two-point measure: alpha_1 lands on the circle
+        mu = twospec.trig_moments((1j, -1j, 1j), (1.0, 2.0, 0.5))
+        with pytest.raises(twospec.AlphaOutOfDiskError, match="alpha_1"):
+            twospec.verblunsky_from_moments(mu)
 
-    def test_moment_order_guard(self, circle_3_2):
-        mu = twospec.trig_moments(circle_3_2.zetas, W_3_2)
-        with pytest.raises(twospec.LengthMismatchError):
-            twospec.verblunsky_from_moments(mu, count=5)
+    def test_nonpositive_mass_is_a_zero_denominator(self):
+        with pytest.raises(twospec.ZeroDenominatorError):
+            twospec.verblunsky_from_moments((-1 + 0j, 0j))
 
 
 class TestBoundaryParam:

@@ -405,7 +405,7 @@ class TestSameBitsOnEveryInterpreter:
         sol = twospec.reconstruct_real(pair)
         assert sol.report.verdict
         values = (
-            *sol.weight.omega, *sol.jacobi.beta, *sol.jacobi.gamma, *sol.moments.mu,
+            *sol.weight.omega, *sol.jacobi.beta, *sol.jacobi.gamma, *sol.moments,
             sol.report.kernel_residual,
         )  # fmt: skip
         text = " ".join(v.hex() for v in values)
