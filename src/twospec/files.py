@@ -305,21 +305,20 @@ def encode_circuits(vecs):
 
 def _decode_report(doc) -> VerificationReport:
     """The report as verify writes it: mode rational or float64, verdict
-    "pass" or "fail", a bool coefficients_ok, a named profile, and a
-    tolerance and residuals finite and >= 0 (residuals may be null)."""
+    "pass" or "fail", a bool coefficients_ok, a named profile, no warnings,
+    and a tolerance and residuals finite and >= 0 (residuals may be null)."""
     tolerance = decode_value(doc["tolerance"], FLOAT64)
     residuals = {name: decode_value(doc[name], FLOAT64) for name in RESIDUALS}
     values = (tolerance, *(r for r in residuals.values() if r is not None))
     if (doc["mode"] not in (RATIONAL, FLOAT64) or type(doc["coefficients_ok"]) is not bool
             or doc["verdict"] not in ("pass", "fail") or type(doc["profile"]) is not str
-            or not all(0.0 <= v < math.inf for v in values)):
+            or doc["warnings"] != [] or not all(0.0 <= v < math.inf for v in values)):
         raise ProblemFormatError("a verification value the verifier never writes")
     return VerificationReport(
         mode=doc["mode"],
         profile=Profile(doc["profile"], tolerance),
         coefficients_ok=doc["coefficients_ok"],
         verdict=doc["verdict"] == "pass",
-        warnings=tuple(doc["warnings"]),
         **residuals,
     )
 

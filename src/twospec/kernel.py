@@ -13,7 +13,9 @@ per band is entrywise nonnegative after the sign choice, and conical
 combinations of those circuits that cover every index are exactly the
 strictly positive solutions.  The sum of the whole one-per-band family
 factors over the bands, so the default weight is computed in closed form in
-O(n^2) whatever the family size.
+O(n^2) whatever the family size.  Rational line coordinates run on their
+integer grid X = D x, Y = D y, where a circuit entry is the Fraction
+D^(2m) / (integer product); binary64 and circle ones are their own, D = 1.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .interlacing import (
     check_interlace_circle,
     check_interlace_real,
 )
-from .scalars import is_exact_scalar, plain_sum
+from .scalars import integer_grid, is_exact_scalar, off_grid, plain_sum
 
 REAL = "real"
 CIRCLE = "circle"
@@ -138,9 +140,17 @@ def _system(nodes, diag, count, one) -> SystemMatrix:
     return SystemMatrix(entries=tuple(rows), shape=(count, len(nodes)))
 
 
+def grid_system(xs, ys) -> tuple:
+    """``(rows, dens)``: rows[k][j] = X_j^k P_m(X_j) on the grid, A[k] = rows[k] / dens[k]."""
+    nodes, points, scale = _line_grid(xs, ys)
+    pmx = [_pm_at(_REAL, j, x, points) for j, x in enumerate(nodes)]
+    return _system(nodes, pmx, len(ys), 1).entries, [scale**k for k in range(len(ys), 2 * len(ys))]
+
+
 def _assemble_real(pair: RealSpectrumPair) -> SystemMatrix:
-    pmx = [_pm_at(_REAL, j, x, pair.ys) for j, x in enumerate(pair.xs)]
-    return _system(pair.xs, pmx, pair.m, 1)
+    rows, dens = grid_system(pair.xs, pair.ys)
+    entries = tuple(tuple(off_grid(a, d) for a in row) for row, d in zip(rows, dens))
+    return SystemMatrix(entries=entries, shape=(pair.m, pair.n))
 
 
 def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
@@ -231,8 +241,10 @@ def circuits(pair, supports) -> tuple:
     factor at a time.  Products fold left, so sharing them changes no bit.
     """
     setting = setting_of(pair)
-    nodes, points = setting.coords(pair)
+    nodes, points, scale = setting.coords(pair)
     diff, size = setting.diff, pair.circuit_size
+    # one D per difference; a Fraction on the exact grid, so unit / den is exact
+    unit = off_grid(scale ** (len(points) + size - 1), 1)
     supports = [tuple(sorted(s)) for s in supports]
     for s in supports:
         if len(set(s)) != size or not (1 <= s[0] and s[-1] <= pair.n):
@@ -265,7 +277,7 @@ def circuits(pair, supports) -> tuple:
             else:
                 start, rest = head(j, shared), xs[shared:p] + xs[p + 1 :]
             try:
-                entries.append(1 / math.prod(map(diff, repeat(xs[p]), rest), start=start))
+                entries.append(unit / math.prod(map(diff, repeat(xs[p]), rest), start=start))
             except ZeroDivisionError:  # the running product underflows binary64
                 raise NonpositiveWeightError(f"circuit entry {j} overflows") from None
         if sum((e > 0) - (e < 0) for e in entries) < 0:
@@ -288,15 +300,16 @@ def _sum_all_omega(pair, setting, bands: BandDecomposition, band_of: dict) -> li
     |sum_{i in I_r} 1 / d(x_j, x_i)|, with d the setting's signed
     difference, of one sign over a band that does not hold j.
     """
-    nodes, points = setting.coords(pair)
+    nodes, points, scale = setting.coords(pair)
+    diff, unit = setting.diff, off_grid(scale, 1)  # unit / d exact on the exact grid
     _check_distinct(setting, nodes)
     omega = []
     for j, x in enumerate(nodes):
         acc = 1
         for r, band in enumerate(bands.bands):
             if r != band_of[j + 1]:
-                acc *= abs(plain_sum([1 / setting.diff(x, nodes[i - 1]) for i in band]))
-        omega.append(acc / abs(_pm_at(setting, j, x, points)))
+                acc *= abs(plain_sum([unit / diff(x, nodes[i - 1]) for i in band]))
+        omega.append(acc / off_grid(abs(_pm_at(setting, j, x, points)), scale ** len(points)))
     return omega
 
 
@@ -372,8 +385,8 @@ class Setting:
     """The per-setting steps of the construction: the interlacing check,
     the band decomposition of an accepted pair, the kernel system, and what
     the circuit formula and the closed-form sum_all weight read: the node
-    and m-set coordinates, their signed difference, and the magnitude at or
-    below which a difference means two points coincide."""
+    and m-set coordinates and their grid scale D, their signed difference,
+    and the magnitude at or below which a difference means two points coincide."""
 
     name: str
     check: Callable
@@ -384,13 +397,19 @@ class Setting:
     tol: float
 
 
+def _line_grid(xs, ys):
+    """(nodes, points, D): xs and ys on their common integer grid."""
+    scale, grid = integer_grid(xs + ys)
+    return grid[: len(xs)], grid[len(xs) :], scale
+
+
 _REAL = Setting(
     REAL, check_interlace_real, bands_real, _assemble_real,
-    lambda pair: (pair.xs, pair.ys), operator.sub, 0,
+    lambda pair: _line_grid(pair.xs, pair.ys), operator.sub, 0,
 )  # fmt: skip
 _CIRCLE = Setting(
     CIRCLE, check_interlace_circle, lambda pair, verdict: bands_circle(pair),
-    _assemble_circle, lambda pair: (pair.thetas, pair.phis),
+    _assemble_circle, lambda pair: (pair.thetas, pair.phis, 1.0),
     lambda x, y: math.sin((x - y) / 2.0), _SIN_TOL,
 )  # fmt: skip
 

@@ -3,14 +3,16 @@
 Given strictly positive weights on the real nodes, the recurrence
 coefficients beta_k, gamma_k of the discrete measure are rebuilt from the
 nodes and weights directly, never from a moment-matrix factorization, which
-would be ill-conditioned in binary64.  Exact inputs run the discrete
-Stieltjes procedure on primitive integer vectors, which is fraction-free but
-for one Fraction per coefficient; binary64 inputs run the square-root-free
-RKPW update, which solves this inverse eigenvalue problem for the Jacobi
-matrix with Givens rotations.  The coefficients fix the rest: the monic
-family P_0..P_n follows by the three-term recurrence, and the n-by-n Jacobi
-matrix carries beta on the diagonal, ones above it and gamma below it; its
-order-k leading block has characteristic polynomial P_k.
+would be ill-conditioned in binary64.  Exact inputs run on the integer grids
+x_j = X_j / D, w_j = W_j / E (``scalars.integer_grid``): moments are integer
+power sums S_k = sum_j W_j X_j^k, each leaving as the Fraction
+S_k / (E D^k), and the discrete Stieltjes procedure runs on primitive
+integer vectors, one Fraction per coefficient.  Binary64 inputs (D = E = 1)
+run the square-root-free RKPW update, which solves this inverse eigenvalue
+problem for the Jacobi matrix with Givens rotations.  The coefficients fix
+the rest: the monic family P_0..P_n follows by the three-term recurrence,
+and the n-by-n Jacobi matrix carries beta on the diagonal, ones above it and
+gamma below it; its order-k leading block has characteristic polynomial P_k.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import LengthMismatchError, ZeroNormError
+from .kernel import check_weights
 from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
-from .scalars import coerce_real_field, is_exact_scalar, plain_sum
+from .scalars import coerce_real_field, integer_grid, is_exact_scalar, off_grid
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,10 @@ class JacobiData:
 
 
 def moments_real(xs, omega) -> tuple:
-    """mu_k = sum_j w_j x_j^k for k = 0..2n-1, by direct summation."""
-    xs, omega = coerce_real_field(xs, omega)
-    return tuple(power_sums(xs, omega, 2 * len(xs)))
+    """mu_k = sum_j w_j x_j^k = S_k / (E D^k) for k = 0..2n-1 (see above)."""
+    (x_den, nodes), (w_den, weights) = map(integer_grid, coerce_real_field(xs, omega))
+    sums = power_sums(nodes, weights, 2 * len(xs))
+    return tuple(off_grid(s, w_den * x_den**k) for k, s in enumerate(sums))
 
 
 def stieltjes(xs, omega) -> JacobiData:
@@ -77,21 +81,17 @@ def stieltjes(xs, omega) -> JacobiData:
     scale times a primitive integer vector, so a step costs O(n) integer
     products and one content gcd.  Over binary64 by RKPW (``_rkpw``), which
     stays accurate with no reorthogonalization.  Both give the exact
-    coefficients over ``Fraction``.  ZeroNormError when the total mass or a
-    weight is not positive (for distinct nodes the Gram matrix of
-    1..x^{n-1} is congruent to diag(omega), so exactly when some
-    h_k = <P_k, P_k> is not), or when the nodes coincide (a zero P_k vector
-    exactly; a gamma_k that is not positive, NaN too, in binary64).  No
-    threshold.
+    coefficients over ``Fraction``.  NonpositiveWeightError unless every
+    weight is positive and finite (``kernel.check_weights``); ZeroNormError
+    for no nodes, or when nodes coincide (a zero P_k vector exactly; a
+    gamma_k that is not positive, NaN too, in binary64).  No threshold.
     """
     if len(omega) != len(xs):
         raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
     xs, omega = coerce_real_field(xs, omega)
-    if not plain_sum(omega) > 0:
+    check_weights(omega)
+    if not omega:
         raise ZeroNormError("total mass is not positive")
-    for j, w in enumerate(omega):
-        if not w > 0:
-            raise ZeroNormError(f"omega[{j}] is not positive")
     beta, gamma = (_stieltjes_exact if is_exact_scalar(xs[0]) else _rkpw)(xs, omega)
     if not all(g > 0 for g in gamma):
         raise ZeroNormError("a gamma_k is not positive: coincident nodes")
@@ -120,10 +120,7 @@ def _stieltjes_exact(xs, omega):
     weights are scaled to integers x_j = X_j / D, w_j ~ W_j once; P_k(x_j)
     = s_k u_kj with u_k primitive, and only t_k = s_k / s_{k-1} is kept,
     since h_k ~ s_k^2 sum_j W_j u_kj^2."""
-    scale = math.lcm(*(x.denominator for x in xs))
-    nodes = [x.numerator * (scale // x.denominator) for x in xs]
-    wden = math.lcm(*(w.denominator for w in omega))
-    weights = [w.numerator * (wden // w.denominator) for w in omega]
+    (scale, nodes), (_, weights) = integer_grid(xs), integer_grid(omega)
     n = len(xs)
     u, u_prev, ratio = [1] * n, [0] * n, Fraction(0)
     t, norm_prev = Fraction(1), 1

@@ -8,6 +8,7 @@ pulls the whole computation into binary64.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,20 @@ def coerce_real_field(*seqs):
     if all(is_exact_scalar(v) for v in flat):
         return tuple(tuple(Fraction(v) for v in s) for s in seqs)
     return tuple(tuple(float(v) for v in s) for s in seqs)
+
+
+def integer_grid(values) -> tuple:
+    """``(D, [D v_j])``, D the least common denominator; ``(1.0, values)`` in
+    binary64, so that a division by a power of D is a binary64 one."""
+    if not all(map(is_exact_scalar, values)):
+        return 1.0, list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def off_grid(num, den):
+    """num / den: a Fraction for two integers, else the binary64 quotient."""
+    return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else num / den
 
 
 def _left_to_right(values):

@@ -3,12 +3,15 @@
 The prescribed points are the spectrum of the order-k matrix iff its monic
 characteristic polynomial P_k is prod_j (x - z_j) over them.  Each check is
 one formula for both arithmetic modes, which choose only the tolerance:
-zero in rational mode, the profile's in binary64.  The residuals:
+zero in rational mode, the profile's in binary64.  Line values run on their
+integer grid (``scalars.integer_grid``; D = 1 in binary64).  The residuals:
 
 * kernel_residual   -- max_k |(A w)_k| / sum_j |A_kj w_j|, componentwise, so
-  the smallest weights count as much as the largest
+  the smallest weights count as much as the largest; on the line over grid
+  rows and weights, whose scales cancel (a nonzero ratio stays a Fraction)
 * poly_match_*      -- max coefficient deviation from the expanded zero
-  product / max(1, largest target coefficient)
+  product / max(1, largest target coefficient); on the line prod_j (t - X_j)
+  is expanded in grid integers q_k, and c_k = q_k / D^(n-k)
 * spectrum_residual -- rational: poly_match of the same order, exactly.
   Binary64: max_j |P_k(z_j)| / prod_{i != j} |z_j - z_i| / g_j, with P_k(z_j)
   run by its recurrence (three-term beta/gamma on the line, Szego on alpha
@@ -39,7 +42,7 @@ from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair
 from .oprl import JacobiData
 from .poly import poly_from_roots
 from .popuc import DISK_MARGIN, VerblunskyData, boundary_param, cmv_matrix, szego_popuc
-from .scalars import is_exact_scalar, plain_sum
+from .scalars import coerce_real_field, integer_grid, is_exact_scalar, off_grid, plain_sum
 
 # The arithmetic modes, as reports and documents name them.
 RATIONAL = "rational"
@@ -94,10 +97,6 @@ RESIDUALS = (
 )
 
 
-def _is_exact(values) -> bool:
-    return all(is_exact_scalar(v) for v in values)
-
-
 def _as_float(x) -> float:
     try:
         return float(abs(x))
@@ -130,15 +129,21 @@ def _report(exact, profile, coefficients_ok, gating, poly_n, poly_m):
     )
 
 
-def _kernel_residual(system, omega):
+def _kernel_residual(rows, omega):
     """max over rows of |sum_j a_j w_j| / sum_j |a_j w_j|; the scale is
     taken only for a nonzero row sum, so an exact zero row costs one sum."""
     ratios = []
-    for row in system.entries:
+    for row in rows:
         terms = [a * w for a, w in zip(row, omega)]
         total = plain_sum(terms)  # nonzero only if some term, so the scale, is
-        ratios.append(abs(total) / plain_sum(map(abs, terms)) if total else abs(total))
+        ratios.append(off_grid(abs(total), plain_sum(map(abs, terms))) if total else abs(total))
     return _worst(ratios)
+
+
+def _zero_product(points):
+    """Coefficients of prod_j (t - z_j), expanded on the integer grid."""
+    scale, grid = integer_grid(points)
+    return [off_grid(q, scale ** (len(grid) - k)) for k, q in enumerate(poly_from_roots(grid))]
 
 
 def _poly_residual(coeffs, target):
@@ -210,10 +215,11 @@ def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDAR
     P_n and P_m against the zero products is reported only.
     """
     n, m = pair.n, pair.m
-    exact = _is_exact(list(pair.xs) + list(pair.ys) + list(omega))
+    xs, ys, omega = coerce_real_field(pair.xs, pair.ys, omega)
+    exact, grid_omega = is_exact_scalar(omega[0]), integer_grid(omega)[1]
     gamma = (0, *data.gamma)
-    poly_n = _poly_residual(data.polys[n].coeffs, poly_from_roots(pair.xs))
-    poly_m = _poly_residual(data.polys[m].coeffs, poly_from_roots(pair.ys))
+    poly_n = _poly_residual(data.polys[n].coeffs, _zero_product(pair.xs))
+    poly_m = _poly_residual(data.polys[m].coeffs, _zero_product(pair.ys))
 
     def spectrum(k, points, gaps):
         def value(x):
@@ -232,7 +238,7 @@ def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDAR
         spectrum_n = spectrum(n, pair.xs, gaps[:n])
         spectrum_m = spectrum(m, pair.ys, gaps[n:])
     gating = {
-        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega),
+        "kernel_residual": _kernel_residual(_kernel.grid_system(xs, ys)[0], grid_omega),
         "spectrum_residual_n": spectrum_n,
         "spectrum_residual_m": spectrum_m,
     }
@@ -297,7 +303,7 @@ def verify_popuc(
     gaps = _gaps(list(pair.thetas) + list(pair.phis), TWO_PI)
     c_n, c_m = matrices
     gating = {
-        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega),
+        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair).entries, omega),
         "spectrum_residual_n": spectrum(n, b_n, pair.zetas, gaps[:n]),
         "spectrum_residual_m": spectrum(m, b_m, pair.xis, gaps[n:]),
         "unitarity_defect": _worst([defect(c_n, n, b_n), defect(c_m, m, b_m)]),

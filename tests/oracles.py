@@ -18,7 +18,7 @@ from twospec.fuzz import random_circle_instance, random_real_instance
 from twospec.interlacing import TWO_PI
 from twospec.oprl import JacobiData
 from twospec.poly import MonicPolynomial, poly_mul, poly_scale
-from twospec.verify import _is_exact
+from twospec.scalars import is_exact_scalar
 
 # Cofactor-expansion oracles refuse orders above this.
 EXPANSION_LIMIT = 8
@@ -125,7 +125,7 @@ def brute_nullspace(system):
     shared points upstream and raises RankDeficientError.
     """
     rows, cols = system.shape
-    exact = _is_exact(e for row in system.entries for e in row)
+    exact = all(is_exact_scalar(e) for row in system.entries for e in row)
     basis = rref_nullspace(system.entries, cols, tol=0.0 if exact else 1e-12)
     if len(basis) != cols - rows:
         raise RankDeficientError(f"rank {cols - len(basis)} below row count {rows}")

@@ -1296,6 +1296,7 @@ class TestSolutionDecoding:
             lambda doc: _with_report(doc, profile=7),
             lambda doc: _with_report(doc, kernel_residual="-1"),
             lambda doc: _with_report(doc, tolerance="-1e-10"),
+            lambda doc: _with_report(doc, warnings=["made up"]),
         ],
         ids=[
             "schema_only",
@@ -1324,6 +1325,7 @@ class TestSolutionDecoding:
             "report_profile_number",
             "report_negative_residual",
             "report_negative_tolerance",
+            "report_warning_made_up",
         ],
     )
     def test_malformed_documents_are_bad_problem(self, mangle):
@@ -1352,6 +1354,7 @@ class TestSolutionDecoding:
             lambda doc: _with(
                 doc, "problem", zn=[{"re": 2, "im": 0}, *doc["problem"]["zn"][1:]]
             ),
+            lambda doc: _with_report(doc, warnings=["made up"]),
         ],
         ids=[
             "alpha_long",
@@ -1366,6 +1369,7 @@ class TestSolutionDecoding:
             "theta_repeated",
             "thetas_swapped",
             "point_off_the_circle",
+            "report_warning_made_up",
         ],
     )
     def test_malformed_circle_documents_are_bad_problem(self, mangle):

@@ -139,13 +139,18 @@ class TestStieltjes:
             twospec.stieltjes((1.0, 1.0, 2.0), (0.3, 0.3, 0.3))
 
     def test_nonpositive_mass_rejected(self):
-        with pytest.raises(twospec.ZeroNormError):
+        # the one weight rule of kernel.check_weights; ZERO_NORM stays for
+        # coincident nodes
+        with pytest.raises(twospec.NonpositiveWeightError):
             twospec.stieltjes((0, 1), (F(1, 2), F(-1, 2)))
         # one negative weight under a positive total mass
-        with pytest.raises(twospec.ZeroNormError):
+        with pytest.raises(twospec.NonpositiveWeightError):
             twospec.stieltjes((0, 1, 2), (1, F(-1, 10), 1))
-        with pytest.raises(twospec.ZeroNormError):
-            twospec.stieltjes((0.0, 1.0, 2.0), (1.0, -0.1, 1.0))
+        for w in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(twospec.NonpositiveWeightError):
+                twospec.stieltjes((1.0, 2.0, 3.0, 4.0), (1.0, w, 1.0, 1.0))
+        with pytest.raises(twospec.ZeroNormError):  # the empty measure
+            twospec.stieltjes((), ())
 
 
 @st.composite

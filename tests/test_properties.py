@@ -6,8 +6,9 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings, strategies as st
 
 import twospec
-from twospec.poly import poly_from_roots
-from twospec.verify import unitarity_defect
+from twospec.kernel import COEFFICIENTS, STRATEGIES
+from twospec.poly import poly_from_roots, power_sums
+from twospec.verify import RESIDUALS, unitarity_defect
 
 from . import oracles
 from .oracles import mat_vec
@@ -30,6 +31,22 @@ def interlacing_real_pairs(draw, max_n=7):
     for g in sorted(gap_idx):
         t = draw(st.integers(1, 3))
         ys.append(xs[g] + (xs[g + 1] - xs[g]) * F(t, 4))
+    return twospec.RealSpectrumPair(xs=tuple(xs), ys=tuple(ys))
+
+
+@st.composite
+def rational_grid_pairs(draw, max_n=7):
+    """Strictly interlacing pairs of non-integer rationals of either sign
+    with denominators up to 10^6, so that the common denominator of the
+    integer grid is large."""
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(1, n - 1))
+    value = st.fractions(-50, 50, max_denominator=10**6).filter(lambda v: v.denominator > 1)
+    xs = sorted(draw(st.lists(value, min_size=n, max_size=n, unique=True)))
+    gaps = draw(st.lists(st.integers(0, n - 2), min_size=m, max_size=m, unique=True))
+    share = st.fractions(0, 1, max_denominator=10**6).filter(lambda t: 0 < t < 1)
+    ys = [xs[g] + (xs[g + 1] - xs[g]) * draw(share) for g in sorted(gaps)]
+    assume(all(y.denominator > 1 for y in ys))
     return twospec.RealSpectrumPair(xs=tuple(xs), ys=tuple(ys))
 
 
@@ -188,6 +205,43 @@ class TestKernelProperties:
     def test_oracle_nullspace_dimension(self, pair):
         system = twospec.assemble_system(pair)
         assert len(oracles.brute_nullspace(system)) == pair.n - pair.m
+
+
+class TestExactGridProperties:
+    """Exact line stages run on the integer grid; what leaves them equals
+    the same formula taken in Fractions."""
+
+    @given(rational_grid_pairs(), st.sampled_from(STRATEGIES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_values_equal_fraction_formulas(self, pair, strategy, data):
+        bands = twospec.bands_real(pair, twospec.check_interlace_real(pair))
+        coefficients = {}
+        if strategy == COEFFICIENTS:
+            for k in range(1, twospec.admissible_size(bands)):
+                coefficients[k] = F(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+        sol = twospec.reconstruct_real(pair, twospec.WeightSelection(strategy, coefficients))
+        omega = sol.weight.omega
+        assert sol.moments == tuple(power_sums(pair.xs, omega, 2 * pair.n))
+
+        support = data.draw(
+            st.lists(st.integers(1, pair.n), min_size=pair.m + 1, max_size=pair.m + 1, unique=True)
+        )
+        vecs = (*(sol.weight.circuits or ()), twospec.circuit(pair, tuple(support)))
+        for vec in vecs:
+            nodes = [pair.xs[j - 1] for j in vec.support]
+            want = [
+                1 / (math.prod(x - y for y in pair.ys) * math.prod(x - z for z in nodes if z != x))
+                for x in nodes
+            ]
+            assert list(vec.entries) in (want, [-w for w in want])
+
+        system = twospec.assemble_system(pair)
+        for row in system.entries:
+            assert all(isinstance(a, F) for a in row)
+            assert sum(a * w for a, w in zip(row, omega)) == 0
+        assert sol.report.mode == "rational" and sol.report.verdict
+        assert all(getattr(sol.report, name) in (0, None) for name in RESIDUALS)
+        assert sol.report.kernel_residual == sol.report.spectrum_residual_n == 0
 
 
 class TestStieltjesProperties:

@@ -1,18 +1,24 @@
 import cmath
 import dataclasses
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import twospec
+from twospec import files, verify
 from twospec.fuzz import random_circle_instance, random_real_instance, _rng
 from twospec.interlacing import TWO_PI
-from twospec.kernel import WeightSelection
+from twospec.kernel import WeightSelection, grid_system
 from twospec.popuc import cmv_matrix
+from twospec.scalars import integer_grid
 from twospec.verify import STANDARD, STRICT
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 from . import oracles
 
@@ -94,6 +100,22 @@ class TestRationalSpectrum:
         report = twospec.verify_oprl(pair_4_2, sol.weight.omega, data, STRICT)
         assert report.spectrum_residual_n == report.poly_match_n > 0
         assert report.spectrum_residual_m == report.poly_match_m > 0
+
+    def test_omega_change_of_1e_minus_400_fails(self):
+        # the residual runs on grid integers; int / int true division would
+        # round this ratio to 0.0 (or overflow past 1e308), so the ratio
+        # stays a Fraction, and the verdict reads it exactly
+        problem = files.load_problem(json.loads((PROBLEMS / "real_small.json").read_text()))
+        pair = problem.pair
+        sol = twospec.reconstruct_real(pair, problem.selection, problem.profile)
+        omega = list(sol.weight.omega)
+        omega[1] *= 1 + F(1, 10**400)
+        report = twospec.verify_oprl(pair, tuple(omega), sol.jacobi, STRICT)
+        assert not report.verdict
+        assert [f.split("=")[0] for f in report.failures] == ["kernel_residual"]
+        exact = verify._kernel_residual(grid_system(pair.xs, pair.ys)[0], integer_grid(omega)[1])
+        assert isinstance(exact, F) and 0 < exact < F(1, 10**399)
+        assert report.kernel_residual == 0.0  # below the least binary64
 
     def test_kernel_residual_is_componentwise(self, pair_4_2):
         sol = twospec.reconstruct_real(pair_4_2)
@@ -411,4 +433,22 @@ class TestSameBitsOnEveryInterpreter:
         text = " ".join(v.hex() for v in values)
         assert hashlib.sha1(text.encode()).hexdigest() == (
             "aeada0515bc6552d644bb92ad7bf11e0cfd988ff"
+        )
+
+    def test_exact_line_values_are_pinned(self):
+        # the rational twin: non-integer nodes and points, the sum_all and
+        # cover weights, and every value's str
+        rng = random.Random(1)
+        xs = sorted({F(rng.randint(-900, 900), rng.randint(2, 30)) for _ in range(24)})
+        gaps = sorted(rng.sample(range(len(xs) - 1), 9))
+        ys = [xs[g] + (xs[g + 1] - xs[g]) * F(rng.randint(1, 9), 10) for g in gaps]
+        pair = twospec.RealSpectrumPair(xs=tuple(xs), ys=tuple(ys))
+        values = []
+        for strategy in ("sum_all", "cover"):
+            sol = twospec.reconstruct_real(pair, WeightSelection(strategy))
+            assert sol.report.verdict
+            values += [*sol.weight.omega, *sol.jacobi.beta, *sol.jacobi.gamma, *sol.moments]
+        text = " ".join(map(str, values))
+        assert hashlib.sha1(text.encode()).hexdigest() == (
+            "78d552357a8646b5a8f8abd2959d52d694c46d8f"
         )
