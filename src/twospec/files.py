@@ -86,10 +86,12 @@ def loads_document(text: str) -> dict:
 def dumps_canonical(doc) -> str:
     """The canonical text of doc, the module's definition: sorted keys, no
     insignificant whitespace, non-ASCII text written as is, and a closing
-    newline.  A Fraction is written by encode_real and a complex number as
-    an {"re", "im"} object; any other type JSON lacks is a TypeError."""
+    newline.  A Fraction is written by encode_real and a complex number as an
+    {"re", "im"} object; any other type JSON lacks is a TypeError.  Documents
+    are trees: there is no cycle check, and a cyclic input is a RecursionError."""
     return json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_result_form
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_result_form,
+        check_circular=False,
     ) + "\n"
 
 

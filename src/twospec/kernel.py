@@ -134,9 +134,9 @@ def _system(nodes, diag, count, one) -> SystemMatrix:
     """Rows k = 0..count-1 with entries nodes_j^k * diag_j."""
     rows, pw = [], [one] * len(nodes)
     for k in range(count):
-        rows.append(tuple(p * d for p, d in zip(pw, diag)))
+        rows.append(tuple(map(operator.mul, pw, diag)))
         if k + 1 < count:
-            pw = [p * z for p, z in zip(pw, nodes)]
+            pw = list(map(operator.mul, pw, nodes))
     return SystemMatrix(entries=tuple(rows), shape=(count, len(nodes)))
 
 
@@ -156,9 +156,10 @@ def _assemble_real(pair: RealSpectrumPair) -> SystemMatrix:
 def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
     diag = []
     for j, z in enumerate(pair.zetas):
-        if min(abs(z - w) for w in pair.xis) <= POINT_TOL:
+        diffs = list(map(operator.sub, repeat(z), pair.xis))
+        if min(map(abs, diffs)) <= POINT_TOL:
             raise SharedPointError(f"zn[{j}] coincides with a zm point")
-        diag.append(math.prod([z - w for w in pair.xis]) / z ** (pair.m - 1))
+        diag.append(math.prod(diffs) / z ** (pair.m - 1))
     return _system(pair.zetas, diag, pair.m - 1, 1.0 + 0.0j)
 
 
@@ -335,8 +336,9 @@ def positive_weight(
     def combine(chosen):
         vecs = circuits(pair, [support for _, support in chosen])
         for (coeff, _), vec in zip(chosen, vecs):
+            one = coeff == 1 and isinstance(coeff, int)  # then coeff * e is e, of e's type
             for j, e in zip(vec.support, vec.entries):
-                omega[j - 1] = omega[j - 1] + coeff * e
+                omega[j - 1] = omega[j - 1] + (e if one else coeff * e)
         return vecs
 
     if selection.strategy == SUM_ALL:

@@ -8,11 +8,16 @@ the degree, the order of the recurrence itself: the pipeline builds n+1
 polynomials of degree at most n and up to 2n power sums over n nodes, with
 n in the hundreds.  It writes and compares expanded coefficients but never
 evaluates them near their roots, where Horner's scheme cancels in binary64.
+The helpers iterate in C, each entry the same operation on the same operands
+as in a plain loop; ``poly_from_roots``, one linear step per root, may differ
+from a generic product by (x - r) only in the sign of a zero coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat, starmap, zip_longest
+from operator import mul, sub
 
 from .errors import LengthMismatchError
 from .scalars import plain_sum
@@ -23,7 +28,6 @@ __all__ = [
     "poly_sub",
     "poly_scale",
     "poly_shift",
-    "poly_mul",
     "poly_from_roots",
     "power_sums",
 ]
@@ -38,38 +42,23 @@ def poly_eval(coeffs, x):
 
 
 def poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    ]
+    return list(starmap(sub, zip_longest(a, b, fillvalue=0)))
 
 
 def poly_scale(a, c):
-    return [c * ai for ai in a]
+    return list(map(mul, repeat(c), a))
 
 
 def poly_shift(a):
     """Multiply by x (prepend a type-matching zero)."""
-    if not a:
-        return []
-    return [a[0] * 0] + list(a)
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [a[0] * 0 * b[0]] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+    return [a[0] * 0, *a] if a else []
 
 
 def poly_from_roots(roots):
-    """Monic expansion of prod_j (x - r_j)."""
+    """Monic expansion of prod_j (x - r_j), per root p'[k] = p[k-1] - r p[k]."""
     p = [1]
     for r in roots:
-        p = poly_mul(p, [-r, 1])
+        p = list(map(sub, [0, *p], [*map(mul, p, repeat(r)), 0]))
     return p
 
 
@@ -82,7 +71,7 @@ def power_sums(nodes, weights, count) -> list:
     for k in range(count):
         mu.append(plain_sum(pw))
         if k + 1 < count:
-            pw = [p * z for p, z in zip(pw, nodes)]
+            pw = list(map(mul, pw, nodes))
     return mu
 
 

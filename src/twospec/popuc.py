@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import AlphaOutOfDiskError, LengthMismatchError, ZeroDenominatorError
 from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
@@ -69,7 +70,7 @@ def verblunsky_from_moments(mu) -> VerblunskyData:
     """
 
     def functional(coeffs):
-        return plain_sum(c * mu[i] for i, c in enumerate(coeffs))
+        return plain_sum(map(mul, coeffs, mu))
 
     mu0 = mu[0].real
     if not mu0 > 0:
@@ -132,7 +133,7 @@ def cmv_matrix(alpha, b: complex) -> tuple:
     (alpha_0, ..., alpha_{n-2}, b) with rho_{n-1} = 0: Theta_k is the 2x2 block
     [[conj(a_k), rho_k], [rho_k, -a_k]] at rows (k, k+1), L holds the even-k
     blocks, M = [1] + odd-k blocks, and the leftover 1x1 slot (in L or M by
-    parity) is [conj(b)].
+    parity) is [conj(b)].  Both are kept as band rows, (i, t) at [i][t - i + 1].
     """
     _check_alpha(alpha)
     params = [complex(a) for a in alpha] + [complex(b)]
@@ -140,29 +141,29 @@ def cmv_matrix(alpha, b: complex) -> tuple:
     rhos = [math.sqrt(1.0 - abs(a) ** 2) for a in params[:-1]] + [0.0]
 
     def factor(start):
-        rows = [[0.0 + 0.0j] * n for _ in range(n)]
+        rows = [[0.0 + 0.0j] * 3 for _ in range(n)]
         for d in range(start):
-            rows[d][d] = 1.0 + 0.0j
+            rows[d][1] = 1.0 + 0.0j
         for k in range(start, n, 2):
             if k + 1 < n:
-                a, r = params[k], rhos[k]
-                rows[k][k] = a.conjugate()
-                rows[k][k + 1] = complex(r)
-                rows[k + 1][k] = complex(r)
-                rows[k + 1][k + 1] = -a
+                a, r = params[k], complex(rhos[k])
+                rows[k][1:] = a.conjugate(), r
+                rows[k + 1][:2] = r, -a
             else:
-                rows[k][k] = params[-1].conjugate()
+                rows[k][1] = params[-1].conjugate()
         return rows
 
-    lf = factor(0)
-    mf = factor(1)
-    # Both factors are tridiagonal: entry (i, j) sums over t within one of
-    # i and of j, in increasing t; the terms left out are zeros.
+    lf, mf = factor(0), factor(1)
+    # Entry (i, j) sums lf(i, t) * mf(t, j) over t within one of i, in
+    # increasing t, zero terms included.  A row holds column j at j + 1: the
+    # band of mf row t adds into row[t : t + 3], the two edge cells dropped.
     prod = []
     for i in range(n):
-        row = [0j] * n
+        row = [0j] * (n + 2)
         for t in range(max(i - 1, 0), min(i + 2, n)):
-            for j in range(max(t - 1, 0), min(t + 2, n)):
-                row[j] += lf[i][t] * mf[t][j]
-        prod.append(tuple(row))
+            lt, (m0, m1, m2) = lf[i][t - i + 1], mf[t]
+            row[t] += lt * m0
+            row[t + 1] += lt * m1
+            row[t + 2] += lt * m2
+        prod.append(tuple(row[1:-1]))
     return tuple(prod)

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import mul, ne, sub
 
 from . import kernel as _kernel
 from .errors import AlphaOutOfDiskError
@@ -134,7 +136,7 @@ def _kernel_residual(rows, omega):
     taken only for a nonzero row sum, so an exact zero row costs one sum."""
     ratios = []
     for row in rows:
-        terms = [a * w for a, w in zip(row, omega)]
+        terms = list(map(mul, row, omega))
         total = plain_sum(terms)  # nonzero only if some term, so the scale, is
         ratios.append(off_grid(abs(total), plain_sum(map(abs, terms))) if total else abs(total))
     return _worst(ratios)
@@ -164,7 +166,7 @@ def _gaps(values, period=None):
 def _worst(values):
     """max (0 for none), but NaN as soon as one value is NaN."""
     values = list(values)
-    return math.nan if any(v != v for v in values) else max(values, default=0)
+    return math.nan if any(map(ne, values, values)) else max(values, default=0)
 
 
 def unitarity_defect(rows):
@@ -172,7 +174,7 @@ def unitarity_defect(rows):
     have a nonzero product, so row i meets those rows and itself, in
     ascending order; the others would add zero.  The sum is the one over all
     row pairs, bit for bit, and banded matrices take O(n) row pairs."""
-    nonzero = [{k: v for k, v in enumerate(r) if v != 0} for r in rows]
+    nonzero = [{k: r[k] for k in compress(range(len(r)), r)} for r in rows]
     rows_at = {}  # column -> the rows nonzero there, ascending
     for i, ri in enumerate(nonzero):
         for k in ri:
@@ -181,7 +183,7 @@ def unitarity_defect(rows):
     for i, ri in enumerate(nonzero):
         for j in sorted({i}.union(*(rows_at[k] for k in ri))):
             rj = nonzero[j]
-            s = plain_sum(v * rj[k].conjugate() for k, v in ri.items() if k in rj)
+            s = plain_sum([v * rj[k].conjugate() for k, v in ri.items() if k in rj])
             if i == j:
                 s = s - 1
             acc += abs(s) ** 2
@@ -196,7 +198,8 @@ def _spectrum_residual(value, points, gaps):
     def term(j, z):
         try:
             p, e = value(z)
-            log_q = math.fsum(math.log2(abs(z - w)) for w in points[:j] + points[j + 1 :])
+            others = points[:j] + points[j + 1 :]
+            log_q = math.fsum(map(math.log2, map(abs, map(sub, repeat(z), others))))
             return abs(p) * 2.0 ** (e - log_q) / gaps[j]
         except (OverflowError, ValueError, ZeroDivisionError):  # log2(0): a coincidence
             return math.inf
@@ -279,10 +282,12 @@ def verify_popuc(
         return _poly_residual(psi, poly_from_roots(points))
 
     def spectrum(k, b, points, gaps):
+        steps = [(a, a.conjugate()) for a in alpha[: k - 1]]
+
         def value(z):
             u, v, e = 1.0, 1.0, 0  # 2**-e (Phi_j, Phi*_j), 1/2 <= |Phi*_j| < 1
-            for a in alpha[: k - 1]:
-                u, v = z * u - a.conjugate() * v, v - a * z * u
+            for a, a_bar in steps:
+                u, v = z * u - a_bar * v, v - a * z * u
                 s = math.frexp(abs(v))[1]
                 f = math.ldexp(1.0, -s)
                 u, v, e = u * f, v * f, e + s
@@ -297,7 +302,7 @@ def verify_popuc(
             want = cmv_matrix(alpha[: k - 1], b)
         except AlphaOutOfDiskError:
             return math.nan
-        deviation = _worst(abs(x - y) for r, w in zip(rows, want) for x, y in zip(r, w))
+        deviation = _worst(map(abs, map(sub, chain(*rows), chain(*want))))
         return _worst([unitarity_defect(rows), deviation])
 
     gaps = _gaps(list(pair.thetas) + list(pair.phis), TWO_PI)

@@ -4,20 +4,22 @@ No library path runs these: the library certifies a reconstruction by its
 verification residuals, and the tests cross-check them here with dense
 linear algebra over generic scalars (Fraction, float, complex), cofactor
 expansions, the recurrence run at a point, the Szego recurrence kept step by
-step, and a generator of problems that violate interlacing.  Pivoting is by
+step, the CMV matrix from its two dense factors, and a generator of problems
+that violate interlacing.  Pivoting is by
 magnitude, which is a legal (if unnecessary) choice in exact arithmetic and
 the right one in binary64; exact pivots divide exactly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from twospec.errors import TwospecError
 from twospec.fuzz import random_circle_instance, random_real_instance
 from twospec.interlacing import TWO_PI
 from twospec.oprl import JacobiData
-from twospec.poly import MonicPolynomial, poly_mul, poly_scale
+from twospec.poly import MonicPolynomial, poly_scale
 from twospec.scalars import is_exact_scalar
 
 # Cofactor-expansion oracles refuse orders above this.
@@ -106,6 +108,17 @@ def det_lu(rows):
             for j in range(k + 1, n):
                 a[i][j] -= f * a[k][j]
     return det
+
+
+def poly_mul(a, b):
+    """Product of two coefficient lists by the generic double loop."""
+    if not a or not b:
+        return []
+    out = [a[0] * 0 * b[0]] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
 
 
 def poly_add(a, b):
@@ -201,6 +214,40 @@ def szego_phis(alpha) -> list:
         )
         phis.append(phi)
     return phis
+
+
+def dense_cmv(alpha, b) -> tuple:
+    """C(alpha, b) as the product L * M of its two dense n x n factors (see
+    popuc.cmv_matrix): entry (i, j) sums lf[i][t] * mf[t][j] from 0j over t
+    within one of i and of j, in increasing t."""
+    params = [complex(a) for a in alpha] + [complex(b)]
+    n = len(params)
+    rhos = [math.sqrt(1.0 - abs(a) ** 2) for a in params[:-1]] + [0.0]
+
+    def factor(start):
+        rows = [[0.0 + 0.0j] * n for _ in range(n)]
+        for d in range(start):
+            rows[d][d] = 1.0 + 0.0j
+        for k in range(start, n, 2):
+            if k + 1 < n:
+                a, r = params[k], rhos[k]
+                rows[k][k] = a.conjugate()
+                rows[k][k + 1] = complex(r)
+                rows[k + 1][k] = complex(r)
+                rows[k + 1][k + 1] = -a
+            else:
+                rows[k][k] = params[-1].conjugate()
+        return rows
+
+    lf, mf = factor(0), factor(1)
+    prod = []
+    for i in range(n):
+        row = [0j] * n
+        for t in range(max(i - 1, 0), min(i + 2, n)):
+            for j in range(max(t - 1, 0), min(t + 2, n)):
+                row[j] += lf[i][t] * mf[t][j]
+        prod.append(tuple(row))
+    return tuple(prod)
 
 
 def random_rejected_problem(rng: random.Random, kind: str) -> dict:

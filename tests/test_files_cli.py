@@ -484,6 +484,12 @@ class TestCanonicalWriter:
         with pytest.raises(TypeError):
             files.dumps_canonical({"a": [value]})
 
+    def test_cyclic_input_is_a_recursion_error(self):
+        cyclic = []
+        cyclic.append(cyclic)
+        with pytest.raises(RecursionError):
+            files.dumps_canonical(cyclic)
+
     def test_check_output_bytes(self, capsys):
         assert cli.main(["check", "-i", str(PROBLEMS / "real_small.json")]) == 0
         assert capsys.readouterr().out == (

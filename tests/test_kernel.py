@@ -552,6 +552,17 @@ class TestCircuitBits:
             coeffs = {k: F(k, 7) if kind == "exact" else k / 7 for k in range(1, size)}
         self._check(pair, twospec.WeightSelection(strategy, coeffs))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_cover_and_unit_coefficients(self, seed):
+        # an int or Fraction coefficient 1 adds the entry itself; a float 1.0
+        # still multiplies, so it turns an exact pair's weights into floats
+        pair = _instance("exact", seed)
+        self._check(pair, twospec.WeightSelection(COVER))
+        size = twospec.admissible_size(_bands(pair))
+        for one in (1, F(1), 1.0):
+            coeffs = dict.fromkeys(range(1, size), one)
+            self._check(pair, twospec.WeightSelection(COEFFICIENTS, coeffs))
+
 
 def _raw_circle(thetas, phis):
     """A circle pair built without normalization or collision checks."""

@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twospec
-from twospec.poly import poly_from_roots, power_sums
+from twospec.poly import poly_from_roots, poly_sub, power_sums
 from twospec.verify import unitarity_defect
 
 from . import oracles
@@ -20,6 +22,17 @@ W_3_2 = (
     (4 / 3) * (3 * SQRT2 - SQRT6),
     (4 / 3) * (3 * SQRT2 - SQRT6),
 )
+
+
+# Verblunsky coefficients with exact signed-zero parts, ordinary ones, and
+# ones within 1e-12 of the unit circle.
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
+_ANGLE = st.floats(0.0, 2 * math.pi)
+_ALPHA = st.one_of(
+    st.builds(complex, _PART, _PART),
+    st.builds(cmath.rect, st.floats(0.0, 1.0 - 2e-12), _ANGLE),
+)
+_UNIT_AXES = [1 + 0j, complex(-1.0, -0.0), 1j, complex(-0.0, -1.0), complex(1.0, -0.0)]
 
 
 def approx_c(actual, expected, tol=1e-10):
@@ -250,6 +263,19 @@ class TestCmvMatrix:
 
         assert bits(twospec.cmv_matrix(alpha, b)) == bits(dense)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.lists(_ALPHA, max_size=11),
+        b=st.one_of(st.sampled_from(_UNIT_AXES), st.builds(cmath.rect, st.just(1.0), _ANGLE)),
+    )
+    def test_cells_keep_their_bits(self, alpha, b):
+        # the band-row product against the dense factors, n = 1..12: repr
+        # tells -0.0 from 0.0, so every signed zero must agree as well
+        def bits(rows):
+            return [list(map(repr, row)) for row in rows]
+
+        assert bits(twospec.cmv_matrix(alpha, b)) == bits(oracles.dense_cmv(alpha, b))
+
     def test_defect_matches_dense_sum(self):
         rng = random.Random(2)
         alpha = tuple(complex(rng.uniform(-0.6, 0.6), 0.1) for _ in range(6))
@@ -261,6 +287,54 @@ class TestCmvMatrix:
                     s = sum(rows[i][k] * rows[j][k].conjugate() for k in range(n))
                     acc += abs(s - 1 if i == j else s) ** 2
             assert unitarity_defect(rows) == math.sqrt(acc)
+
+
+class TestPolyHelpers:
+    """The C-level helpers against plain loops, entry for entry."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([F(1, 3), F(-2, 5), 7], [F(1, 2)]),
+            ([F(1, 2)], [F(1, 3), 0, F(-5, 7)]),
+            ([1 + 2j, -0.0j, complex(-0.0, 3.5)], [0.5j, complex(0.0, -0.0)]),
+            ([0.25j], [1 - 1j, -0.0, 2.5]),
+            ([], [F(3)]),
+        ],
+    )
+    def test_poly_sub_on_unequal_lengths(self, a, b):
+        n = max(len(a), len(b))
+        want = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+        assert repr(poly_sub(a, b)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [],
+            [3, -1, 4, 1, -5],
+            [F(1, 3), F(-2, 7), F(5, 2), F(1, 3)],
+            [0.5, -1.25, 3.0, 1e-3, -7.5],
+            [cmath.rect(1.0, 0.3 * k) for k in range(7)],
+        ],
+    )
+    def test_poly_from_roots_equals_the_product_expansion(self, roots):
+        want = [1]
+        for r in roots:
+            want = oracles.poly_mul(want, [-r, 1])
+        assert poly_from_roots(roots) == want
+
+    def test_power_sums_equal_the_running_products(self):
+        rng = random.Random(4)
+        nodes = [cmath.rect(1.0, rng.uniform(0, 2 * math.pi)) for _ in range(9)]
+        for weights in ([rng.uniform(0.1, 2.0) for _ in nodes], [F(k, 3) for k in range(9)]):
+            want, pw = [], list(weights)
+            for _ in range(12):
+                total = 0
+                for p in pw:
+                    total = total + p
+                want.append(total)
+                pw = [p * z for p, z in zip(pw, nodes)]
+            assert repr(power_sums(nodes, weights, 12)) == repr(want)
 
 
 class TestRoundTrip:
