@@ -35,11 +35,11 @@ def real_demo():
     ):
         sol = twospec.reconstruct_real(pair, selection)
         print(f"--- real, {label}")
-        print(f"bands       {sol.bands.bands}")
+        print(f"bands       {sol.bands}")
         print(f"admissible  {sol.family}")
         print(f"omega       {sol.weight.omega}")
         for k, p in enumerate(sol.jacobi.polys[1:], start=1):
-            print(f"P_{k}(t) = {poly_text(p.coeffs)}")
+            print(f"P_{k}(t) = {poly_text(p)}")
         print(f"beta        {sol.jacobi.beta}")
         print(f"gamma       {sol.jacobi.gamma}")
         print(f"verified    {sol.report.verdict} ({sol.report.mode})")
@@ -52,7 +52,7 @@ def circle_demo():
     )
     sol = twospec.reconstruct_circle(pair, profile=twospec.STRICT)
     print("--- circle, default weights")
-    print(f"bands       {sol.bands.bands}")
+    print(f"bands       {sol.bands}")
     print(f"omega       {tuple(round(w, 12) for w in sol.weight.omega)}")
     print(f"alpha       {sol.verblunsky.alpha}")
     print(f"rho         {sol.verblunsky.rho}")

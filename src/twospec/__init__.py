@@ -25,7 +25,6 @@ from .errors import (
     ZeroNormError,
 )
 from .interlacing import (
-    BandDecomposition,
     CircleSpectrumPair,
     InterlacingVerdict,
     RealSpectrumPair,
@@ -66,7 +65,6 @@ from .pipeline import (
     reconstruct_circle,
     reconstruct_real,
 )
-from .poly import MonicPolynomial
 from .popuc import (
     VerblunskyData,
     boundary_param,

@@ -164,7 +164,7 @@ def _cmd_check(problem: files.Problem):
     if verdict.accepted:
         if verdict.indices is not None:
             doc["indices"] = verdict.indices
-        doc["bands"] = bands.bands
+        doc["bands"] = bands
     else:
         doc["code"] = verdict.code
         doc["detail"] = verdict.detail
@@ -178,7 +178,7 @@ def _cmd_circuits(problem: files.Problem):
         "schema": files.SCHEMA,
         "command": "circuits",
         "setting": problem.setting,
-        "bands": bands.bands,
+        "bands": bands,
         "family_size": size,
     }
     if family is not None:

@@ -195,7 +195,10 @@ def parse_weights(doc, arithmetic) -> WeightSelection:
         m = _PARAM_KEY.match(str(key))
         if not m:
             raise ProblemFormatError(f"coefficient keys look like 's1', got {key!r}")
-        coeffs[int(m.group(1))] = parse_real_value(val, arithmetic, problem=True)
+        value = parse_real_value(val, arithmetic, problem=True)
+        if value == 0 and parse_real_value(val, RATIONAL, problem=True) != 0:
+            raise ProblemFormatError(f"coefficient {key} underflows float64")
+        coeffs[int(m.group(1))] = value
     try:
         return WeightSelection(strategy=strategy, coefficients=coeffs)
     except ValueError as exc:
@@ -342,7 +345,7 @@ def encode_solution(solution, problem: Problem) -> dict:
         "verdict": {
             "accepted": solution.verdict.accepted, "indices": solution.verdict.indices
         },
-        "bands": solution.bands.bands,
+        "bands": solution.bands,
         "admissible": {"size": solution.family_size, "family": solution.family},
         "omega": solution.weight.omega,
         "circuits": encode_circuits(solution.weight.circuits),
@@ -363,7 +366,7 @@ def encode_solution(solution, problem: Problem) -> dict:
         doc["recurrence"] = {"beta": jacobi.beta, "gamma": jacobi.gamma}
         # listed like the admissible family: P_0..P_n hold (n+1)(n+2)/2 coefficients
         listed = (pair.n + 1) * (pair.n + 2) // 2 <= LIST_LIMIT
-        doc["polynomials"] = [p.coeffs for p in jacobi.polys] if listed else None
+        doc["polynomials"] = jacobi.polys if listed else None
         doc["matrices"] = {"jacobi": jacobi.matrix}
     else:
         pair, data = solution.pair, solution.verblunsky
@@ -373,9 +376,7 @@ def encode_solution(solution, problem: Problem) -> dict:
         doc["recurrence"] = {
             "alpha": data.alpha, "rho": data.rho, "b_n": data.b, "b_m": solution.b_m
         }
-        doc["polynomials"] = {
-            "psi_n": solution.psi_n.coeffs, "psi_m": solution.psi_m.coeffs
-        }
+        doc["polynomials"] = {"psi_n": solution.psi_n, "psi_m": solution.psi_m}
         doc["matrices"] = {"c_n": solution.c_n, "c_m": solution.c_m}
     return doc
 
@@ -449,7 +450,7 @@ def decode_solution(doc: dict):
         circuits = None if doc["circuits"] is None else tuple(map(circuit, doc["circuits"]))
         common = dict(
             pair=pair, verdict=verdict, bands=bands, family_size=size, family=family,
-            weight=WeightResult(omega, strategy, size, circuits),
+            weight=WeightResult(omega, circuits),
             report=_decode_report(doc["verification"]),
         )
         if setting == REAL:

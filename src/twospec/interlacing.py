@@ -4,7 +4,8 @@ Two zero sets interlace strictly when every open gap between consecutive
 points of the larger set (interval on the line, counterclockwise arc on the
 circle) holds at most one point of the smaller set and the sets are
 disjoint.  Acceptance produces the interlacing indices (real case) and the
-partition of node indices into bands, which downstream modules use to
+partition of node indices into bands, a tuple whose r-th entry holds the
+ascending 1-based node indices of band r, which downstream modules use to
 enumerate the admissible kernel circuits.
 
 All operations are pure functions of immutable inputs.
@@ -106,18 +107,6 @@ class InterlacingVerdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class BandDecomposition:
-    """Partition of the node indices {1,..,n} into bands: ``bands[r]`` holds
-    the 1-based node indices between consecutive points of the smaller set."""
-
-    bands: tuple
-
-    @property
-    def sizes(self) -> tuple:
-        return tuple(len(b) for b in self.bands)
-
-
 def check_interlace_real(pair: RealSpectrumPair) -> InterlacingVerdict:
     """Decide strict interlacing of ``pair.ys`` among ``pair.xs``.
 
@@ -167,15 +156,12 @@ def check_interlace_real(pair: RealSpectrumPair) -> InterlacingVerdict:
     return InterlacingVerdict(True, indices=tuple(indices))
 
 
-def bands_real(pair: RealSpectrumPair, verdict: InterlacingVerdict) -> BandDecomposition:
+def bands_real(pair: RealSpectrumPair, verdict: InterlacingVerdict) -> tuple:
     """Bands I_r = {i_r + 1, ..., i_{r+1}} (1-based), r = 0..m."""
     if not verdict.accepted or verdict.indices is None:
         raise ValueError("bands_real requires an accepted verdict")
     idx = verdict.indices
-    bands = tuple(
-        tuple(range(idx[r] + 1, idx[r + 1] + 1)) for r in range(len(idx) - 1)
-    )
-    return BandDecomposition(bands=bands)
+    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(idx, idx[1:]))
 
 
 def _principal_angle(z: complex) -> float:
@@ -283,9 +269,9 @@ def check_interlace_circle(pair: CircleSpectrumPair) -> InterlacingVerdict:
     return InterlacingVerdict(True)
 
 
-def bands_circle(pair: CircleSpectrumPair) -> BandDecomposition:
+def bands_circle(pair: CircleSpectrumPair) -> tuple:
     """Bands I_r = {j : phi_r < theta_j < phi_{r+1}}, r = 1..m."""
     bands = _circle_bands(pair)
     if any(not b for b in bands):
         raise ValueError("bands_circle requires an interlacing pair")
-    return BandDecomposition(bands=tuple(bands))
+    return tuple(bands)

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .interlacing import (
     POINT_TOL,
-    BandDecomposition,
     CircleSpectrumPair,
     RealSpectrumPair,
     bands_circle,
@@ -120,8 +119,6 @@ class WeightResult:
     """
 
     omega: tuple
-    strategy: str
-    family_size: int
     circuits: tuple | None
 
 
@@ -163,27 +160,27 @@ def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
     return _system(pair.zetas, diag, pair.m - 1, 1.0 + 0.0j)
 
 
-def admissible_size(bands: BandDecomposition) -> int:
-    return math.prod(len(b) for b in bands.bands)
+def admissible_size(bands: tuple) -> int:
+    return math.prod(len(b) for b in bands)
 
 
-def iter_admissible(bands: BandDecomposition):
+def iter_admissible(bands: tuple):
     """Admissible supports in lexicographic order (by band, then index)."""
-    return _cartesian(*bands.bands)
+    return _cartesian(*bands)
 
 
-def admissible_at(bands: BandDecomposition, k: int) -> tuple:
+def admissible_at(bands: tuple, k: int) -> tuple:
     """The k-th (0-based) admissible support without enumerating the rest."""
     if not 0 <= k < admissible_size(bands):
         raise IndexError(k)
     digits = []
-    for b in reversed(bands.bands):
+    for b in reversed(bands):
         k, d = divmod(k, len(b))
         digits.append(b[d])
     return tuple(reversed(digits))
 
 
-def admissible_family(bands: BandDecomposition) -> tuple:
+def admissible_family(bands: tuple) -> tuple:
     """The full family of one-index-per-band supports.
 
     Each tuple is ascending (bands are consecutive runs); families above
@@ -199,7 +196,7 @@ def admissible_family(bands: BandDecomposition) -> tuple:
     return family
 
 
-def family_listing(bands: BandDecomposition) -> tuple:
+def family_listing(bands: tuple) -> tuple:
     """``(size, family)``; the family is listed only when it has at most
     LIST_LIMIT members, and is ``None`` above that."""
     size = admissible_size(bands)
@@ -292,7 +289,7 @@ def circuit(pair, support) -> CircuitVector:
     return circuits(pair, (support,))[0]
 
 
-def _sum_all_omega(pair, setting, bands: BandDecomposition, band_of: dict) -> list:
+def _sum_all_omega(pair, setting, bands: tuple, band_of: dict) -> list:
     """The sum of every admissible circuit, in O(n^2) without building one.
 
     The entries of a one-per-band circuit share one sign, so the entry at j
@@ -307,16 +304,14 @@ def _sum_all_omega(pair, setting, bands: BandDecomposition, band_of: dict) -> li
     omega = []
     for j, x in enumerate(nodes):
         acc = 1
-        for r, band in enumerate(bands.bands):
+        for r, band in enumerate(bands):
             if r != band_of[j + 1]:
                 acc *= abs(plain_sum([unit / diff(x, nodes[i - 1]) for i in band]))
         omega.append(acc / off_grid(abs(_pm_at(setting, j, x, points)), scale ** len(points)))
     return omega
 
 
-def positive_weight(
-    pair, bands: BandDecomposition, selection: WeightSelection
-) -> WeightResult:
+def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightResult:
     """Combine admissible circuits into one strictly positive kernel vector.
 
     sum_all is the sum of every admissible circuit with coefficient 1, taken
@@ -329,8 +324,7 @@ def positive_weight(
     circuit entries under- or overflow binary64.
     """
     n = pair.n
-    size = admissible_size(bands)
-    band_of = {j: r for r, b in enumerate(bands.bands) for j in b}
+    band_of = {j: r for r, b in enumerate(bands) for j in b}
     omega = [0] * n
 
     def combine(chosen):
@@ -347,11 +341,12 @@ def positive_weight(
         vecs = None if family is None else circuits(pair, family)
     elif selection.strategy == COEFFICIENTS:
         coeffs = dict(selection.coefficients or {})
+        size = admissible_size(bands)
         for jdx, value in coeffs.items():
             if not (isinstance(jdx, int) and 1 <= jdx <= size - 1):
                 raise ProblemFormatError(f"no parameter s{jdx} for a family of size {size}")
-            if value < 0:
-                raise NegativeCoefficientError(f"s{jdx} is negative")
+            if not value >= 0:  # a NaN is refused here, not dropped below
+                raise NegativeCoefficientError(f"s{jdx} is {'negative' if value < 0 else 'NaN'}")
         chosen = [(1, admissible_at(bands, 0))] + [
             (c, admissible_at(bands, k)) for k, c in sorted(coeffs.items()) if c > 0
         ]
@@ -364,14 +359,14 @@ def positive_weight(
             )
         vecs = combine(chosen)
     else:  # COVER
-        firsts = [b[0] for b in bands.bands]
+        firsts = [b[0] for b in bands]
         vecs = combine([
             (1, tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)))
             for j in range(1, n + 1)
         ])
 
     check_weights(omega)
-    return WeightResult(tuple(omega), selection.strategy, size, vecs)
+    return WeightResult(tuple(omega), vecs)
 
 
 def check_weights(omega):

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .errors import LengthMismatchError, ZeroNormError
 from .kernel import check_weights
-from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
+from .poly import poly_scale, poly_shift, poly_sub, power_sums
 from .scalars import coerce_real_field, integer_grid, is_exact_scalar, off_grid
 
 
@@ -43,21 +43,21 @@ class JacobiData:
 
     @cached_property
     def polys(self) -> tuple:
-        """P_0..P_n from P_{k+1} = (x - beta_k) P_k - gamma_k P_{k-1}, with
-        coefficients in the scalar field of beta: exact coefficients as
-        primitive integer vectors (times x is a shift), binary64 ones by the
-        recurrence itself."""
+        """P_0..P_n as ascending coefficient tuples, from P_{k+1} =
+        (x - beta_k) P_k - gamma_k P_{k-1}, in the scalar field of beta:
+        exact coefficients as primitive integer vectors (times x is a shift),
+        binary64 ones by the recurrence itself."""
         if self.beta and not is_exact_scalar(self.beta[0]):
             return _recurrence_polys(self.beta, self.gamma, 1.0)  # typed: no "1" in binary64
         u_prev, u, ratio = [], [1], Fraction(0)
-        out = [MonicPolynomial((Fraction(1),))]
+        out = [(Fraction(1),)]
         for k, bk in enumerate(self.beta):
             if k:  # gamma_k P_{k-1} in units of P_k: P_k = u / lead(u)
                 ratio = Fraction(self.gamma[k - 1]) * u[-1] / u_prev[-1]
             u_prev, (u, _) = u, _next_primitive(
                 [0, *u], 1, [*u, 0], [*u_prev, 0, 0], Fraction(bk), ratio
             )
-            out.append(MonicPolynomial(tuple(Fraction(c, u[-1]) for c in u)))
+            out.append(tuple(Fraction(c, u[-1]) for c in u))
         return tuple(out)
 
     @cached_property
@@ -180,7 +180,7 @@ def _recurrence_polys(beta, gamma, one):
         nxt = poly_sub(poly_shift(p), poly_scale(p, bk))
         p_prev, p = p, poly_sub(nxt, poly_scale(p_prev, gk))
         out.append(p)
-    return tuple(MonicPolynomial(tuple(q)) for q in out)
+    return tuple(map(tuple, out))
 
 
 def jacobi_matrix(data: JacobiData) -> tuple:

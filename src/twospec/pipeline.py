@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InterlacingRejectedError
-from .interlacing import (
-    BandDecomposition,
-    CircleSpectrumPair,
-    InterlacingVerdict,
-    RealSpectrumPair,
-)
+from .interlacing import CircleSpectrumPair, InterlacingVerdict, RealSpectrumPair
 from .kernel import (
     REAL,
     WeightResult,
@@ -26,7 +21,6 @@ from .kernel import (
     setting_of,
 )
 from .oprl import JacobiData, moments_real, stieltjes
-from .poly import MonicPolynomial
 from .popuc import (
     VerblunskyData,
     boundary_param,
@@ -42,7 +36,7 @@ from .verify import STANDARD, VerificationReport, verify_oprl, verify_popuc
 class RealSolution:
     pair: RealSpectrumPair
     verdict: InterlacingVerdict
-    bands: BandDecomposition
+    bands: tuple
     family_size: int
     family: tuple | None
     weight: WeightResult
@@ -55,7 +49,7 @@ class RealSolution:
 class CircleSolution:
     pair: CircleSpectrumPair
     verdict: InterlacingVerdict
-    bands: BandDecomposition
+    bands: tuple
     family_size: int
     family: tuple | None
     weight: WeightResult
@@ -64,8 +58,8 @@ class CircleSolution:
     b_m: complex
     c_n: tuple
     c_m: tuple
-    psi_n: MonicPolynomial
-    psi_m: MonicPolynomial
+    psi_n: tuple
+    psi_m: tuple
     report: VerificationReport
 
 

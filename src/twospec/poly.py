@@ -1,13 +1,14 @@
 """Dense polynomial arithmetic over generic scalars.
 
-Coefficients are stored ascending (``c[0] + c[1]*x + ...``).  Every helper
-works unchanged for ``Fraction``, ``float`` and ``complex`` entries, which is
-what lets the real pipeline run exactly and the circle pipeline run in
-binary64.  Lists are dense and each helper costs at most quadratic time in
+A polynomial is a plain tuple (or list) of its coefficients, ascending
+(``c[0] + c[1]*x + ...``); a monic one ends in the 1 of its field.  Every
+helper works unchanged for ``Fraction``, ``float`` and ``complex`` entries,
+which is what lets the real pipeline run exactly and the circle pipeline run
+in binary64.  Lists are dense and each helper costs at most quadratic time in
 the degree, the order of the recurrence itself: the pipeline builds n+1
 polynomials of degree at most n and up to 2n power sums over n nodes, with
 n in the hundreds.  It writes and compares expanded coefficients but never
-evaluates them near their roots, where Horner's scheme cancels in binary64.
+evaluates them, since Horner's scheme cancels near the roots in binary64.
 The helpers iterate in C, each entry the same operation on the same operands
 as in a plain loop; ``poly_from_roots``, one linear step per root, may differ
 from a generic product by (x - r) only in the sign of a zero coefficient.
@@ -15,7 +16,6 @@ from a generic product by (x - r) only in the sign of a zero coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat, starmap, zip_longest
 from operator import mul, sub
 
@@ -23,22 +23,12 @@ from .errors import LengthMismatchError
 from .scalars import plain_sum
 
 __all__ = [
-    "MonicPolynomial",
-    "poly_eval",
     "poly_sub",
     "poly_scale",
     "poly_shift",
     "poly_from_roots",
     "power_sums",
 ]
-
-
-def poly_eval(coeffs, x):
-    """Evaluate at ``x`` by Horner's scheme; an empty sequence is 0."""
-    acc = None
-    for c in reversed(coeffs):
-        acc = c if acc is None else acc * x + c
-    return 0 if acc is None else acc
 
 
 def poly_sub(a, b):
@@ -73,23 +63,3 @@ def power_sums(nodes, weights, count) -> list:
         if k + 1 < count:
             pw = list(map(mul, pw, nodes))
     return mu
-
-
-@dataclass(frozen=True)
-class MonicPolynomial:
-    """A monic polynomial, stored as an ascending coefficient tuple."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("empty coefficient sequence")
-        if self.coeffs[-1] != 1:
-            raise ValueError(f"leading coefficient must be 1, got {self.coeffs[-1]!r}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        return poly_eval(self.coeffs, x)

@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import AlphaOutOfDiskError, LengthMismatchError, ZeroDenominatorError
-from .poly import MonicPolynomial, poly_scale, poly_shift, poly_sub, power_sums
+from .poly import poly_scale, poly_shift, poly_sub, power_sums
 from .scalars import plain_sum
 
 # |alpha| at or above 1 - this margin is an error, never a clamp.
@@ -110,8 +110,8 @@ def _check_alpha(alpha):
             raise AlphaOutOfDiskError(f"|alpha_{k}| = {abs(a)!r}")
 
 
-def szego_popuc(alpha, b: complex, ell: int) -> MonicPolynomial:
-    """Degree-``ell`` paraorthogonal polynomial
+def szego_popuc(alpha, b: complex, ell: int) -> tuple:
+    """Ascending coefficients of the degree-``ell`` paraorthogonal polynomial
     Psi_l(z) = z Phi_{l-1}(z) - conj(b) Phi*_{l-1}(z); uses alpha_0..alpha_{l-2}."""
     if ell < 1:
         raise ValueError("degree must be at least 1")
@@ -121,8 +121,7 @@ def szego_popuc(alpha, b: complex, ell: int) -> MonicPolynomial:
     phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
     for a in alpha[: ell - 1]:
         phi, phi_star = _advance(phi, phi_star, complex(a))
-    psi = poly_sub(poly_shift(phi), poly_scale(phi_star, complex(b).conjugate()))
-    return MonicPolynomial(tuple(psi))
+    return tuple(poly_sub(poly_shift(phi), poly_scale(phi_star, complex(b).conjugate())))
 
 
 def cmv_matrix(alpha, b: complex) -> tuple:

@@ -221,8 +221,8 @@ def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDAR
     xs, ys, omega = coerce_real_field(pair.xs, pair.ys, omega)
     exact, grid_omega = is_exact_scalar(omega[0]), integer_grid(omega)[1]
     gamma = (0, *data.gamma)
-    poly_n = _poly_residual(data.polys[n].coeffs, _zero_product(pair.xs))
-    poly_m = _poly_residual(data.polys[m].coeffs, _zero_product(pair.ys))
+    poly_n = _poly_residual(data.polys[n], _zero_product(pair.xs))
+    poly_m = _poly_residual(data.polys[m], _zero_product(pair.ys))
 
     def spectrum(k, points, gaps):
         def value(x):
@@ -276,7 +276,7 @@ def verify_popuc(
 
     def poly_match(k, b, points):
         try:
-            psi = szego_popuc(alpha, b, k).coeffs
+            psi = szego_popuc(alpha, b, k)
         except AlphaOutOfDiskError:
             return None
         return _poly_residual(psi, poly_from_roots(points))

@@ -19,7 +19,7 @@ from twospec.errors import TwospecError
 from twospec.fuzz import random_circle_instance, random_real_instance
 from twospec.interlacing import TWO_PI
 from twospec.oprl import JacobiData
-from twospec.poly import MonicPolynomial, poly_scale
+from twospec.poly import poly_scale
 from twospec.scalars import is_exact_scalar
 
 # Cofactor-expansion oracles refuse orders above this.
@@ -110,6 +110,15 @@ def det_lu(rows):
     return det
 
 
+def poly_eval(coeffs, x):
+    """Value at ``x`` of an ascending coefficient sequence by Horner's
+    scheme; an empty sequence is 0."""
+    acc = None
+    for c in reversed(coeffs):
+        acc = c if acc is None else acc * x + c
+    return 0 if acc is None else acc
+
+
 def poly_mul(a, b):
     """Product of two coefficient lists by the generic double loop."""
     if not a or not b:
@@ -145,7 +154,7 @@ def brute_nullspace(system):
     return basis
 
 
-def brute_charpoly(rows, k: int) -> MonicPolynomial:
+def brute_charpoly(rows, k: int) -> tuple:
     """Characteristic polynomial of the order-k leading block of a matrix
     given as rows, by direct cofactor expansion (k <= EXPANSION_LIMIT)."""
     if k > EXPANSION_LIMIT:
@@ -156,7 +165,7 @@ def brute_charpoly(rows, k: int) -> MonicPolynomial:
         [[-rows[i][j], 1] if i == j else [-rows[i][j]] for j in range(k)]
         for i in range(k)
     ]
-    return MonicPolynomial(tuple(_poly_det(block)))
+    return tuple(_poly_det(block))
 
 
 def _poly_det(cells):

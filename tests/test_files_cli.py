@@ -265,7 +265,7 @@ class TestSolutionRoundTrip:
         solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
         polys = written(files.encode_solution(solution, problem))["polynomials"]
         if n == 43:
-            assert polys == [list(p.coeffs) for p in solution.jacobi.polys]
+            assert polys == [list(p) for p in solution.jacobi.polys]
         else:
             assert polys is None
 
@@ -549,6 +549,18 @@ BAD_NUMBERS = {
     "real_s1_1e400": (
         ["reconstruct"],
         real_text(extra=', "weights": {"coefficients": {"s1": 1e400}}'),
+    ),
+    # s1 rounds to 0.0, which would drop circuit (1, 2, 5): index 5 then
+    # reads as uncovered, or, covered by s4, the solution leaves it out
+    "real_s1_1e-400": (
+        ["reconstruct"],
+        real_text("1, 2, 3, 4, 5, 6", "1.5, 3.5", ', "weights": {"coefficients": '
+                  '{"s1": "1e-400", "s5": "1"}}'),
+    ),
+    "real_s1_1e-400_covered": (
+        ["reconstruct"],
+        real_text("1, 2, 3, 4, 5, 6", "1.5, 3.5", ', "weights": {"coefficients": '
+                  '{"s1": "1e-400", "s4": "1", "s5": "1"}}'),
     ),
     "circle_angle_1e400": (["check"], circle_text('"1e400"')),
     "circle_angle_1e400_pi": (["check"], circle_text('"1e400 pi"')),
@@ -1209,7 +1221,7 @@ class TestSolutionDecoding:
         assert doc["recurrence"] == written(
             {"beta": jacobi.beta, "gamma": jacobi.gamma}
         )
-        assert doc["polynomials"] == written([p.coeffs for p in jacobi.polys])
+        assert doc["polynomials"] == written(list(jacobi.polys))
         matrix = twospec.jacobi_matrix(jacobi)
         assert doc["matrices"] == {"jacobi": written(matrix)}
 
@@ -1232,8 +1244,8 @@ class TestSolutionDecoding:
         )
         assert doc["polynomials"] == written(
             {
-                "psi_n": twospec.szego_popuc(alpha, b_n, pair.n).coeffs,
-                "psi_m": twospec.szego_popuc(alpha, b_m, pair.m).coeffs,
+                "psi_n": twospec.szego_popuc(alpha, b_n, pair.n),
+                "psi_m": twospec.szego_popuc(alpha, b_m, pair.m),
             }
         )
         assert doc["matrices"] == written(

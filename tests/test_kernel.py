@@ -76,7 +76,7 @@ class TestAdmissibleFamily:
 
     def test_cartesian_count(self, circle_7_3):
         bands = _bands(circle_7_3)
-        assert bands.sizes == (3, 2, 2)
+        assert tuple(map(len, bands)) == (3, 2, 2)
         family = twospec.admissible_family(bands)
         assert len(family) == 12
         assert twospec.admissible_size(bands) == 12
@@ -173,7 +173,7 @@ class TestPositiveWeight:
             pair_4_2, bands, twospec.WeightSelection(strategy=SUM_ALL)
         )
         assert result.omega == (F(2, 5), F(2, 3), F(2, 3), F(2, 5))
-        assert result.family_size == 2
+        assert twospec.admissible_size(bands) == 2
         assert len(result.circuits) == 2
 
     def test_coefficients_s1_equals_3(self, pair_4_2):
@@ -205,6 +205,13 @@ class TestPositiveWeight:
                 ),
             )
 
+    def test_coefficients_nan_refused(self):
+        # a NaN fails every comparison: it was dropped, and index 5 then reported uncovered
+        pair = twospec.RealSpectrumPair(xs=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ys=(1.5, 3.5))
+        selection = twospec.WeightSelection(COEFFICIENTS, {1: math.nan, 5: 1.0})
+        with pytest.raises(twospec.NegativeCoefficientError, match="s1 is NaN"):
+            twospec.positive_weight(pair, _bands(pair), selection)
+
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_coefficients_refused_by_other_strategies(self, strategy):
         with pytest.raises(ValueError):
@@ -225,7 +232,7 @@ class TestPositiveWeight:
         bands = _bands(pair)
         result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
         vec = twospec.circuit(pair, (1, 2, 3, 4))
-        assert result.family_size == 1
+        assert twospec.admissible_size(bands) == 1
         assert result.omega == vec.weights
 
     def test_streaming_matches_materialized(self, pair_7_3, monkeypatch):
@@ -241,7 +248,7 @@ class TestPositiveWeight:
         bands = _bands(circle_7_3)
         result = twospec.positive_weight(circle_7_3, bands, twospec.WeightSelection())
         assert all(w > 0 for w in result.omega)
-        assert result.family_size == 12
+        assert twospec.admissible_size(bands) == 12
 
     def test_consecutive_degrees_strategy_independent(self):
         # one-ray cone: every strategy lands on the same recurrence data
@@ -258,9 +265,7 @@ class TestPositiveWeight:
         assert jacobis[0].gamma == jacobis[1].gamma
 
     def test_family_too_large_to_materialize(self):
-        bands = twospec.BandDecomposition(
-            bands=tuple((2 * i + 1, 2 * i + 2) for i in range(21))
-        )
+        bands = tuple((2 * i + 1, 2 * i + 2) for i in range(21))
         assert twospec.admissible_size(bands) == 2**21
         with pytest.raises(ValueError):
             twospec.admissible_family(bands)
@@ -364,7 +369,7 @@ class TestSumAllClosedForm:
             ys=tuple(2 * k + 1.5 for k in range(39)),
         )
         bands = _bands(pair)
-        assert bands.sizes == (2,) * 40
+        assert tuple(map(len, bands)) == (2,) * 40
 
         def no_circuit(pair, supports):
             raise AssertionError("a circuit was built")
@@ -372,7 +377,7 @@ class TestSumAllClosedForm:
         monkeypatch.setattr(twospec.kernel, "circuits", no_circuit)
         result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
         assert result.circuits is None
-        assert result.family_size == 2**40
+        assert twospec.admissible_size(bands) == 2**40
         assert all(w > 0 for w in result.omega)
 
 
@@ -436,8 +441,8 @@ class TestBatchedCircuits:
         bands = _bands(pair)
         size = twospec.admissible_size(bands)
         if strategy == COVER:
-            firsts = [b[0] for b in bands.bands]
-            band_of = {j: r for r, b in enumerate(bands.bands) for j in b}
+            firsts = [b[0] for b in bands]
+            band_of = {j: r for r, b in enumerate(bands) for j in b}
             chosen = [
                 (1, tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)))
                 for j in range(1, pair.n + 1)
@@ -503,8 +508,8 @@ class TestCircuitBits:
         bands = _bands(pair)
         result = twospec.positive_weight(pair, bands, selection)
         if selection.strategy == COVER:
-            firsts = [b[0] for b in bands.bands]
-            band_of = {j: r for r, b in enumerate(bands.bands) for j in b}
+            firsts = [b[0] for b in bands]
+            band_of = {j: r for r, b in enumerate(bands) for j in b}
             chosen = [
                 (1, tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)))
                 for j in range(1, pair.n + 1)
@@ -620,4 +625,4 @@ class TestCoincidentPointsAreCoded:
         coefficients = {1: 1} if strategy == COEFFICIENTS else {}
         selection = twospec.WeightSelection(strategy, coefficients)
         with pytest.raises(_CODED):
-            twospec.positive_weight(pair, twospec.BandDecomposition(bands), selection)
+            twospec.positive_weight(pair, bands, selection)

@@ -16,6 +16,12 @@ from .oracles import mat_vec
 TWO_PI = 2 * math.pi
 
 
+def monic(poly, one) -> bool:
+    """Whether the leading coefficient is exactly ``one``, of its type: no
+    type checks that a polynomial tuple is monic."""
+    return type(poly[-1]) is type(one) and poly[-1] == one
+
+
 @st.composite
 def interlacing_real_pairs(draw, max_n=7):
     """Strictly interlacing rational instances built by construction."""
@@ -137,16 +143,16 @@ class TestInterlacingProperties:
     @settings(max_examples=80, deadline=None)
     def test_bands_partition(self, pair):
         bands = twospec.bands_real(pair, twospec.check_interlace_real(pair))
-        flat = [j for band in bands.bands for j in band]
+        flat = [j for band in bands for j in band]
         assert sorted(flat) == list(range(1, pair.n + 1))
-        assert all(band for band in bands.bands)
+        assert all(band for band in bands)
 
     @given(circle_instances())
     @settings(max_examples=60, deadline=None)
     def test_circle_bands_partition(self, pair):
         assert twospec.check_interlace_circle(pair).accepted
         bands = twospec.bands_circle(pair)
-        flat = [j for band in bands.bands for j in band]
+        flat = [j for band in bands for j in band]
         assert sorted(flat) == list(range(1, pair.n + 1))
 
 
@@ -181,10 +187,10 @@ class TestKernelProperties:
         # two support indices in one band force one band to be skipped, and
         # the sign alternations can no longer cancel
         bands = twospec.bands_real(pair, twospec.check_interlace_real(pair))
-        wide = [b for b in bands.bands if len(b) >= 2]
-        assume(wide and len(bands.bands) >= 2)
+        wide = [b for b in bands if len(b) >= 2]
+        assume(wide and len(bands) >= 2)
         band = data.draw(st.sampled_from(wide))
-        others = [b for b in bands.bands if b is not band]
+        others = [b for b in bands if b is not band]
         skip = data.draw(st.sampled_from(others))
         support = [b[0] for b in others if b is not skip] + list(band[:2])
         vec = twospec.circuit(pair, tuple(sorted(support)))
@@ -255,14 +261,17 @@ class TestStieltjesProperties:
             for _ in range(pair.n)
         )
         jac = twospec.stieltjes(pair.xs, omega)
-        assert list(jac.polys[pair.n].coeffs) == poly_from_roots(pair.xs)
+        assert list(jac.polys[pair.n]) == poly_from_roots(pair.xs)
         assert all(g > 0 for g in jac.gamma)
+        binary64 = twospec.stieltjes(tuple(map(float, pair.xs)), tuple(map(float, omega)))
+        assert all(monic(p, F(1)) for p in jac.polys)
+        assert all(monic(p, 1.0) for p in binary64.polys)
 
     @given(interlacing_real_pairs())
     @settings(max_examples=40, deadline=None)
     def test_cone_weights_pin_the_lower_polynomial(self, pair):
         sol = twospec.reconstruct_real(pair)
-        assert list(sol.jacobi.polys[pair.m].coeffs) == poly_from_roots(pair.ys)
+        assert list(sol.jacobi.polys[pair.m]) == poly_from_roots(pair.ys)
         assert sol.report.verdict
 
     @given(interlacing_real_pairs(), st.integers(1, 9))
@@ -282,7 +291,7 @@ class TestStieltjesProperties:
         )
         for k in range(min(pair.n, 5) + 1):
             char = oracles.brute_charpoly(jac.matrix, k)
-            assert char.coeffs == jac.polys[k].coeffs
+            assert char == jac.polys[k]
 
 
 class TestCircleProperties:
@@ -297,6 +306,7 @@ class TestCircleProperties:
         assert sol.report.verdict
         assert sol.report.poly_match_n <= 1e-8
         assert sol.report.poly_match_m <= 1e-8
+        assert monic(sol.psi_n, 1 + 0j) and monic(sol.psi_m, 1 + 0j)
 
     @given(circle_instances())
     @settings(max_examples=40, deadline=None)
