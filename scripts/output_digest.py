@@ -3,7 +3,7 @@
 per case, sorted, holding the case name and the SHA-1 of its output text
 (or the error code it ended with).
 
-    python3 scripts/output_digest.py SEED [--values]
+    python3 scripts/output_digest.py SEED [--values] [--bytes]
 
 Cases:
 
@@ -25,6 +25,10 @@ array, and the rest is written again as json.dumps(doc, sort_keys=True,
 separators=(",", ":"), ensure_ascii=False) plus a newline, whatever
 whitespace the program writes.  Exit and error codes are kept.  Copy the
 script into another checkout to compare the values two versions compute.
+
+With ``--bytes`` each digest is followed by a tab and the length in bytes
+of the output text as written (0 for a perfbench case that ended with an
+error code), so the lengths of two checkouts can be compared and summed.
 """
 
 from __future__ import annotations
@@ -65,6 +69,13 @@ def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
+def _digest(text: str, values=False, sizes=False) -> str:
+    """The SHA-1 of the text (reduced with ``values``), and with ``sizes`` a
+    tab and the text's length in bytes."""
+    digest = _sha1(reduce_values(text) if values else text)
+    return f"{digest}\t{len(text.encode())}" if sizes else digest
+
+
 def _circuit_values(circuit: dict) -> dict:
     support = circuit["support"]
     if "entries" in circuit:
@@ -91,27 +102,26 @@ def reduce_values(text: str) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
-def _run_cli(argv, values=False) -> str:
+def _run_cli(argv, values=False, sizes=False) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
-    text = reduce_values(out.getvalue()) if values else out.getvalue()
-    return f"{_sha1(text)}\t{code}"
+    return f"{_digest(out.getvalue(), values, sizes)}\t{code}"
 
 
-def cli_cases(values=False) -> list:
+def cli_cases(values=False, sizes=False) -> list:
     """Digest lines of the problems/ and fuzz cases, sorted."""
     lines = []
     for path in sorted((ROOT / "problems").glob("*.json")):
         for run in PROBLEM_RUNS:
             argv = (*run, "-i", str(path))
-            lines.append(f"cli {path.name} {' '.join(run)}\t{_run_cli(argv, values)}")
+            lines.append(f"cli {path.name} {' '.join(run)}\t{_run_cli(argv, values, sizes)}")
     for run in FUZZ_RUNS:
-        lines.append(f"cli fuzz {' '.join(run)}\t{_run_cli(('fuzz', *run), values)}")
+        lines.append(f"cli fuzz {' '.join(run)}\t{_run_cli(('fuzz', *run), values, sizes)}")
     return sorted(lines)
 
 
-def perfbench_cases(seed: int, values=False) -> list:
+def perfbench_cases(seed: int, values=False, sizes=False) -> list:
     """Digest lines of every perfbench instance at ``seed``, sorted."""
     from perfbench.workloads import WORKLOADS
 
@@ -122,9 +132,9 @@ def perfbench_cases(seed: int, values=False) -> list:
                 problem = files.load_problem(files.loads_document(inst.text))
                 solution = reconstruct(problem.pair, problem.selection, problem.profile)
                 text = files.dumps_canonical(files.encode_solution(solution, problem))
-                value = _sha1(reduce_values(text) if values else text)
+                value = _digest(text, values, sizes)
             except TwospecError as exc:
-                value = exc.code
+                value = f"{exc.code}\t0" if sizes else exc.code
             lines.append(f"perfbench {name} {seed} {inst.index:03d}\t{value}")
     return sorted(lines)
 
@@ -135,8 +145,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--values", action="store_true", help="hash the values, not the format"
     )
+    parser.add_argument(
+        "--bytes", action="store_true", help="print each output's length after its digest"
+    )
     args = parser.parse_args(argv)
-    lines = cli_cases(args.values) + perfbench_cases(args.seed, args.values)
+    lines = cli_cases(args.values, args.bytes) + perfbench_cases(args.seed, args.values, args.bytes)
     for line in sorted(lines):
         print(line)
     return 0

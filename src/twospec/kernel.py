@@ -55,8 +55,9 @@ COEFFICIENTS = "coefficients"
 COVER = "cover"
 STRATEGIES = (SUM_ALL, COEFFICIENTS, COVER)
 
-# Families at most this large are listed, and recorded circuit-by-circuit in
-# results; larger ones are only counted or indexed, never enumerated.
+# Families at most this large are listed, larger ones only counted or indexed,
+# never enumerated; a weight records its circuits while they hold at most this
+# many entries in all.
 LIST_LIMIT = 1000
 
 _SIN_TOL = POINT_TOL / 2  # |sin(d/2)| matching the chord tolerance
@@ -114,8 +115,9 @@ class WeightSelection:
 class WeightResult:
     """A strictly positive kernel solution and the circuits that built it.
 
-    ``circuits`` is ``None`` for a sum_all weight whose family has more than
-    LIST_LIMIT members: its closed form needs no circuit, so none is built.
+    ``circuits`` is ``None`` when they hold more than LIST_LIMIT entries
+    (count times ``pair.circuit_size``); ``circuits(pair, supports)``
+    rebuilds them from the strategy's supports.
     """
 
     omega: tuple
@@ -315,17 +317,19 @@ def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightRes
     """Combine admissible circuits into one strictly positive kernel vector.
 
     sum_all is the sum of every admissible circuit with coefficient 1, taken
-    in closed form (the circuits themselves are built only to be recorded,
-    for families of at most LIST_LIMIT members); coefficients takes the first
-    circuit plus the user-weighted ones and validates that every index is
-    covered by a positively weighted circuit; cover adds, for each index j,
-    one circuit through j (the first index of every other band).  Raises
-    NonpositiveWeightError when an entry is not positive and finite, as when
-    circuit entries under- or overflow binary64.
+    in closed form (its circuits are built only to be recorded); coefficients
+    takes the first circuit plus the user-weighted ones and validates that
+    every index is covered by a positively weighted circuit; cover adds, for
+    each index j, one circuit through j (the first index of every other
+    band).  The circuits are recorded when they hold at most LIST_LIMIT
+    entries in all, and are ``None`` above that, where sum_all builds none.
+    Raises NonpositiveWeightError when an entry is not positive and finite,
+    as when circuit entries under- or overflow binary64.
     """
     n = pair.n
     band_of = {j: r for r, b in enumerate(bands) for j in b}
     omega = [0] * n
+    most = LIST_LIMIT // pair.circuit_size  # the circuits that fit in LIST_LIMIT entries
 
     def combine(chosen):
         vecs = circuits(pair, [support for _, support in chosen])
@@ -333,12 +337,11 @@ def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightRes
             one = coeff == 1 and isinstance(coeff, int)  # then coeff * e is e, of e's type
             for j, e in zip(vec.support, vec.entries):
                 omega[j - 1] = omega[j - 1] + (e if one else coeff * e)
-        return vecs
+        return vecs if len(vecs) <= most else None
 
     if selection.strategy == SUM_ALL:
         omega = _sum_all_omega(pair, setting_of(pair), bands, band_of)
-        family = family_listing(bands)[1]
-        vecs = None if family is None else circuits(pair, family)
+        vecs = circuits(pair, iter_admissible(bands)) if admissible_size(bands) <= most else None
     elif selection.strategy == COEFFICIENTS:
         coeffs = dict(selection.coefficients or {})
         size = admissible_size(bands)

@@ -249,10 +249,9 @@ class TestSolutionRoundTrip:
         text = files.dumps_canonical(files.encode_solution(solution, problem))
         doc = json.loads(text)
         assert doc["polynomials"] is None
-        assert len(doc["circuits"]) == pair.n
-        for c in doc["circuits"]:
-            assert sorted(c) == ["entries", "support"]
-            assert len(c["support"]) == len(c["entries"]) == pair.m + 1
+        # 60 circuits of 21 entries: 1,260 entries, above LIST_LIMIT
+        assert doc["circuits"] is None
+        assert solution.weight.circuits is None
         back = files.decode_solution(files.loads_document(text))
         assert back == solution
         assert files.dumps_canonical(files.encode_solution(back, problem)) == text
@@ -268,6 +267,30 @@ class TestSolutionRoundTrip:
             assert polys == [list(p) for p in solution.jacobi.polys]
         else:
             assert polys is None
+
+    @pytest.mark.parametrize("over", [False, True], ids=["at", "over"])
+    @pytest.mark.parametrize("strategy", ["cover", "coefficients", "sum_all"])
+    def test_circuits_are_listed_up_to_list_limit_entries(self, strategy, over):
+        # circuits x entries each: cover 40 x 25 = 1000, or 40 x 26 = 1040;
+        # coefficients 100 x 10, or 101 x 10; sum_all 125 x 8, or 126 x 8
+        problem = files.load_problem(_circuit_cap_doc(strategy, over))
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        circuits = written(files.encode_solution(solution, problem))["circuits"]
+        if over:
+            assert circuits is None
+            assert solution.weight.circuits is None
+        else:
+            assert sum(len(c["entries"]) for c in circuits) == twospec.kernel.LIST_LIMIT
+            assert circuits == written(files.encode_circuits(solution.weight.circuits))
+
+    @pytest.mark.parametrize("strategy", ["cover", "coefficients"])
+    def test_documents_over_the_circuit_cap_round_trip(self, strategy):
+        problem = files.load_problem(_circuit_cap_doc(strategy, over=True))
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        text = files.dumps_canonical(files.encode_solution(solution, problem))
+        back = files.decode_solution(files.loads_document(text))
+        assert back == solution
+        assert files.dumps_canonical(files.encode_solution(back, problem)) == text
 
     def test_dense_weights_view(self):
         # the length-n vector with zeros of the pair's field off the support
@@ -366,6 +389,27 @@ def _float_cover_doc(pair):
         weights={"strategy": "cover"},
         profile="standard",
     )
+
+
+def _banded_doc(sizes, **changes):
+    """A rational line problem whose bands hold ``sizes`` nodes: the nodes
+    1..n, one zero between every two neighbouring bands."""
+    ends = list(itertools.accumulate(sizes))
+    zn = [str(k) for k in range(1, ends[-1] + 1)]
+    return dict(REAL_DOC, zn=zn, zm=[f"{2 * e + 1}/2" for e in ends[:-1]], **changes)
+
+
+def _circuit_cap_doc(strategy, over):
+    """A problem whose circuits hold LIST_LIMIT entries, or one circuit more
+    (cover: one entry more in each of its 40 circuits)."""
+    if strategy == "cover":
+        return _float_cover_doc(fuzz.random_real_instance(random.Random(1), 40, 24 + over))
+    if strategy == "sum_all":
+        return _banded_doc((2, 3, 3, 7, 1, 1, 1, 1) if over else (5, 5, 5, 1, 1, 1, 1, 1))
+    # ten two-node bands, 1024 supports; s_k for the last 99 or 100 of them
+    coefficients = {f"s{k}": "1" for k in range(1024 - 99 - over, 1024)}
+    weights = {"strategy": "coefficients", "coefficients": coefficients}
+    return _banded_doc((2,) * 10, weights=weights)
 
 
 def reference_dumps(value):
@@ -810,6 +854,17 @@ class TestCli:
         assert "circuits" not in doc
         family = sorted(itertools.product(*doc["bands"]))
         assert doc["family_head"] == [list(s) for s in family[:10]]
+
+    def test_circuits_lists_families_whatever_their_entry_count(self, tmp_path):
+        # nine two-node bands: 512 supports of 9 indices, 4,608 entries
+        code, text = run_cli(tmp_path, _banded_doc((2,) * 9), "circuits")
+        doc = json.loads(text)
+        assert code == 0
+        assert doc["family_size"] == 512
+        assert [c["support"] for c in doc["circuits"]] == [
+            list(s) for s in itertools.product(*doc["bands"])
+        ]
+        assert sum(len(c["entries"]) for c in doc["circuits"]) == 4608
 
     def test_circuits_consecutive_degrees(self, tmp_path):
         doc_in = dict(

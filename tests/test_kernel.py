@@ -2,7 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction as F
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import pytest
 
@@ -381,6 +381,29 @@ class TestSumAllClosedForm:
         assert all(w > 0 for w in result.omega)
 
 
+    @pytest.mark.parametrize(
+        "sizes, builds", [((5, 5, 5, 1, 1, 1, 1, 1), 1), ((2, 3, 3, 7, 1, 1, 1, 1), 0)]
+    )
+    def test_sum_all_builds_circuits_up_to_list_limit_entries(self, sizes, builds, monkeypatch):
+        # 125 circuits of 8 entries fill LIST_LIMIT; 126 of them hold 1,008
+        ends = list(accumulate(sizes))
+        pair = twospec.RealSpectrumPair(
+            xs=tuple(range(1, ends[-1] + 1)), ys=tuple(F(2 * e + 1, 2) for e in ends[:-1])
+        )
+        bands = _bands(pair)
+        assert tuple(map(len, bands)) == sizes
+        calls, build = [], twospec.kernel.circuits
+        monkeypatch.setattr(
+            twospec.kernel, "circuits", lambda *args: calls.append(args) or build(*args)
+        )
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection())
+        assert len(calls) == builds
+        if builds:
+            assert len(result.circuits) == twospec.admissible_size(bands) == 125
+        else:
+            assert result.circuits is None
+
+
 class TestNonpositiveWeight:
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_underflowing_entries_raise_a_coded_error(self, strategy):
@@ -521,10 +544,15 @@ class TestCircuitBits:
             ]
         else:
             chosen = [(1, s) for s in twospec.admissible_family(bands)]
-        assert len(result.circuits) == len(chosen)
+        vecs = result.circuits
+        if len(chosen) * pair.circuit_size > twospec.kernel.LIST_LIMIT:
+            # not recorded: the same bits are checked on the rebuilt circuits
+            assert vecs is None
+            vecs = twospec.circuits(pair, [support for _, support in chosen])
+        assert len(vecs) == len(chosen)
         omega = [0] * pair.n
         by_support = {}
-        for (coeff, support), vec in zip(chosen, result.circuits):
+        for (coeff, support), vec in zip(chosen, vecs):
             want = _reference_entries(pair, support)
             assert vec.support == support
             # repr round-trips floats, so equal reprs are equal bits

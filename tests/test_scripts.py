@@ -1,10 +1,14 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from twospec import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,3 +91,18 @@ def test_output_digest_values_ignore_the_format():
     same = {c for (c, a, _), (_, b, _) in zip(*split) if a == b}
     assert "cli real_small.json check" in same
     assert "cli real_small.json reconstruct" not in same
+
+
+def test_output_digest_bytes_follow_each_digest():
+    # the default lines, each digest followed by the length of the written text
+    digest = load_digest()
+    plain, sized = digest.cli_cases(), digest.cli_cases(sizes=True)
+    lengths = {}
+    for line, with_size in zip(plain, sized, strict=True):
+        case, sha, size, code = with_size.split("\t")
+        assert line == "\t".join((case, sha, code))
+        lengths[case] = int(size)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["reconstruct", "-i", str(ROOT / "problems" / "real_small.json")])
+    assert lengths["cli real_small.json reconstruct"] == len(out.getvalue().encode())
