@@ -19,8 +19,8 @@ integer grid (``scalars.integer_grid``; D = 1 in binary64).  The residuals:
   first-order distance from z_j to the nearest zero of P_k in units of g_j,
   the distance from z_j to its nearest other prescribed point of either set
   (angular on the circle): at most tol means an eigenvalue within
-  tol * g_j of each point.  The recurrence is rescaled by powers of two at
-  each step and the product is summed as logarithms: no overflow.
+  tol * g_j of each point.  The recurrence is rescaled by powers of two
+  outside [2^-400, 2^400], the product summed as logarithms: no overflow.
 * unitarity_defect  -- circle: the larger of ||C C* - I||_F and the largest
   entry deviation of C from the CMV product of (alpha, b), both matrices
 
@@ -190,6 +190,12 @@ def unitarity_defect(rows):
     return math.sqrt(acc)
 
 
+def _rescaled(u, v, e):
+    """u, v times the 2**-s that puts |v| in [1/2, 1), and e + s: exact."""
+    f = math.ldexp(1.0, -(s := math.frexp(abs(v))[1]))
+    return u * f, v * f, e + s
+
+
 def _spectrum_residual(value, points, gaps):
     """max_j |P(z_j)| / prod_{i != j} |z_j - z_i| / gaps[j], where
     ``value(z)`` returns P(z) as (mantissa, power-of-two exponent); the
@@ -226,11 +232,13 @@ def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDAR
 
     def spectrum(k, points, gaps):
         def value(x):
-            u, v, e = 0.0, 1.0, 0  # 2**-e (P_{j-1}, P_j), 1/2 <= |P_j| < 1
+            u, v, e = 0.0, 1.0, 0  # 2**-e (P_{j-1}, P_j)
             for b, g in zip(data.beta[:k], gamma):
-                w, s = math.frexp((x - b) * v - g * u)
-                u, v, e = math.ldexp(v, -s), w, e + s
-            return v, e
+                u, v = v, (x - b) * v - g * u
+                if not 2.0**-400 <= abs(v) <= 2.0**400:
+                    u, v, e = _rescaled(u, v, e)
+            w, s = math.frexp(v or u)  # an exact zero keeps P_{k-1}'s exponent
+            return (w if v else v), e + s
 
         return _spectrum_residual(value, points, gaps)
 
@@ -285,12 +293,12 @@ def verify_popuc(
         steps = [(a, a.conjugate()) for a in alpha[: k - 1]]
 
         def value(z):
-            u, v, e = 1.0, 1.0, 0  # 2**-e (Phi_j, Phi*_j), 1/2 <= |Phi*_j| < 1
+            u, v, e = 1.0, 1.0, 0  # 2**-e (Phi_j, Phi*_j)
             for a, a_bar in steps:
                 u, v = z * u - a_bar * v, v - a * z * u
-                s = math.frexp(abs(v))[1]
-                f = math.ldexp(1.0, -s)
-                u, v, e = u * f, v * f, e + s
+                if not 2.0**-400 <= abs(v) <= 2.0**400:
+                    u, v, e = _rescaled(u, v, e)
+            u, v, e = _rescaled(u, v, e)  # Phi*_j has no zero on the circle
             return z * u - b.conjugate() * v, e
 
         return _spectrum_residual(value, points, gaps)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -404,6 +405,69 @@ class TestSumAllClosedForm:
             assert result.circuits is None
 
 
+class TestCoverClosedForm:
+    """The line's ``cover`` weight from the base circuit and one ratio per
+    node, against the sum of its n circuits."""
+
+    @staticmethod
+    def _circuit_sum(pair, bands):
+        omega = [0] * pair.n
+        for vec in twospec.circuits(pair, _cover_supports(bands, pair.n)):
+            for j, e in zip(vec.support, vec.entries):
+                omega[j - 1] += e
+        return omega
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_exact_equals_the_sum_of_its_circuits(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 14)
+        m = rng.randint(1, n - 1)
+        xs = sorted({F(rng.randint(-400, 400), rng.randint(1, 12)) for _ in range(n)})
+        gaps = sorted(rng.sample(range(len(xs) - 1), min(m, len(xs) - 1)))
+        ys = [xs[g] + F(rng.randint(1, 9), 10) * (xs[g + 1] - xs[g]) for g in gaps]
+        pair = twospec.RealSpectrumPair(xs=tuple(xs), ys=tuple(ys))
+        bands = _bands(pair)
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        assert all(isinstance(w, F) for w in result.omega)
+        assert list(result.omega) == self._circuit_sum(pair, bands)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_consecutive_degrees_are_the_base_circuit_n_times(self, n):
+        # Wendroff's case m = n - 1: every band is one node, the n cover
+        # circuits are all the base circuit, and omega = B c0 with B = n
+        rng = random.Random(n)
+        xs = sorted({F(rng.randint(-300, 300), rng.randint(1, 9)) for _ in range(3 * n)})[:n]
+        ys = [a + F(rng.randint(1, 9), 10) * (b - a) for a, b in zip(xs, xs[1:])]
+        pair = twospec.RealSpectrumPair(xs=tuple(xs), ys=tuple(ys))
+        bands = _bands(pair)
+        assert tuple(map(len, bands)) == (1,) * n
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        base = twospec.circuit(pair, tuple(range(1, n + 1)))
+        assert list(result.omega) == [n * e for e in base.entries]
+        assert list(result.omega) == self._circuit_sum(pair, bands)
+
+    def test_above_the_cap_builds_no_circuit_in_o_n_m(self, monkeypatch):
+        # n=200, m=66: 13,400 circuit entries, over LIST_LIMIT.  Building the
+        # n circuits by running products takes 331,063 differences here; the
+        # closed form takes P_m at each node and O(1) more per node and band
+        n, m = 200, 66
+        pair = fuzz.random_real_instance(random.Random(1), n, m)
+        bands = _bands(pair)
+
+        def no_circuit(pair, supports):
+            raise AssertionError("a circuit was built")
+
+        calls, real = [], twospec.kernel._REAL
+        counted = dataclasses.replace(real, diff=lambda x, y: calls.append(1) or real.diff(x, y))
+        want = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER)).omega
+        monkeypatch.setattr(twospec.kernel, "circuits", no_circuit)
+        monkeypatch.setattr(twospec.kernel, "_REAL", counted)
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        assert result.circuits is None
+        assert repr(result.omega) == repr(want)
+        assert 0 < len(calls) <= 3 * n * (m + 1)
+
+
 class TestNonpositiveWeight:
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_underflowing_entries_raise_a_coded_error(self, strategy):
@@ -451,6 +515,38 @@ def _instance(kind, seed):
     return generate[kind](rng, n, m)
 
 
+def _cover_supports(bands, n):
+    """The supports of the n cover circuits: j and the other bands' first indices."""
+    firsts = [b[0] for b in bands]
+    band_of = {j: r for r, b in enumerate(bands) for j in b}
+    return [
+        tuple(j if r == band_of[j] else f for r, f in enumerate(firsts)) for j in range(1, n + 1)
+    ]
+
+
+def _assert_line_cover_omega(pair, bands, got, summed):
+    """A binary64 line ``cover`` omega against ``summed``, the running-product
+    circuits added in order: the same bits at every non-first index of a
+    band, where one circuit passes.  At a first index both are within 1e-14
+    relative of the exact sum of the circuits on the same float inputs.
+    Neither is always the nearer: the closed form carries the rounding of
+    one base-circuit product into every term, where the sum averages the
+    roundings of many products, so the two differ by a few ulps either way."""
+    exact_pair = twospec.RealSpectrumPair(xs=tuple(map(F, pair.xs)), ys=tuple(map(F, pair.ys)))
+    exact = [0] * pair.n
+    for vec in twospec.circuits(exact_pair, _cover_supports(bands, pair.n)):
+        for j, e in zip(vec.support, vec.entries):
+            exact[j - 1] += e
+    firsts = {b[0] for b in bands}
+    assert len(got) == len(summed) == pair.n
+    for j, (g, s, e) in enumerate(zip(got, summed, exact), 1):
+        if j in firsts:
+            assert abs(F(g) - e) <= F(1e-14) * e, j
+            assert abs(F(s) - e) <= F(1e-14) * e, j
+        else:
+            assert g.hex() == s.hex(), j
+
+
 class TestBatchedCircuits:
     """positive_weight builds its circuits in one ``circuits`` call; the
     batch equals one-at-a-time ``circuit`` calls summed in the same order,
@@ -486,7 +582,10 @@ class TestBatchedCircuits:
             want.append(vec)
         result = twospec.positive_weight(pair, bands, selection)
         # repr round-trips floats, so equal reprs are equal bits
-        assert repr(result.omega) == repr(tuple(omega))
+        if strategy == COVER and kind == "float":
+            _assert_line_cover_omega(pair, bands, result.omega, omega)
+        else:
+            assert repr(result.omega) == repr(tuple(omega))
         assert repr(result.circuits) == repr(tuple(want))
 
     def test_one_function_serves_both_settings(self, pair_4_2, circle_3_2):
@@ -560,7 +659,10 @@ class TestCircuitBits:
             assert by_support.setdefault(support, vec) is vec
             for j, e in zip(support, want):
                 omega[j - 1] = omega[j - 1] + coeff * e
-        if selection.strategy != SUM_ALL:  # sum_all's omega is its closed form
+        float_line = isinstance(pair, twospec.RealSpectrumPair) and isinstance(pair.xs[0], float)
+        if selection.strategy == COVER and float_line:
+            _assert_line_cover_omega(pair, bands, result.omega, omega)
+        elif selection.strategy != SUM_ALL:  # sum_all's omega is its closed form
             assert repr(result.omega) == repr(tuple(omega))
         return by_support
 

@@ -435,6 +435,17 @@ class TestSameBitsOnEveryInterpreter:
             "aeada0515bc6552d644bb92ad7bf11e0cfd988ff"
         )
 
+    def test_float_line_cover_weight_is_pinned(self):
+        # the closed-form cover weight adds its ratios left to right; a
+        # compensated sum (math.fsum, or sum() from 3.12) gives other bits
+        pair = random_real_instance(random.Random(1), 40, 12)
+        bands = twospec.bands_real(pair, twospec.check_interlace_real(pair))
+        omega = twospec.positive_weight(pair, bands, WeightSelection("cover")).omega
+        text = " ".join(v.hex() for v in omega)
+        assert hashlib.sha1(text.encode()).hexdigest() == (
+            "459540831eaeff8e957a4a71c092e9a3066e66d4"
+        )
+
     def test_exact_line_values_are_pinned(self):
         # the rational twin: non-integer nodes and points, the sum_all and
         # cover weights, and every value's str
