@@ -232,14 +232,11 @@ def _check_distinct(setting, nodes):
 def circuits(pair, supports) -> tuple:
     """The circuits on ``supports`` (each of ``pair.circuit_size`` 1-based
     node indices) by the formula of the module docstring, each entry one
-    running product, P_m first; the support entries are negated when more of
-    them are negative than positive.  P_m is computed once per node, and each
-    distinct support once: a repeated support returns the same vector.
-
-    The running product of the entry at j starts with the factors it shares
-    with the first support S_0 (the members of the longest common prefix of
-    its support and S_0, j left out), kept once per node and extended one
-    factor at a time.  Products fold left, so sharing them changes no bit.
+    running product, P_m first, then the differences in support order; the
+    support entries are negated when more of them are negative than
+    positive.  P_m and each difference d(x_j, x_i) are computed once per
+    call, and each distinct support once: a repeated support returns the
+    same vector.
     """
     setting = setting_of(pair)
     nodes, points, scale = setting.coords(pair)
@@ -251,40 +248,28 @@ def circuits(pair, supports) -> tuple:
         if len(set(s)) != size or not (1 <= s[0] and s[-1] <= pair.n):
             raise ValueError(f"support must hold {size} distinct indices in 1..n")
     _check_distinct(setting, nodes)
-    used = sorted(set().union(*supports))
-    pm = {j: _pm_at(setting, j - 1, nodes[j - 1], points) for j in used}
-    first = supports[0] if supports else ()
-    heads = {}  # j -> P_m(x_j), then times d(x_j, x_f) for f in first, f != j
-
-    def head(j, k):
-        """P_m(x_j) times its first k factors over ``first``, j left out."""
-        run = heads.setdefault(j, [pm[j]])
-        if len(run) <= k:
-            x = nodes[j - 1]
-            for f in [f for f in first if f != j][len(run) - 1 : k]:
-                run.append(run[-1] * diff(x, nodes[f - 1]))
-        return run[k]
-
-    built = {}
-    for s in supports:
-        if s in built:
-            continue
-        shared = next((k for k, (a, b) in enumerate(zip(s, first)) if a != b), size)
-        xs = [nodes[i - 1] for i in s]
+    pm = {j: _pm_at(setting, j - 1, nodes[j - 1], points) for j in sorted(set().union(*supports))}
+    built = dict.fromkeys(supports)
+    partners = {}  # j -> the union of the supports that hold j
+    for s in built:
+        for j in s:
+            partners.setdefault(j, set()).update(s)
+    row = {  # j -> {i: d(x_j, x_i)}; the zero d(x_j, x_j) is never read
+        j: dict(zip(ps, map(diff, repeat(nodes[j - 1]), [nodes[i - 1] for i in ps])))
+        for j, ps in partners.items()
+    }
+    for s in built:
         entries = []
         for p, j in enumerate(s):
-            if p < shared:  # j is one of the shared members
-                start, rest = head(j, shared - 1), xs[shared:]
-            else:
-                start, rest = head(j, shared), xs[shared:p] + xs[p + 1 :]
+            factors = map(row[j].__getitem__, s[:p] + s[p + 1 :])
             try:
-                entries.append(unit / math.prod(map(diff, repeat(xs[p]), rest), start=start))
+                entries.append(unit / math.prod(factors, start=pm[j]))
             except ZeroDivisionError:  # the running product underflows binary64
                 raise NonpositiveWeightError(f"circuit entry {j} overflows") from None
         if sum((e > 0) - (e < 0) for e in entries) < 0:
             entries = [-e for e in entries]
         built[s] = CircuitVector(support=s, entries=tuple(entries), n=pair.n)
-    return tuple(built[s] for s in supports)
+    return tuple(map(built.__getitem__, supports))
 
 
 def circuit(pair, support) -> CircuitVector:
@@ -362,9 +347,8 @@ def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightRes
     def combine(chosen):
         vecs = circuits(pair, [support for _, support in chosen])
         for (coeff, _), vec in zip(chosen, vecs):
-            one = coeff == 1 and isinstance(coeff, int)  # then coeff * e is e, of e's type
             for j, e in zip(vec.support, vec.entries):
-                omega[j - 1] = omega[j - 1] + (e if one else coeff * e)
+                omega[j - 1] = omega[j - 1] + coeff * e
         return vecs if len(vecs) <= most else None
 
     if selection.strategy == SUM_ALL:

@@ -84,7 +84,8 @@ def stieltjes(xs, omega) -> JacobiData:
     coefficients over ``Fraction``.  NonpositiveWeightError unless every
     weight is positive and finite (``kernel.check_weights``); ZeroNormError
     for no nodes, or when nodes coincide (a zero P_k vector exactly; a
-    gamma_k that is not positive, NaN too, in binary64).  No threshold.
+    gamma_k that is not positive, NaN too, in binary64), or when a binary64
+    gamma_k underflows to 0 at distinct nodes.  No threshold.
     """
     if len(omega) != len(xs):
         raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
@@ -93,8 +94,11 @@ def stieltjes(xs, omega) -> JacobiData:
     if not omega:
         raise ZeroNormError("total mass is not positive")
     beta, gamma = (_stieltjes_exact if is_exact_scalar(xs[0]) else _rkpw)(xs, omega)
-    if not all(g > 0 for g in gamma):
+    bad = next((k for k, g in enumerate(gamma, 1) if not g > 0), 0)  # binary64 only
+    if bad and len(set(xs)) < len(xs):
         raise ZeroNormError("a gamma_k is not positive: coincident nodes")
+    if bad:  # at distinct nodes
+        raise ZeroNormError(f"gamma_{bad} underflows binary64: the weights span too wide a range")
     return JacobiData(beta=tuple(beta), gamma=tuple(gamma))
 
 

@@ -468,6 +468,24 @@ class TestCoverClosedForm:
         assert 0 < len(calls) <= 3 * n * (m + 1)
 
 
+class TestCircuitWork:
+    def test_each_difference_once_per_call(self, monkeypatch):
+        # the circle's n cover supports: P_m at every node (n m differences),
+        # the distinctness check (n), and each node's row of differences to
+        # the nodes it shares a support with; a first index of a band shares
+        # one with every node, another index only with its own support
+        n, m = 64, 16
+        pair = fuzz.random_circle_instance(random.Random(64), n, m)
+        bands = _bands(pair)
+        supports = _cover_supports(bands, n)
+        want = twospec.circuits(pair, supports)
+        calls, circle = [], twospec.kernel._CIRCLE
+        counted = dataclasses.replace(circle, diff=lambda x, y: calls.append(1) or circle.diff(x, y))
+        monkeypatch.setattr(twospec.kernel, "_CIRCLE", counted)
+        assert twospec.circuits(pair, supports) == want
+        assert 0 < len(calls) <= n * m + n + 2 * n * len(bands)
+
+
 class TestNonpositiveWeight:
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_underflowing_entries_raise_a_coded_error(self, strategy):
@@ -490,6 +508,21 @@ class TestNonpositiveWeight:
         selection = twospec.WeightSelection(strategy=COVER)
         with pytest.raises(twospec.NonpositiveWeightError):
             twospec.positive_weight(pair, _bands(pair), selection)
+
+    def test_circuits_name_the_overflowing_entry(self):
+        # the instance above through ``circuits`` itself, since the line's
+        # cover weight builds no circuit: the entry positive_weight names
+        pair = fuzz.random_real_instance(
+            random.Random(1), 120, 60, lo=0.0, hi=0.01, min_gap=1e-6
+        )
+        bands = _bands(pair)
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.positive_weight(pair, bands, twospec.WeightSelection(strategy=COVER))
+        assert str(info.value) == "circuit entry 23 overflows"
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.circuits(pair, _cover_supports(bands, pair.n))
+        assert info.value.code == "NONPOSITIVE_WEIGHT"
+        assert str(info.value) == "circuit entry 23 overflows"
 
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_underflowing_pm_is_not_a_shared_point(self, strategy):
@@ -623,8 +656,9 @@ def _reference_entries(pair, support):
 
 
 class TestCircuitBits:
-    """One build per distinct support and shared product heads leave every
-    bit of the per-support formula, in the circuits and in omega."""
+    """One build per distinct support and one table of node differences
+    leave every bit of the per-support formula, in the circuits and in
+    omega."""
 
     def _check(self, pair, selection):
         bands = _bands(pair)

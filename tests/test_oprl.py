@@ -138,6 +138,29 @@ class TestStieltjes:
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((1.0, 1.0, 2.0), (0.3, 0.3, 0.3))
 
+    def test_zero_norm_message_names_the_cause(self):
+        # equal binary64 nodes are coincident; at distinct nodes a gamma_k
+        # that underflows is named, with the range of the weights as cause
+        with pytest.raises(twospec.ZeroNormError, match="coincident nodes"):
+            twospec.stieltjes((1.0, 1.0, 2.0), (0.3, 0.3, 0.3))
+        with pytest.raises(twospec.ZeroNormError) as info:
+            twospec.stieltjes((0.0, 1.0, 2.0, 3.0), (1.0, 1e-300, 1e-300, 1.0))
+        assert info.value.code == "ZERO_NORM"
+        assert str(info.value) == (
+            "gamma_2 underflows binary64: the weights span too wide a range"
+        )
+
+    def test_zero_norm_on_a_wide_float_line_is_not_coincident_nodes(self):
+        # nodes at least 0.2/300 apart whose weights span about 1e196
+        pair = random_real_instance(
+            random.Random(3), 300, 299, lo=-1.0, hi=1.0, min_gap=0.2 / 300
+        )
+        for strategy in ("cover", "sum_all"):
+            with pytest.raises(twospec.ZeroNormError) as info:
+                twospec.reconstruct(pair, twospec.WeightSelection(strategy))
+            assert "underflows binary64" in str(info.value)
+            assert "coincident" not in str(info.value)
+
     def test_nonpositive_mass_rejected(self):
         # the one weight rule of kernel.check_weights; ZERO_NORM stays for
         # coincident nodes
