@@ -36,8 +36,6 @@ from .interlacing import (
     normalize_circle,
 )
 from .kernel import (
-    CircuitVector,
-    SystemMatrix,
     WeightResult,
     WeightSelection,
     admissible_at,

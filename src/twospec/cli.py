@@ -126,8 +126,9 @@ def _apply_overrides(doc: dict, args) -> dict:
         doc["arithmetic"] = args.arithmetic
     if args.profile:
         doc["profile"] = args.profile
-    weights = doc.get("weights") or {}
-    coeffs = isinstance(weights, dict) and (weights.get("coefficients") or {})
+    weights = {} if doc.get("weights") is None else doc["weights"]
+    coeffs = isinstance(weights, dict) and weights.get("coefficients")
+    coeffs = {} if coeffs is None else coeffs
     if not isinstance(coeffs, dict):
         return doc
     weights = dict(weights)

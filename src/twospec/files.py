@@ -36,8 +36,8 @@ from .interlacing import (
     circle_pair_from_angles, normalize_circle,
 )
 from .kernel import (
-    CIRCLE, COEFFICIENTS, LIST_LIMIT, REAL, STRATEGIES, SUM_ALL, CircuitVector, WeightResult,
-    WeightSelection, check_weights, family_listing,
+    CIRCLE, COEFFICIENTS, LIST_LIMIT, REAL, STRATEGIES, SUM_ALL, WeightResult, WeightSelection,
+    check_weights, family_listing,
 )
 from .oprl import JacobiData, moments_real
 from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
@@ -165,8 +165,6 @@ def parse_circle_value(value):
 def parse_profile(value) -> Profile:
     if value is None:
         return STANDARD
-    if isinstance(value, Profile):
-        return value
     text = str(value).strip().lower()
     if text == "strict":
         return STRICT
@@ -217,7 +215,8 @@ def load_problem(doc: dict) -> Problem:
     if not isinstance(zn, list) or not isinstance(zm, list):
         raise ProblemFormatError("zn and zm must be arrays")
 
-    arithmetic = doc.get("arithmetic") or (RATIONAL if setting == REAL else FLOAT64)
+    if (arithmetic := doc.get("arithmetic")) is None:
+        arithmetic = RATIONAL if setting == REAL else FLOAT64
     if arithmetic not in (RATIONAL, FLOAT64):
         raise ProblemFormatError(f"unknown arithmetic {arithmetic!r}")
     if setting == CIRCLE and arithmetic == RATIONAL:
@@ -300,12 +299,12 @@ def decode_value(value, arithmetic):
     return None if value is None else parse_real_value(value, arithmetic)
 
 
-def encode_circuits(vecs):
-    """Circuit vectors as sparse {"support", "entries"} objects, the entries
-    in support order; None stays None."""
-    if vecs is None:
+def encode_circuits(pairs):
+    """``(support, entries)`` circuits as {"support", "entries"} objects, the
+    entries in support order; None stays None."""
+    if pairs is None:
         return None
-    return [{"support": v.support, "entries": v.entries} for v in vecs]
+    return [{"support": s, "entries": e} for s, e in pairs]
 
 
 def _decode_report(doc) -> VerificationReport:
@@ -399,18 +398,18 @@ def _circle_pair(zn, zm, thetas, phis) -> CircleSpectrumPair:
 def decode_solution(doc: dict):
     """Rebuild a RealSolution / CircleSolution from what its reconstruction
     computed: the problem's zero sets (zn/zm, and thetas/phis on the circle)
-    and weight strategy, omega, the circuits, the recurrence (beta/gamma, or
-    alpha) and the verification report.  The rest is derived by the
-    pipeline's own steps, never read: verdict and bands by interlace, the
-    family by family_listing, the moments, and on the circle b_n, b_m, C_n,
-    C_m, Psi_n and Psi_m by circle_parts.  ProblemFormatError when a field it
-    reads is missing or mistyped; when an array's length does not fit the
-    zero sets (omega and beta n, gamma and alpha n-1, thetas n, phis m, and
-    a circuit's entries as many as its support); when a support is not
-    circuit_size distinct ascending ints in 1..n; when omega, the circle
-    pair or the report is not one the pipeline writes (check_weights,
-    _circle_pair, _decode_report); or when a step refuses its value with any
-    TwospecError."""
+    and weight strategy, omega, the circuits (as ``(support, entries)``
+    pairs), the recurrence (beta/gamma, or alpha) and the verification report.
+    The rest is derived by the pipeline's own steps, never read: verdict and
+    bands by interlace, the family by family_listing, the moments, and on the
+    circle b_n, b_m, C_n, C_m, Psi_n and Psi_m by circle_parts.
+    ProblemFormatError when a field it reads is missing or mistyped; when an
+    array's length does not fit the zero sets (omega and beta n, gamma and
+    alpha n-1, thetas n, phis m, and a circuit's entries as many as its
+    support); when a support is not circuit_size distinct ascending ints in
+    1..n; when omega, the circle pair or the report is not one the pipeline
+    writes (check_weights, _circle_pair, _decode_report); or when a step
+    refuses its value with any TwospecError."""
     try:
         if doc.get("schema") != SCHEMA:
             raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
@@ -445,7 +444,7 @@ def decode_solution(doc: dict):
             if not (isinstance(s, list) and len(s) == k and all(type(j) is int for j in s)
                     and s == sorted(set(s)) and 1 <= s[0] and s[-1] <= n):
                 raise ProblemFormatError(f"a support holds {k} ascending indices in 1..{n}")
-            return CircuitVector(tuple(s), array(c["entries"], k), n)
+            return tuple(s), array(c["entries"], k)
 
         circuits = None if doc["circuits"] is None else tuple(map(circuit, doc["circuits"]))
         common = dict(

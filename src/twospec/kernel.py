@@ -1,11 +1,11 @@
 """Vandermonde-type systems, their sparse kernel circuits, and the cone of
 strictly positive weights.
 
-The real-line system has entries ``A[k][j] = x_j^k * P_m(x_j)`` for
-``k = 0..m-1`` (full row rank m); the circle system has entries
-``A[k][j] = zeta_j^k * P_m(zeta_j) / zeta_j^(m-1)`` for ``k = 0..m-2``
-(full row rank m-1).  Minimal-support kernel elements (circuits) follow one
-barycentric formula in both settings: on a support S the entry at j is
+A system is the tuple of its rows: on the line A[k][j] = x_j^k * P_m(x_j)
+for k = 0..m-1 (full row rank m), on the circle A[k][j] = zeta_j^k *
+P_m(zeta_j) / zeta_j^(m-1) for k = 0..m-2 (full row rank m-1).  A circuit,
+a minimal-support kernel element, is a ``(support, entries)`` pair, given by
+one barycentric formula in both settings: on a support S the entry at j is
 1 / (P_m(x_j) prod_{i in S, i != j} d(x_j, x_i)), with P_m(x_j) the product
 of d(x_j, y) over the m-set and d the setting's signed difference, x - y on
 the line and sin((x - y)/2) on the circle.  A circuit supported on one index
@@ -46,7 +46,7 @@ from .interlacing import (
     check_interlace_circle,
     check_interlace_real,
 )
-from .scalars import integer_grid, is_exact_scalar, off_grid, plain_sum
+from .scalars import integer_grid, off_grid, plain_sum
 
 REAL = "real"
 CIRCLE = "circle"
@@ -62,33 +62,6 @@ STRATEGIES = (SUM_ALL, COEFFICIENTS, COVER)
 LIST_LIMIT = 1000
 
 _SIN_TOL = POINT_TOL / 2  # |sin(d/2)| matching the chord tolerance
-
-
-@dataclass(frozen=True)
-class SystemMatrix:
-    """Dense coefficient matrix of the kernel system."""
-
-    entries: tuple
-    shape: tuple
-
-
-@dataclass(frozen=True)
-class CircuitVector:
-    """Sparse kernel generator on ``n`` nodes: ``entries`` are its values on
-    ``support`` (ascending 1-based indices), in support order, and it is zero
-    off the support."""
-
-    support: tuple
-    entries: tuple
-    n: int
-
-    @property
-    def weights(self) -> tuple:
-        """The dense length-n vector, with zeros of the entries' field."""
-        dense = [Fraction(0) if is_exact_scalar(self.entries[0]) else 0.0] * self.n
-        for j, e in zip(self.support, self.entries):
-            dense[j - 1] = e
-        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -116,44 +89,45 @@ class WeightSelection:
 class WeightResult:
     """A strictly positive kernel solution and the circuits that built it.
 
-    ``circuits`` is ``None`` when they hold more than LIST_LIMIT entries
-    (count times ``pair.circuit_size``); ``circuits(pair, supports)``
-    rebuilds them from the strategy's supports.
+    ``circuits`` holds the ``(support, entries)`` pairs of :func:`circuits`,
+    or is ``None`` when they hold more than LIST_LIMIT entries (count times
+    ``pair.circuit_size``); ``circuits(pair, supports)`` rebuilds them from
+    the strategy's supports.
     """
 
     omega: tuple
     circuits: tuple | None
 
 
-def assemble_system(pair) -> SystemMatrix:
-    """Build the Vandermonde-type system annihilated by admissible weights."""
+def assemble_system(pair) -> tuple:
+    """The rows of the Vandermonde-type system annihilated by admissible
+    weights: m rows on the line, m - 1 on the circle (none when m = 1)."""
     return setting_of(pair).system(pair)
 
 
-def _system(nodes, diag, count, one) -> SystemMatrix:
+def _system(nodes, diag, count, one) -> tuple:
     """Rows k = 0..count-1 with entries nodes_j^k * diag_j."""
     rows, pw = [], [one] * len(nodes)
     for k in range(count):
         rows.append(tuple(map(operator.mul, pw, diag)))
         if k + 1 < count:
             pw = list(map(operator.mul, pw, nodes))
-    return SystemMatrix(entries=tuple(rows), shape=(count, len(nodes)))
+    return tuple(rows)
 
 
 def grid_system(xs, ys) -> tuple:
     """``(rows, dens)``: rows[k][j] = X_j^k P_m(X_j) on the grid, A[k] = rows[k] / dens[k]."""
     nodes, points, scale = _line_grid(xs, ys)
     pmx = [_pm_at(_REAL, j, x, points) for j, x in enumerate(nodes)]
-    return _system(nodes, pmx, len(ys), 1).entries, [scale**k for k in range(len(ys), 2 * len(ys))]
+    return _system(nodes, pmx, len(ys), 1), [scale**k for k in range(len(ys), 2 * len(ys))]
 
 
-def _assemble_real(pair: RealSpectrumPair) -> SystemMatrix:
+def _assemble_real(pair: RealSpectrumPair) -> tuple:
     rows, dens = grid_system(pair.xs, pair.ys)
-    entries = tuple(tuple(off_grid(a, d) for a in row) for row, d in zip(rows, dens))
-    return SystemMatrix(entries=entries, shape=(pair.m, pair.n))
+    return tuple(tuple(off_grid(a, d) for a in row) for row, d in zip(rows, dens))
 
 
-def _assemble_circle(pair: CircleSpectrumPair) -> SystemMatrix:
+def _assemble_circle(pair: CircleSpectrumPair) -> tuple:
     diag = []
     for j, z in enumerate(pair.zetas):
         diffs = list(map(operator.sub, repeat(z), pair.xis))
@@ -231,12 +205,13 @@ def _check_distinct(setting, nodes):
 
 def circuits(pair, supports) -> tuple:
     """The circuits on ``supports`` (each of ``pair.circuit_size`` 1-based
-    node indices) by the formula of the module docstring, each entry one
-    running product, P_m first, then the differences in support order; the
-    support entries are negated when more of them are negative than
-    positive.  P_m and each difference d(x_j, x_i) are computed once per
-    call, and each distinct support once: a repeated support returns the
-    same vector.
+    node indices) as ``(support, entries)`` pairs: the support ascending,
+    the entries its values in support order (zero off it), each by the
+    formula of the module docstring as one running product, P_m first, then
+    the differences in support order; the entries are negated when more of
+    them are negative than positive.  P_m and each difference d(x_j, x_i)
+    are computed once per call, and each distinct support once: a repeated
+    support returns the same pair.
     """
     setting = setting_of(pair)
     nodes, points, scale = setting.coords(pair)
@@ -268,11 +243,11 @@ def circuits(pair, supports) -> tuple:
                 raise NonpositiveWeightError(f"circuit entry {j} overflows") from None
         if sum((e > 0) - (e < 0) for e in entries) < 0:
             entries = [-e for e in entries]
-        built[s] = CircuitVector(support=s, entries=tuple(entries), n=pair.n)
+        built[s] = (s, tuple(entries))
     return tuple(map(built.__getitem__, supports))
 
 
-def circuit(pair, support) -> CircuitVector:
+def circuit(pair, support) -> tuple:
     """The circuit on one support (see :func:`circuits`)."""
     return circuits(pair, (support,))[0]
 
@@ -346,8 +321,8 @@ def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightRes
 
     def combine(chosen):
         vecs = circuits(pair, [support for _, support in chosen])
-        for (coeff, _), vec in zip(chosen, vecs):
-            for j, e in zip(vec.support, vec.entries):
+        for (coeff, _), (support, entries) in zip(chosen, vecs):
+            for j, e in zip(support, entries):
                 omega[j - 1] = omega[j - 1] + coeff * e
         return vecs if len(vecs) <= most else None
 

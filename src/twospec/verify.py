@@ -316,7 +316,7 @@ def verify_popuc(
     gaps = _gaps(list(pair.thetas) + list(pair.phis), TWO_PI)
     c_n, c_m = matrices
     gating = {
-        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair).entries, omega),
+        "kernel_residual": _kernel_residual(_kernel.assemble_system(pair), omega),
         "spectrum_residual_n": spectrum(n, b_n, pair.zetas, gaps[:n]),
         "spectrum_residual_m": spectrum(m, b_m, pair.xis, gaps[n:]),
         "unitarity_defect": _worst([defect(c_n, n, b_n), defect(c_m, m, b_m)]),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from twospec.errors import TwospecError
 from twospec.fuzz import random_circle_instance, random_real_instance
@@ -137,20 +138,29 @@ def poly_add(a, b):
     ]
 
 
-def brute_nullspace(system):
-    """Nullspace basis of a SystemMatrix by generic row reduction: exact
-    pivots for exact entries, a 1e-12 relative pivot threshold for floating
-    ones.
+def dense(circuit, n) -> tuple:
+    """The dense length-n vector of a ``(support, entries)`` circuit, with
+    zeros of the entries' field."""
+    support, entries = circuit
+    vec = [Fraction(0) if is_exact_scalar(entries[0]) else 0.0] * n
+    for j, e in zip(support, entries):
+        vec[j - 1] = e
+    return tuple(vec)
+
+
+def brute_nullspace(rows, cols):
+    """Nullspace basis of a system given as its rows (possibly none) and
+    ``cols`` columns, by generic row reduction: exact pivots for exact
+    entries, a 1e-12 relative pivot threshold for floating ones.
 
     The dimension must come out as cols - rows (n - m on the line,
     n - m + 1 on the circle); a larger kernel means duplicated nodes or
     shared points upstream and raises RankDeficientError.
     """
-    rows, cols = system.shape
-    exact = all(is_exact_scalar(e) for row in system.entries for e in row)
-    basis = rref_nullspace(system.entries, cols, tol=0.0 if exact else 1e-12)
-    if len(basis) != cols - rows:
-        raise RankDeficientError(f"rank {cols - len(basis)} below row count {rows}")
+    exact = all(is_exact_scalar(e) for row in rows for e in row)
+    basis = rref_nullspace(rows, cols, tol=0.0 if exact else 1e-12)
+    if len(basis) != cols - len(rows):
+        raise RankDeficientError(f"rank {cols - len(basis)} below row count {len(rows)}")
     return basis
 
 

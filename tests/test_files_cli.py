@@ -17,6 +17,8 @@ import twospec
 from twospec import cli, files, fuzz
 from twospec.pipeline import reconstruct_circle, reconstruct_real
 
+from . import oracles
+
 REAL_DOC = {
     "schema": "v1",
     "setting": "real",
@@ -51,6 +53,10 @@ class TestProblemParsing:
         text = json.dumps(dict(REAL_DOC, zn=[1, 2, 3.5, 4], zm=["3/2", "15/4"]))
         problem = files.load_problem(files.loads_document(text))
         assert problem.pair.xs == (1, 2, F(7, 2), 4)
+
+    def test_null_arithmetic_and_weights_select_the_defaults(self):
+        problem = files.load_problem(dict(REAL_DOC, arithmetic=None, weights=None))
+        assert (problem.arithmetic, problem.selection) == ("rational", twospec.WeightSelection())
 
     def test_float64_mode(self):
         doc = dict(REAL_DOC, arithmetic="float64")
@@ -296,7 +302,7 @@ class TestSolutionRoundTrip:
         # the length-n vector with zeros of the pair's field off the support
         problem = files.load_problem(REAL_DOC)
         solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
-        dense = solution.weight.circuits[0].weights
+        dense = oracles.dense(solution.weight.circuits[0], problem.pair.n)
         assert dense == (F(4, 15), F(2, 3), F(0), F(2, 15))
         assert all(type(w) is F for w in dense)
         pair = fuzz.random_real_instance(random.Random(2), 12, 4)
@@ -305,14 +311,14 @@ class TestSolutionRoundTrip:
         xs = pair.xs
         for vec in solution.weight.circuits:
             want = [0.0] * pair.n
-            for j in vec.support:
+            for j in vec[0]:
                 pm = math.prod([xs[j - 1] - y for y in pair.ys])
-                others = [xs[j - 1] - xs[i - 1] for i in vec.support if i != j]
+                others = [xs[j - 1] - xs[i - 1] for i in vec[0] if i != j]
                 want[j - 1] = 1 / math.prod(others, start=pm)
-            if sum(want[j - 1] < 0 for j in vec.support) * 2 > len(vec.support):
+            if sum(want[j - 1] < 0 for j in vec[0]) * 2 > len(vec[0]):
                 want = [-w for w in want]
-            assert vec.weights == tuple(want)
-            assert all(type(w) is float for w in vec.weights)
+            assert oracles.dense(vec, pair.n) == tuple(want)
+            assert all(type(w) is float for w in oracles.dense(vec, pair.n))
 
     def test_dump_is_byte_stable(self):
         problem = files.load_problem(REAL_DOC)
@@ -373,7 +379,7 @@ class TestValueCodec:
     def test_exact_circuit_zeros_are_rational(self):
         problem = files.load_problem(REAL_DOC)
         solution = reconstruct_real(problem.pair, problem.selection, problem.profile)
-        weights = [w for c in solution.weight.circuits for w in c.weights]
+        weights = [w for c in solution.weight.circuits for w in oracles.dense(c, problem.pair.n)]
         assert 0 in weights
         assert all(type(w) is F for w in weights)
         circuits = written(files.encode_circuits(solution.weight.circuits))
@@ -705,6 +711,11 @@ class TestCli:
         argv = ["reconstruct", "-i", str(path), "--strategy", strategy]
         code = cli.main([*argv, "--param", "s1=3"])
         assert_coded_error(capsys, code, "BAD_PROBLEM")
+
+    def test_null_weights_take_the_strategy_flag(self, tmp_path):
+        doc = dict(REAL_DOC, weights=None)
+        code, text = run_cli(tmp_path, doc, "reconstruct", "--strategy", "cover")
+        assert (code, json.loads(text)["problem"]["weights"]["strategy"]) == (0, "cover")
 
     def test_coefficients_in_the_file_select_their_strategy(self, tmp_path):
         doc = json.loads((PROBLEMS / "real_small.json").read_text())
@@ -1057,8 +1068,26 @@ class TestCli:
             (real_text(extra=', "weights": "abc"'), ["--strategy", "cover"]),
             (LIST_COEFFICIENTS, []),
             (LIST_COEFFICIENTS, ["--param", "s1=2"]),
+            *[  # only an absent or null value selects the default
+                (json.dumps(dict(REAL_DOC, arithmetic=v)), []) for v in ("", 0, False, [])
+            ],
+            *[  # with or without a flag, a falsy non-object is no weights object
+                (real_text(extra=f', "weights": {v}'), argv)
+                for v in ("0", "false", '""', "[]")
+                for argv in ([], ["--strategy", "cover"], ["--param", "s1=2"])
+            ],
+            *[
+                (real_text(extra=f', "weights": {{"coefficients": {v}}}'), ["--param", "s1=2"])
+                for v in ("0", "false", '""')
+            ],
         ],
-        ids=["null", "string", "array", "weights_string", "coefficients", "param"],
+        ids=[
+            "null", "string", "array", "weights_string", "coefficients", "param",
+            *(f"arithmetic_{v}" for v in ("empty", "0", "false", "array")),
+            *(f"weights_{v}_{flag}" for v in ("0", "false", "empty", "array")
+              for flag in ("file", "strategy", "param")),
+            *(f"coefficients_{v}_param" for v in ("0", "false", "empty")),
+        ],
     )
     def test_malformed_problem_exit_3(self, tmp_path, capsys, text, argv):
         path = tmp_path / "problem.json"

@@ -198,7 +198,7 @@ class TestVerifyCircle:
 class TestBruteOracles:
     def test_nullspace_dimension(self, pair_4_2):
         system = twospec.assemble_system(pair_4_2)
-        assert len(oracles.brute_nullspace(system)) == 2
+        assert len(oracles.brute_nullspace(system, pair_4_2.n)) == 2
 
     def test_charpoly_matches_node_product(self, pair_4_2):
         sol = twospec.reconstruct_real(pair_4_2)
