@@ -59,7 +59,8 @@ def circle_demo():
     print(f"b_n, b_m    {sol.verblunsky.b}, {sol.b_m}")
     for name, mat in (("C_n", sol.c_n), ("C_m", sol.c_m)):
         print(f"{name} =")
-        for row in mat:
+        for i, band in enumerate(mat):  # band rows: entry (i, j) at [i][j - i + 2]
+            row = [band[j - i + 2] if abs(j - i) <= 2 else 0j for j in range(len(mat))]
             print("   ", "  ".join(f"{e.real:+.6f}{e.imag:+.6f}j" for e in row))
     r = sol.report
     print(

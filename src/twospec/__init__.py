@@ -48,12 +48,7 @@ from .kernel import (
     iter_admissible,
     positive_weight,
 )
-from .oprl import (
-    JacobiData,
-    jacobi_matrix,
-    moments_real,
-    stieltjes,
-)
+from .oprl import JacobiData, moments_real, stieltjes
 from .pipeline import (
     CircleSolution,
     RealSolution,

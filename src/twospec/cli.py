@@ -124,7 +124,7 @@ def _apply_overrides(doc: dict, args) -> dict:
     doc = dict(doc)
     if args.arithmetic:
         doc["arithmetic"] = args.arithmetic
-    if args.profile:
+    if args.profile is not None:
         doc["profile"] = args.profile
     weights = {} if doc.get("weights") is None else doc["weights"]
     coeffs = isinstance(weights, dict) and weights.get("coefficients")

@@ -4,14 +4,15 @@ In a solution, a value's type, not its position, fixes its JSON form: an
 exact rational is a string ("p/q" or an integer literal) of any length, so
 nothing is lost; a binary64 real is a number in its shortest round-trip
 form; a complex number is an {"re": .., "im": ..} object; an index or a size
-is an integer; a tuple is an array.  encode_solution builds a document from
-the solution's own values, dumps_canonical writes it, its json.dumps hook
-giving Fractions and complex numbers their forms, and decode_value reads
-every value back.  Output is canonical: by definition its bytes are those of
-json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-plus a newline, sorted keys and no insignificant whitespace, so identical
-inputs produce byte-identical files.  For an indented view, pipe a document
-through python -m json.tool --indent 2 --sort-keys --no-ensure-ascii.
+is an integer; a tuple is an array; a BandMatrix is its dense rows.
+encode_solution builds a document from the solution's own values,
+dumps_canonical writes it, its json.dumps hook giving Fractions and complex
+numbers their forms, and decode_value reads every value back.  Output is
+canonical: by definition its bytes are those of json.dumps(doc,
+sort_keys=True, separators=(",", ":"), ensure_ascii=False) of the document
+with dense matrix rows, plus a newline, so identical inputs produce
+byte-identical files.  For an indented view, pipe a document through
+python -m json.tool --indent 2 --sort-keys --no-ensure-ascii.
 
 Problem values: the real setting accepts integers, "p/q" strings and
 decimal strings; the circle setting accepts {"re", "im"} points, angle
@@ -29,6 +30,8 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .errors import ProblemFormatError, TwospecError, UnsupportedArithmeticError
 from .interlacing import (
@@ -42,6 +45,7 @@ from .kernel import (
 from .oprl import JacobiData, moments_real
 from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
 from .popuc import trig_moments
+from .scalars import is_exact_scalar
 from .verify import (
     FLOAT64, RATIONAL, RESIDUALS, STANDARD, STRICT, Profile, VerificationReport
 )
@@ -61,6 +65,7 @@ PROBLEM_DIGITS = 4300
 _PROBLEM_BOUND = 10**PROBLEM_DIGITS
 _LONG_DIGIT_RUN = re.compile(f"[0-9]{{{PROBLEM_DIGITS + 1}}}")
 _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
+_CANONICAL = dict(sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False)
 
 
 @dataclass(frozen=True)
@@ -83,16 +88,53 @@ def loads_document(text: str) -> dict:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
 
 
+class BandMatrix:
+    """An n-by-n matrix, n >= 1, as n band rows of 2h + 1 numbers, entry
+    (i, j) at [i][j - i + h], written as its dense rows with ``zero`` off the
+    band; a cell whose column falls outside 0..n-1 is never written."""
+
+    def __init__(self, rows: tuple, zero):
+        self.rows, self.zero = rows, zero
+
+
 def dumps_canonical(doc) -> str:
     """The canonical text of doc, the module's definition: sorted keys, no
     insignificant whitespace, non-ASCII text written as is, and a closing
-    newline.  A Fraction is written by encode_real and a complex number as an
-    {"re", "im"} object; any other type JSON lacks is a TypeError.  Documents
-    are trees: there is no cycle check, and a cyclic input is a RecursionError."""
-    return json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=_result_form,
-        check_circular=False,
-    ) + "\n"
+    newline.  A Fraction is written by encode_real, a complex number as an
+    {"re", "im"} object and a BandMatrix as its dense rows; any other type
+    JSON lacks is a TypeError.  Documents are trees: there is no cycle
+    check, and a cyclic input is a RecursionError.
+
+    A BandMatrix is written as a mark no string of the document holds, then
+    replaced by one json.dumps of its zero and in-matrix cells, split at
+    "],[" (no number's text holds it) and joined with runs of the zero."""
+    matrices, mark = [], "\x00band"
+
+    def form(value):
+        kind = type(value)
+        if kind is complex:
+            return {"re": value.real, "im": value.imag}
+        if kind is Fraction:
+            return encode_real(value)
+        if kind is not BandMatrix:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        matrices.append(value)
+        return mark
+
+    def dense(matrix):
+        n, h = len(matrix.rows), len(matrix.rows[0]) // 2
+        cells = [matrix.zero], *(r[max(h - i, 0) : n + h - i] for i, r in enumerate(matrix.rows))
+        zero, *bands = dumps(cells)[2:-2].split("],[")
+        lead, trail = zero + ",", "," + zero
+        rows = (f"[{lead * (i - h)}{b}{trail * (n - 1 - h - i)}]" for i, b in enumerate(bands))
+        return f"[{','.join(rows)}]"
+
+    dumps = partial(json.dumps, default=form, **_CANONICAL)
+    while len(parts := dumps(doc).split(json.dumps(mark))) != len(matrices) + 1:
+        matrices.clear()  # a string of the document holds the mark: lengthen it
+        mark += "\x00"
+    # the newline joins the parts too: the text is copied once
+    return "".join(chain(*zip(parts, map(dense, matrices)), parts[-1:], ["\n"]))
 
 
 def parse_real_value(value, arithmetic, problem=False):
@@ -138,11 +180,7 @@ def parse_angle_text(text: str) -> float:
     m = _PI_TEXT.match(text)
     if not m:
         raise ProblemFormatError(f"not an angle: {text!r}")
-    coef = m.group(1)
-    if coef in ("", "+"):
-        return math.pi
-    if coef == "-":
-        return -math.pi
+    coef = {"": "1", "+": "1", "-": "-1"}.get(m[1], m[1])
     try:
         return float(Fraction(coef)) * math.pi
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -264,8 +302,8 @@ def load_problem(doc: dict) -> Problem:
 
 
 # --------------------------------------------------------------------------
-# the value codec: one json.dumps hook for the result types JSON lacks, and
-# one decoder for every result value
+# the value codec: the text of a Fraction (the dumps_canonical hook writes
+# it and complex numbers), and one decoder for every result value
 
 
 def encode_real(x):
@@ -277,15 +315,6 @@ def encode_real(x):
     except ValueError:  # past the str() digit limit, which decimal lacks
         p = str(Decimal(x.numerator))
         return p if x.denominator == 1 else f"{p}/{Decimal(x.denominator)}"
-
-
-def _result_form(value):
-    kind = type(value)
-    if kind is complex:
-        return {"re": value.real, "im": value.imag}
-    if kind is Fraction:
-        return encode_real(value)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def decode_value(value, arithmetic):
@@ -366,7 +395,7 @@ def encode_solution(solution, problem: Problem) -> dict:
         # listed like the admissible family: P_0..P_n hold (n+1)(n+2)/2 coefficients
         listed = (pair.n + 1) * (pair.n + 2) // 2 <= LIST_LIMIT
         doc["polynomials"] = jacobi.polys if listed else None
-        doc["matrices"] = {"jacobi": jacobi.matrix}
+        doc["matrices"] = {"jacobi": jacobi_band(jacobi)}
     else:
         pair, data = solution.pair, solution.verblunsky
         doc["problem"].update(
@@ -376,8 +405,16 @@ def encode_solution(solution, problem: Problem) -> dict:
             "alpha": data.alpha, "rho": data.rho, "b_n": data.b, "b_m": solution.b_m
         }
         doc["polynomials"] = {"psi_n": solution.psi_n, "psi_m": solution.psi_m}
-        doc["matrices"] = {"c_n": solution.c_n, "c_m": solution.c_m}
+        doc["matrices"] = {"c_n": BandMatrix(solution.c_n, 0j), "c_m": BandMatrix(solution.c_m, 0j)}
     return doc
+
+
+def jacobi_band(jacobi: JacobiData) -> BandMatrix:
+    """The Jacobi matrix as rows (gamma_i, beta_i, 1), zero and one in the
+    field of beta: Fractions, or 0.0 and 1.0 (not a -0.0 from beta[0] * 0)."""
+    zero, one = (Fraction(0), Fraction(1)) if is_exact_scalar(jacobi.beta[0]) else (0.0, 1.0)
+    band = zip((zero, *jacobi.gamma), jacobi.beta, (one,) * (jacobi.n - 1) + (zero,))
+    return BandMatrix(tuple(band), zero)
 
 
 def _circle_pair(zn, zm, thetas, phis) -> CircleSpectrumPair:

@@ -17,6 +17,7 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .errors import DegenerateAngleError, NotUnitModulusError, SharedPointError
 from .scalars import coerce_real_field
@@ -115,19 +116,13 @@ def check_interlace_real(pair: RealSpectrumPair) -> InterlacingVerdict:
     open gap between consecutive x's holds at most one y and no y escapes
     (x_1, x_n).  Rejections name the first offending point.
     """
-    xs, ys = pair.xs, pair.ys
-    n, m = pair.n, pair.m
+    xs, ys, n = pair.xs, pair.ys, pair.n
 
-    for i in range(1, n):
-        if not xs[i - 1] < xs[i]:
-            return InterlacingVerdict(
-                False, code=NOT_SORTED, detail=f"xs[{i}] is not above xs[{i - 1}]"
-            )
-    for k in range(1, m):
-        if not ys[k - 1] < ys[k]:
-            return InterlacingVerdict(
-                False, code=NOT_SORTED, detail=f"ys[{k}] is not above ys[{k - 1}]"
-            )
+    for tag, points in (("xs", xs), ("ys", ys)):
+        for i in range(1, len(points)):
+            if not points[i - 1] < points[i]:
+                detail = f"{tag}[{i}] is not above {tag}[{i - 1}]"
+                return InterlacingVerdict(False, code=NOT_SORTED, detail=detail)
 
     indices = [0]
     for k, y in enumerate(ys):
@@ -169,18 +164,13 @@ def _principal_angle(z: complex) -> float:
 
 
 def _collision_checks(zetas, xis):
-    for i in range(len(zetas)):
-        for j in range(i + 1, len(zetas)):
-            if abs(zetas[i] - zetas[j]) <= POINT_TOL:
-                raise DegenerateAngleError(f"zn[{i}] and zn[{j}] coincide")
-    for i in range(len(xis)):
-        for j in range(i + 1, len(xis)):
-            if abs(xis[i] - xis[j]) <= POINT_TOL:
-                raise DegenerateAngleError(f"zm[{i}] and zm[{j}] coincide")
-    for i, z in enumerate(zetas):
-        for j, w in enumerate(xis):
+    for tag, points in (("zn", zetas), ("zm", xis)):
+        for (i, z), (j, w) in combinations(enumerate(points), 2):
             if abs(z - w) <= POINT_TOL:
-                raise SharedPointError(f"zn[{i}] equals zm[{j}]")
+                raise DegenerateAngleError(f"{tag}[{i}] and {tag}[{j}] coincide")
+    for (i, z), (j, w) in product(enumerate(zetas), enumerate(xis)):
+        if abs(z - w) <= POINT_TOL:
+            raise SharedPointError(f"zn[{i}] equals zm[{j}]")
 
 
 def _normalize(points_n, angles_n, points_m, angles_m) -> CircleSpectrumPair:

@@ -1,4 +1,4 @@
-"""Quadrature moments, the monic three-term recurrence, and Jacobi matrices.
+"""Quadrature moments, the monic three-term recurrence, and its Jacobi band.
 
 Given strictly positive weights on the real nodes, the recurrence
 coefficients beta_k, gamma_k of the discrete measure are rebuilt from the
@@ -11,8 +11,9 @@ integer vectors, one Fraction per coefficient.  Binary64 inputs (D = E = 1)
 run the square-root-free RKPW update, which solves this inverse eigenvalue
 problem for the Jacobi matrix with Givens rotations.  The coefficients fix
 the rest: the monic family P_0..P_n follows by the three-term recurrence,
-and the n-by-n Jacobi matrix carries beta on the diagonal, ones above it and
-gamma below it; its order-k leading block has characteristic polynomial P_k.
+and they are the band of the n-by-n Jacobi matrix (beta on the diagonal,
+ones above it, gamma below it; the writer alone makes it dense), whose
+order-k leading block has characteristic polynomial P_k.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .scalars import coerce_real_field, integer_grid, is_exact_scalar, off_grid
 @dataclass(frozen=True)
 class JacobiData:
     """Three-term recurrence coefficients beta_0..beta_{n-1} and
-    gamma_1..gamma_{n-1} (all positive).  The monic family P_0..P_n and the
-    Jacobi matrix are derived from them on first use."""
+    gamma_1..gamma_{n-1} (all positive), the band of the Jacobi matrix.  The
+    monic family P_0..P_n is derived from them on first use."""
 
     beta: tuple
     gamma: tuple
@@ -59,10 +60,6 @@ class JacobiData:
             )
             out.append(tuple(Fraction(c, u[-1]) for c in u))
         return tuple(out)
-
-    @cached_property
-    def matrix(self) -> tuple:
-        return jacobi_matrix(self)
 
 
 def moments_real(xs, omega) -> tuple:
@@ -186,21 +183,3 @@ def _recurrence_polys(beta, gamma, one):
         out.append(p)
     return tuple(map(tuple, out))
 
-
-def jacobi_matrix(data: JacobiData) -> tuple:
-    """Dense n-by-n monic-recurrence layout: beta diagonal, 1 superdiagonal,
-    gamma subdiagonal."""
-    n = data.n
-    # From the scalar field: beta[0] * 0 is -0.0 in binary64 when beta[0] < 0.
-    exact = is_exact_scalar(data.beta[0])
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    rows = []
-    for i in range(n):
-        row = [zero] * n
-        row[i] = data.beta[i]
-        if i + 1 < n:
-            row[i + 1] = one
-        if i > 0:
-            row[i - 1] = data.gamma[i - 1]
-        rows.append(tuple(row))
-    return tuple(rows)

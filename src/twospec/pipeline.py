@@ -56,7 +56,7 @@ class CircleSolution:
     moments: tuple
     verblunsky: VerblunskyData
     b_m: complex
-    c_n: tuple
+    c_n: tuple  # band rows (popuc.cmv_matrix)
     c_m: tuple
     psi_n: tuple
     psi_m: tuple

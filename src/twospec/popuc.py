@@ -126,7 +126,8 @@ def szego_popuc(alpha, b: complex, ell: int) -> tuple:
 
 def cmv_matrix(alpha, b: complex) -> tuple:
     """Unitary pentadiagonal matrix C(alpha_0, .., alpha_{n-2}, b), n =
-    len(alpha) + 1, as a tuple of n rows.
+    len(alpha) + 1, as n band rows of 5 cells: entry (i, j) at [i][j - i + 2],
+    and a cell whose column falls outside 0..n-1 holds 0j.
 
     Assembled as the banded product L * M over the extended parameter list
     (alpha_0, ..., alpha_{n-2}, b) with rho_{n-1} = 0: Theta_k is the 2x2 block
@@ -153,16 +154,16 @@ def cmv_matrix(alpha, b: complex) -> tuple:
         return rows
 
     lf, mf = factor(0), factor(1)
-    # Entry (i, j) sums lf(i, t) * mf(t, j) over t within one of i, in
-    # increasing t, zero terms included.  A row holds column j at j + 1: the
-    # band of mf row t adds into row[t : t + 3], the two edge cells dropped.
+    # Entry (i, j) sums lf(i, t) * mf(t, j) from 0j over t within one of i,
+    # in increasing t, zero terms included: mf row t adds into cells t - i + 1
+    # .. t - i + 3.  A cell outside the matrix adds only 0j factor cells.
     prod = []
     for i in range(n):
-        row = [0j] * (n + 2)
+        row = [0j] * 5
         for t in range(max(i - 1, 0), min(i + 2, n)):
-            lt, (m0, m1, m2) = lf[i][t - i + 1], mf[t]
-            row[t] += lt * m0
-            row[t + 1] += lt * m1
-            row[t + 2] += lt * m2
-        prod.append(tuple(row[1:-1]))
+            lt, (m0, m1, m2), c = lf[i][t - i + 1], mf[t], t - i + 1
+            row[c] += lt * m0
+            row[c + 1] += lt * m1
+            row[c + 2] += lt * m2
+        prod.append(tuple(row))
     return tuple(prod)

@@ -22,7 +22,7 @@ integer grid (``scalars.integer_grid``; D = 1 in binary64).  The residuals:
   tol * g_j of each point.  The recurrence is rescaled by powers of two
   outside [2^-400, 2^400], the product summed as logarithms: no overflow.
 * unitarity_defect  -- circle: the larger of ||C C* - I||_F and the largest
-  entry deviation of C from the CMV product of (alpha, b), both matrices
+  entry deviation of C from the CMV product of (alpha, b), both band rows
 
 The verdict rule of both settings: coefficients_ok, and every gating
 residual (kernel, spectrum n and m, unitarity on the circle) at most the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import mul, ne, sub
 
 from . import kernel as _kernel
@@ -170,18 +170,14 @@ def _worst(values):
 
 
 def unitarity_defect(rows):
-    """Frobenius norm of C C* - I.  Only rows that share a nonzero column
-    have a nonzero product, so row i meets those rows and itself, in
-    ascending order; the others would add zero.  The sum is the one over all
-    row pairs, bit for bit, and banded matrices take O(n) row pairs."""
-    nonzero = [{k: r[k] for k in compress(range(len(r)), r)} for r in rows]
-    rows_at = {}  # column -> the rows nonzero there, ascending
-    for i, ri in enumerate(nonzero):
-        for k in ri:
-            rows_at.setdefault(k, []).append(i)
+    """Frobenius norm of C C* - I for C as ``cmv_matrix`` band rows.  Rows i
+    and j share a column only when |i - j| <= 4: row i meets those rows in
+    ascending order, over their shared nonzero cells, and any other pair
+    adds zero.  So the sum is the dense one over all row pairs, bit for bit."""
+    nonzero = [{k: v for k, v in enumerate(r, i - 2) if v} for i, r in enumerate(rows)]
     acc = 0.0
     for i, ri in enumerate(nonzero):
-        for j in sorted({i}.union(*(rows_at[k] for k in ri))):
+        for j in range(max(i - 4, 0), min(i + 5, len(rows))):
             rj = nonzero[j]
             s = plain_sum([v * rj[k].conjugate() for k, v in ri.items() if k in rj])
             if i == j:
@@ -271,8 +267,9 @@ def verify_popuc(
         data.b (recomputed from the n-set when unset) and b_m recomputed
         from the m-set, vanish at every prescribed point of their order, to
         the spectrum residual;
-    (c) both matrices are unitary and equal the CMV products of (alpha, b)
-        (the unitarity defect); (d) every |alpha_k| < 1 and |b| = 1.  The
+    (c) both matrices, ``cmv_matrix`` band rows, are unitary and equal the
+        CMV products of (alpha, b) (the unitarity defect; another shape is
+        infinite); (d) every |alpha_k| < 1 and |b| = 1.  The
     coefficient match of Psi_n and Psi_m against the zero products is
     reported only.  An alpha outside the disk fails (d); the coefficient
     match and the CMV product it leaves undefined read None.
@@ -304,7 +301,7 @@ def verify_popuc(
         return _spectrum_residual(value, points, gaps)
 
     def defect(rows, k, b):
-        if [len(r) for r in rows] != [k] * k:
+        if [len(r) for r in rows] != [5] * k:
             return math.inf
         try:
             want = cmv_matrix(alpha[: k - 1], b)

@@ -4,8 +4,9 @@ No library path runs these: the library certifies a reconstruction by its
 verification residuals, and the tests cross-check them here with dense
 linear algebra over generic scalars (Fraction, float, complex), cofactor
 expansions, the recurrence run at a point, the Szego recurrence kept step by
-step, the CMV matrix from its two dense factors, and a generator of problems
-that violate interlacing.  Pivoting is by
+step, the CMV matrix from its two dense factors, the dense rows of band
+matrices and of the Jacobi matrix, and a generator of problems that violate
+interlacing.  Pivoting is by
 magnitude, which is a legal (if unnecessary) choice in exact arithmetic and
 the right one in binary64; exact pivots divide exactly.
 """
@@ -267,6 +268,36 @@ def dense_cmv(alpha, b) -> tuple:
                 row[j] += lf[i][t] * mf[t][j]
         prod.append(tuple(row))
     return tuple(prod)
+
+
+def dense_rows(bands, zero=0j) -> tuple:
+    """The dense rows of an n-by-n matrix held as band rows of 2h + 1 cells
+    (popuc.cmv_matrix, files.BandMatrix): entry (i, j) is bands[i][j - i + h]
+    within h of the diagonal and ``zero`` off the band."""
+    n, h = len(bands), len(bands[0]) // 2
+    return tuple(
+        tuple(bands[i][j - i + h] if abs(j - i) <= h else zero for j in range(n))
+        for i in range(n)
+    )
+
+
+def dense_jacobi(data: JacobiData) -> tuple:
+    """The dense n-by-n Jacobi matrix of the monic recurrence: beta on the
+    diagonal, ones above it, gamma below it, with zero and one from the
+    scalar field of beta (Fractions, or 0.0 and 1.0 in binary64: beta[0] * 0
+    would be -0.0 for a negative beta[0])."""
+    n = data.n
+    zero, one = (Fraction(0), Fraction(1)) if is_exact_scalar(data.beta[0]) else (0.0, 1.0)
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        row[i] = data.beta[i]
+        if i + 1 < n:
+            row[i + 1] = one
+        if i > 0:
+            row[i - 1] = data.gamma[i - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def random_rejected_problem(rng: random.Random, kind: str) -> dict:

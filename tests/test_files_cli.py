@@ -1,3 +1,4 @@
+import cmath
 import io
 import itertools
 import json
@@ -18,6 +19,7 @@ from twospec import cli, files, fuzz
 from twospec.pipeline import reconstruct_circle, reconstruct_real
 
 from . import oracles
+from .test_popuc import _ALPHA, _ANGLE, _UNIT_AXES
 
 REAL_DOC = {
     "schema": "v1",
@@ -426,7 +428,10 @@ def reference_dumps(value):
 def reference_encode(value):
     """The JSON form of a result value, by its type: a Fraction is its str()
     text, a complex number an {"re", "im"} object, a tuple or list an array
-    and a dict an object of encoded entries; anything else is as it is."""
+    and a dict an object of encoded entries, a band matrix its dense rows;
+    anything else is as it is."""
+    if isinstance(value, files.BandMatrix):
+        return reference_encode(oracles.dense_rows(value.rows, value.zero))
     if isinstance(value, F):
         return str(value)
     if isinstance(value, complex):
@@ -572,6 +577,56 @@ class TestCanonicalWriter:
         assert indented(json.loads(text)) == indented(reference_encode(value))
 
 
+def _jacobi_coefficients(n):
+    """beta_0..beta_{n-1} and gamma_1..gamma_{n-1}, all floats (-0.0 and
+    negative betas included) or all Fractions."""
+    def coefficients(beta, gamma):
+        return st.tuples(
+            st.lists(beta, min_size=n, max_size=n),
+            st.lists(gamma, min_size=n - 1, max_size=n - 1),
+        )
+
+    return st.one_of(
+        coefficients(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+        coefficients(
+            st.fractions(-100, 100, max_denominator=10**6),
+            st.fractions(F(1, 10**6), 100, max_denominator=10**6),
+        ),
+    )
+
+
+# The splice mark of dumps_canonical and texts ending in it, held by the
+# document as well; the text must stay the reference one.
+MARK_TEXTS = st.sampled_from(["", "\x00band", 'x"\x00band', "\x00band\x00", "],["])
+
+
+class TestBandMatrixWriter:
+    """The dense text of band matrices against json.dumps of the dense
+    oracles, n = 1..12 on the circle (a 1 x 1 C_m at m = 1, and n <= 5,
+    where the band spans whole rows) and n = 1..8 on the line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.lists(_ALPHA, max_size=11),
+        b=st.one_of(st.sampled_from(_UNIT_AXES), st.builds(cmath.rect, st.just(1.0), _ANGLE)),
+        text=MARK_TEXTS,
+    )
+    def test_cmv_rows(self, alpha, b, text):
+        band = files.BandMatrix(twospec.cmv_matrix(alpha, b), 0j)
+        dense = oracles.dense_cmv(alpha, b)
+        got = files.dumps_canonical({"a": text, "matrices": {"c_n": band, "c_m": band}})
+        want = {"a": text, "matrices": {"c_n": dense, "c_m": dense}}
+        assert got == reference_dumps(reference_encode(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficients=st.integers(1, 8).flatmap(_jacobi_coefficients), text=MARK_TEXTS)
+    def test_jacobi_rows(self, coefficients, text):
+        data = twospec.JacobiData(*map(tuple, coefficients))
+        got = files.dumps_canonical({"matrices": {"jacobi": files.jacobi_band(data)}, "z": text})
+        want = {"matrices": {"jacobi": oracles.dense_jacobi(data)}, "z": text}
+        assert got == reference_dumps(reference_encode(want))
+
+
 def run_cli(tmp_path, doc, *argv):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -623,6 +678,8 @@ BAD_NUMBERS = {
     "profile_inf": (["reconstruct", "--profile", "inf"], real_text()),
     "profile_nan": (["reconstruct", "--profile", "nan"], real_text()),
     "profile_negative": (["reconstruct", "--profile=-1e-8"], real_text()),
+    # an empty flag is a value, as an empty "profile" in the document is
+    "profile_empty": (["reconstruct", "--profile", ""], real_text()),
     "profile_nan_literal": (["reconstruct"], real_text(extra=', "profile": NaN')),
     "fuzz_profile_inf": (
         "fuzz --setting real --n 4 --m 1 --count 1 --profile inf".split(),
@@ -1306,7 +1363,7 @@ class TestSolutionDecoding:
             {"beta": jacobi.beta, "gamma": jacobi.gamma}
         )
         assert doc["polynomials"] == written(list(jacobi.polys))
-        matrix = twospec.jacobi_matrix(jacobi)
+        matrix = oracles.dense_jacobi(jacobi)
         assert doc["matrices"] == {"jacobi": written(matrix)}
 
     def test_written_circle_fields_match_the_library(self):
@@ -1334,8 +1391,8 @@ class TestSolutionDecoding:
         )
         assert doc["matrices"] == written(
             {
-                "c_n": twospec.cmv_matrix(alpha, b_n),
-                "c_m": twospec.cmv_matrix(alpha[: pair.m - 1], b_m),
+                "c_n": oracles.dense_rows(twospec.cmv_matrix(alpha, b_n)),
+                "c_m": oracles.dense_rows(twospec.cmv_matrix(alpha[: pair.m - 1], b_m)),
             }
         )
 

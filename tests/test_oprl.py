@@ -293,7 +293,7 @@ class TestDerivedPolys:
 
     def test_float_family_matches_leading_block_charpolys(self, float_jacobi):
         for k in range(9):
-            char = oracles.brute_charpoly(float_jacobi.matrix, k)
+            char = oracles.brute_charpoly(oracles.dense_jacobi(float_jacobi), k)
             got = float_jacobi.polys[k]
             assert len(got) == len(char) == k + 1
             scale = max(abs(c) for c in char)
@@ -304,11 +304,11 @@ class TestJacobiMatrix:
     def test_order_one(self):
         a = F(9, 4)
         data = twospec.stieltjes((a,), (1,))
-        assert data.matrix == ((a,),)
+        assert oracles.dense_jacobi(data) == ((a,),)
 
     def test_layout_at_unit_parameter(self):
         data = twospec.stieltjes(NODES, W_DEFAULT)
-        mat = twospec.jacobi_matrix(data)
+        mat = oracles.dense_jacobi(data)
         assert [mat[i][i] for i in range(4)] == [F(5, 2)] * 4
         assert [mat[i][i + 1] for i in range(3)] == [1, 1, 1]
         # closed forms at s = 1: gamma = (1, 15/16, 9/16)
@@ -318,7 +318,7 @@ class TestJacobiMatrix:
     def test_leading_block_charpoly_matches_family(self):
         data = twospec.stieltjes(NODES, W_DEFAULT)
         for k in range(5):
-            block = oracles.brute_charpoly(data.matrix, k)
+            block = oracles.brute_charpoly(oracles.dense_jacobi(data), k)
             assert block == data.polys[k]
 
 
@@ -346,7 +346,7 @@ class TestJacobiMatrixZeros:
         pair = twospec.RealSpectrumPair(xs=(-4.0, -3.0, -1.0, 0.5), ys=(-3.5, -0.2))
         data = twospec.reconstruct_real(pair).jacobi
         assert data.beta[0] < 0
-        mat = twospec.jacobi_matrix(data)
+        mat = oracles.dense_jacobi(data)
         for i, row in enumerate(mat):
             for j, entry in enumerate(row):
                 if abs(i - j) > 1:
@@ -354,5 +354,5 @@ class TestJacobiMatrixZeros:
 
     def test_exact_zeros_stay_rational(self):
         data = twospec.stieltjes(NODES, W_DEFAULT)
-        mat = twospec.jacobi_matrix(data)
+        mat = oracles.dense_jacobi(data)
         assert type(mat[0][2]) is F and type(mat[0][1]) is F

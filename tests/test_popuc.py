@@ -168,19 +168,19 @@ class TestSzegoPopuc:
 
 class TestCmvMatrix:
     def test_two_by_two(self):
-        mat = twospec.cmv_matrix((0.0,), 1.0)
+        mat = oracles.dense_rows(twospec.cmv_matrix((0.0,), 1.0))
         assert mat == ((0j, 1 + 0j), (1 + 0j, 0j))
 
     def test_order_one(self):
         b = cmath.rect(1.0, 0.7)
-        mat = twospec.cmv_matrix((), b)
+        mat = oracles.dense_rows(twospec.cmv_matrix((), b))
         assert mat == ((b.conjugate(),),)
         psi = twospec.szego_popuc((), b, 1)
         approx_c(oracles.poly_eval(psi, b.conjugate()), 0.0, tol=1e-15)
 
     def test_three_by_three_golden(self):
         rho1 = math.sqrt(2 * SQRT3 - 3)
-        mat = twospec.cmv_matrix((0.0, 1 - SQRT3), 1j)
+        mat = oracles.dense_rows(twospec.cmv_matrix((0.0, 1 - SQRT3), 1j))
         expected = (
             (0.0, 1 - SQRT3, rho1),
             (1.0, 0.0, 0.0),
@@ -207,7 +207,7 @@ class TestCmvMatrix:
             for _ in range(7)
         )
         b = cmath.rect(1.0, 0.4)
-        mat = twospec.cmv_matrix(alpha, b)
+        mat = oracles.dense_rows(twospec.cmv_matrix(alpha, b))
         n = len(mat)
         for i in range(n):
             for j in range(n):
@@ -223,7 +223,7 @@ class TestCmvMatrix:
         )
         b = cmath.rect(1.0, 1.9)
         n = len(alpha) + 1
-        mat = twospec.cmv_matrix(alpha, b)
+        mat = oracles.dense_rows(twospec.cmv_matrix(alpha, b))
         char = oracles.brute_charpoly(mat, n)
         psi = twospec.szego_popuc(alpha, b, n)
         assert char == pytest.approx(psi, abs=1e-12)
@@ -261,7 +261,7 @@ class TestCmvMatrix:
         def bits(rows):
             return [[(repr(z.real), repr(z.imag)) for z in row] for row in rows]
 
-        assert bits(twospec.cmv_matrix(alpha, b)) == bits(dense)
+        assert bits(oracles.dense_rows(twospec.cmv_matrix(alpha, b))) == bits(dense)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -274,17 +274,30 @@ class TestCmvMatrix:
         def bits(rows):
             return [list(map(repr, row)) for row in rows]
 
-        assert bits(twospec.cmv_matrix(alpha, b)) == bits(oracles.dense_cmv(alpha, b))
+        rows = twospec.cmv_matrix(alpha, b)
+        assert bits(oracles.dense_rows(rows)) == bits(oracles.dense_cmv(alpha, b))
+        # and each band cell whose column falls outside the matrix holds 0j
+        n = len(rows)
+        outside = [c for i, r in enumerate(rows) for j, c in enumerate(r, i - 2) if not 0 <= j < n]
+        assert set(map(repr, outside)) <= {"0j"}
 
     def test_defect_matches_dense_sum(self):
         rng = random.Random(2)
         alpha = tuple(complex(rng.uniform(-0.6, 0.6), 0.1) for _ in range(6))
-        full = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(5)] for _ in range(5)]
+        # and random band rows of order 9, every cell inside the matrix nonzero
+        full = [
+            [
+                complex(rng.gauss(0, 1), rng.gauss(0, 1)) if 0 <= j < 9 else 0j
+                for j in range(i - 2, i + 3)
+            ]
+            for i in range(9)
+        ]
         for rows in (twospec.cmv_matrix(alpha, 1j), full):
-            n, acc = len(rows), 0.0
+            dense = oracles.dense_rows(rows)
+            n, acc = len(dense), 0.0
             for i in range(n):
                 for j in range(n):
-                    s = sum(rows[i][k] * rows[j][k].conjugate() for k in range(n))
+                    s = sum(dense[i][k] * dense[j][k].conjugate() for k in range(n))
                     acc += abs(s - 1 if i == j else s) ** 2
             assert unitarity_defect(rows) == math.sqrt(acc)
 
@@ -352,4 +365,4 @@ class TestRoundTrip:
         mat = twospec.cmv_matrix(data.alpha, b)
         assert unitarity_defect(mat) <= 1e-10
         for z in zetas:
-            assert abs(oracles.brute_det(mat, z)) <= 1e-10
+            assert abs(oracles.brute_det(oracles.dense_rows(mat), z)) <= 1e-10

@@ -290,7 +290,7 @@ class TestStieltjesProperties:
             pair.xs, tuple(F(1, 1) for _ in range(pair.n))
         )
         for k in range(min(pair.n, 5) + 1):
-            char = oracles.brute_charpoly(jac.matrix, k)
+            char = oracles.brute_charpoly(oracles.dense_jacobi(jac), k)
             assert char == jac.polys[k]
 
 
