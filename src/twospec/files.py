@@ -223,7 +223,8 @@ def parse_weights(doc, arithmetic) -> WeightSelection:
     if not isinstance(doc, dict):
         raise ProblemFormatError("weights must be an object")
     given = {} if doc.get("coefficients") is None else doc["coefficients"]
-    strategy = doc.get("strategy", COEFFICIENTS if given else SUM_ALL)
+    if (strategy := doc.get("strategy")) is None:
+        strategy = COEFFICIENTS if given else SUM_ALL
     if not isinstance(given, dict):
         raise ProblemFormatError("weights.coefficients must be an object")
     coeffs = {}

@@ -379,7 +379,6 @@ class Setting:
     and m-set coordinates and their grid scale D, their signed difference,
     and the magnitude at or below which a difference means two points coincide."""
 
-    name: str
     check: Callable
     bands: Callable
     system: Callable
@@ -395,11 +394,11 @@ def _line_grid(xs, ys):
 
 
 _REAL = Setting(
-    REAL, check_interlace_real, bands_real, _assemble_real,
+    check_interlace_real, bands_real, _assemble_real,
     lambda pair: _line_grid(pair.xs, pair.ys), operator.sub, 0,
 )  # fmt: skip
 _CIRCLE = Setting(
-    CIRCLE, check_interlace_circle, lambda pair, verdict: bands_circle(pair),
+    check_interlace_circle, lambda pair, verdict: bands_circle(pair),
     _assemble_circle, lambda pair: (pair.thetas, pair.phis, 1.0),
     lambda x, y: math.sin((x - y) / 2.0), _SIN_TOL,
 )  # fmt: skip

@@ -1,9 +1,11 @@
-"""End-to-end reconstruction drivers for both settings.
+"""End-to-end reconstruction for both settings.
 
-Each driver runs the full chain -- interlacing check, band decomposition,
-circuit combination, moments, recurrence recovery, matrix assembly -- and
-always attaches an independent verification report.  The solution decoder
-reuses ``interlace`` and ``circle_parts``; ``reconstruct`` picks the driver.
+``reconstruct`` runs the chain once: the interlacing check with its band
+decomposition, the family listing and the positive weight; then, on the
+line, Stieltjes, the moments and the OPRL report, and on the circle, the
+moments, the Verblunsky recovery, the CMV assembly and the POPUC report.
+``reconstruct_real`` and ``reconstruct_circle`` are the same function.  The
+solution decoder reuses ``interlace`` and ``circle_parts``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from .errors import InterlacingRejectedError
 from .interlacing import CircleSpectrumPair, InterlacingVerdict, RealSpectrumPair
 from .kernel import (
-    REAL,
     WeightResult,
     WeightSelection,
     family_listing,
@@ -73,36 +74,6 @@ def interlace(pair) -> tuple:
     return verdict, setting.bands(pair, verdict)
 
 
-def _weighted(pair, selection):
-    """The steps both drivers share: interlacing, bands, the family listing
-    and the positive weight."""
-    verdict, bands = interlace(pair)
-    size, family = family_listing(bands)
-    weight = positive_weight(pair, bands, selection or WeightSelection())
-    return dict(
-        verdict=verdict, bands=bands, family_size=size, family=family, weight=weight
-    )
-
-
-def reconstruct_real(
-    pair: RealSpectrumPair,
-    selection: WeightSelection | None = None,
-    profile=STANDARD,
-) -> RealSolution:
-    """Full real-line pipeline; raises InterlacingRejectedError when the
-    prescribed sets do not strictly interlace."""
-    common = _weighted(pair, selection)
-    omega = common["weight"].omega
-    jacobi = stieltjes(pair.xs, omega)
-    return RealSolution(
-        pair=pair,
-        moments=moments_real(pair.xs, omega),
-        jacobi=jacobi,
-        report=verify_oprl(pair, omega, jacobi, profile),
-        **common,
-    )
-
-
 def circle_parts(pair: CircleSpectrumPair, alpha) -> dict:
     """The CircleSolution fields that the pair and alpha_0..alpha_{n-2} fix:
     the Verblunsky data with b_n, b_m, C_n, C_m, Psi_n and Psi_m."""
@@ -117,14 +88,20 @@ def circle_parts(pair: CircleSpectrumPair, alpha) -> dict:
     )
 
 
-def reconstruct_circle(
-    pair: CircleSpectrumPair,
-    selection: WeightSelection | None = None,
-    profile=STANDARD,
-) -> CircleSolution:
-    """Full circle pipeline on a normalized pair."""
-    common = _weighted(pair, selection)
-    omega = common["weight"].omega
+def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD):
+    """Full pipeline of the pair's setting: a RealSolution or a
+    CircleSolution.  Raises InterlacingRejectedError when the prescribed
+    sets do not strictly interlace, TypeError when ``pair`` is neither."""
+    verdict, bands = interlace(pair)
+    size, family = family_listing(bands)
+    weight = positive_weight(pair, bands, selection or WeightSelection())
+    omega = weight.omega
+    common = dict(verdict=verdict, bands=bands, family_size=size, family=family, weight=weight)
+    if isinstance(pair, RealSpectrumPair):
+        jacobi = stieltjes(pair.xs, omega)
+        moments = moments_real(pair.xs, omega)
+        report = verify_oprl(pair, omega, jacobi, profile)
+        return RealSolution(pair=pair, moments=moments, jacobi=jacobi, report=report, **common)
     moments = trig_moments(pair.zetas, omega)
     parts = circle_parts(pair, verblunsky_from_moments(moments).alpha)
     matrices = (parts["c_n"], parts["c_m"])
@@ -132,8 +109,4 @@ def reconstruct_circle(
     return CircleSolution(pair=pair, moments=moments, report=report, **parts, **common)
 
 
-def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD):
-    """Full pipeline of the pair's setting: a RealSolution or a
-    CircleSolution."""
-    driver = reconstruct_real if setting_of(pair).name == REAL else reconstruct_circle
-    return driver(pair, selection, profile)
+reconstruct_real = reconstruct_circle = reconstruct

@@ -59,6 +59,11 @@ class TestProblemParsing:
     def test_null_arithmetic_and_weights_select_the_defaults(self):
         problem = files.load_problem(dict(REAL_DOC, arithmetic=None, weights=None))
         assert (problem.arithmetic, problem.selection) == ("rational", twospec.WeightSelection())
+        problem = files.load_problem(dict(REAL_DOC, weights={"strategy": None}))
+        assert problem.selection == twospec.WeightSelection()
+        weights = {"strategy": None, "coefficients": {"s1": "3"}}
+        problem = files.load_problem(dict(REAL_DOC, weights=weights))
+        assert problem.selection == twospec.WeightSelection("coefficients", {1: F(3)})
 
     def test_float64_mode(self):
         doc = dict(REAL_DOC, arithmetic="float64")
@@ -520,6 +525,7 @@ class TestCanonicalWriter:
         doc = dict(json.loads((PROBLEMS / name).read_text()), arithmetic=arithmetic)
         problem = files.load_problem(doc)
         solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        assert solution.report.verdict
         value = files.encode_solution(solution, problem)
         assert files.dumps_canonical(value) == reference_dumps(reference_encode(value))
 

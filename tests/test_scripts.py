@@ -32,9 +32,17 @@ def test_run_examples_exits_zero():
 
 
 def test_run_large_instance_float64_exits_zero():
-    # the rational run (about 4.5 s) is left to the script's own users
-    out = run_script("run_large_instance.py", "--arithmetic", "float64")
-    assert "verified  True" in out
+    # the 60-node pair (odd 1..119 against even 2..70, sum_all, profile 1e-6)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(
+            ["reconstruct", "-i", str(ROOT / "problems" / "large_real.json"),
+             "--arithmetic", "float64"]
+        )
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc["arithmetic"] == "float64"
+    assert doc["verification"]["verdict"] == "pass"
 
 
 def load_digest():
