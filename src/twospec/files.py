@@ -16,7 +16,9 @@ python -m json.tool --indent 2 --sort-keys --no-ensure-ascii.
 
 Problem values: the real setting accepts integers, "p/q" strings and
 decimal strings; the circle setting accepts {"re", "im"} points, angle
-strings of the form "p/q pi", and bare numbers meaning radians.  A problem
+strings of the form "p/q pi", and bare numbers meaning radians, each value
+read by its own form into (unit point, angle in [0, 2 pi)).  A number text
+holds no "_" and no space next to "/", on every interpreter.  A problem
 value has at most PROBLEM_DIGITS digits in its numerator and in its
 denominator.  The combination circle + rational arithmetic is rejected.
 """
@@ -35,8 +37,8 @@ from itertools import chain
 
 from .errors import ProblemFormatError, TwospecError, UnsupportedArithmeticError
 from .interlacing import (
-    TWO_PI, UNIT_TOL, CircleSpectrumPair, RealSpectrumPair, _collision_checks,
-    circle_pair_from_angles, normalize_circle,
+    TWO_PI, UNIT_TOL, CircleSpectrumPair, RealSpectrumPair, _collision_checks, _normalize,
+    angle_reading, point_reading,
 )
 from .kernel import (
     CIRCLE, COEFFICIENTS, LIST_LIMIT, REAL, STRATEGIES, SUM_ALL, WeightResult, WeightSelection,
@@ -64,7 +66,10 @@ _INTEGER_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 PROBLEM_DIGITS = 4300
 _PROBLEM_BOUND = 10**PROBLEM_DIGITS
 _LONG_DIGIT_RUN = re.compile(f"[0-9]{{{PROBLEM_DIGITS + 1}}}")
-_EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
+_EXPONENT = re.compile(r"[eE][+-]?([0-9]+)")
+# Fraction reads "1_000" from Python 3.11 and "1 / 3" from 3.12: refusing
+# both gives every interpreter the same number grammar
+_NOT_A_NUMBER = re.compile(r"_|\s/|/\s")
 _CANONICAL = dict(sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False)
 
 
@@ -163,12 +168,14 @@ def parse_real_value(value, arithmetic, problem=False):
 
 
 def _check_text(text, problem=True):
-    """Refuse a text with an exponent of 10^4 or more, and a problem text
-    whose number must have more than PROBLEM_DIGITS digits: a longer digit
-    run, or such an exponent (the mantissa of a readable text has fewer than
-    10^4 digits)."""
+    """Refuse a text with an underscore or a space next to "/", a text with
+    an exponent of 10^4 or more, and a problem text whose number must have
+    more than PROBLEM_DIGITS digits: a longer digit run, or such an exponent
+    (the mantissa of a readable text has fewer than 10^4 digits)."""
+    if _NOT_A_NUMBER.search(text):
+        raise ProblemFormatError(f"no '_' and no space next to '/' in {text[:40]!r}")
     exponent = _EXPONENT.search(text)
-    huge = exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4
+    huge = exponent and len(exponent[1].lstrip("0")) > 4
     if problem and (huge or _LONG_DIGIT_RUN.search(text)):
         raise ProblemFormatError(f"a problem value has more than {PROBLEM_DIGITS} digits")
     if huge:
@@ -187,16 +194,18 @@ def parse_angle_text(text: str) -> float:
         raise ProblemFormatError(f"cannot parse angle {text!r}") from exc
 
 
-def parse_circle_value(value):
-    """Returns ("angle", radians) or ("point", complex), finite either way."""
+def parse_circle_value(value, tag, i):
+    """The reading (unit point, angle in [0, 2 pi)) of the circle value
+    tag[i], by its own form: an {"re", "im"} point by point_reading, an
+    angle by angle_reading."""
     if isinstance(value, str) and _PI_TEXT.match(value):
         _check_text(value)
-        return "angle", parse_angle_text(value)
+        return angle_reading(parse_angle_text(value), tag, i)
     if isinstance(value, dict) and "re" in value and "im" in value:
         parts = (parse_real_value(value[k], FLOAT64, problem=True) for k in ("re", "im"))
-        return "point", complex(*parts)
+        return point_reading(complex(*parts), tag, i)
     if isinstance(value, (str, int, float)):
-        return "angle", parse_real_value(value, FLOAT64, problem=True)
+        return angle_reading(parse_real_value(value, FLOAT64, problem=True), tag, i)
     raise ProblemFormatError(f"cannot parse circle value {value!r}")
 
 
@@ -272,22 +281,8 @@ def load_problem(doc: dict) -> Problem:
         except ValueError as exc:
             raise ProblemFormatError(str(exc)) from exc
     else:
-        parsed_n = [parse_circle_value(v) for v in zn]
-        parsed_m = [parse_circle_value(v) for v in zm]
         try:
-            if all(kind == "angle" for kind, _ in parsed_n + parsed_m):
-                pair = circle_pair_from_angles(
-                    [v for _, v in parsed_n], [v for _, v in parsed_m]
-                )
-            else:
-
-                def as_point(kind, v):
-                    return v if kind == "point" else cmath.rect(1.0, v)
-
-                pair = normalize_circle(
-                    [as_point(k, v) for k, v in parsed_n],
-                    [as_point(k, v) for k, v in parsed_m],
-                )
+            pair = _normalize(parse_circle_value, zn, zm)
         except ValueError as exc:
             raise ProblemFormatError(str(exc)) from exc
 

@@ -159,10 +159,6 @@ def bands_real(pair: RealSpectrumPair, verdict: InterlacingVerdict) -> tuple:
     return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(idx, idx[1:]))
 
 
-def _principal_angle(z: complex) -> float:
-    return cmath.phase(z) % TWO_PI
-
-
 def _collision_checks(zetas, xis):
     for tag, points in (("zn", zetas), ("zm", xis)):
         for (i, z), (j, w) in combinations(enumerate(points), 2):
@@ -173,18 +169,40 @@ def _collision_checks(zetas, xis):
             raise SharedPointError(f"zn[{i}] equals zm[{j}]")
 
 
-def _normalize(points_n, angles_n, points_m, angles_m) -> CircleSpectrumPair:
-    _collision_checks(points_n, points_m)
-    base = min(angles_m)
-    zn = sorted(zip(angles_n, points_n), key=lambda t: (t[0] - base) % TWO_PI)
-    zm = sorted(zip(angles_m, points_m), key=lambda t: (t[0] - base) % TWO_PI)
-    thetas = tuple(base + ((a - base) % TWO_PI) for a, _ in zn)
-    phis = tuple(base + ((a - base) % TWO_PI) for a, _ in zm)
+def point_reading(z, tag, i):
+    """The reading (z / |z|, its angle in [0, 2*pi)) of a raw point;
+    NotUnitModulusError naming tag[i] when | |z| - 1 | > UNIT_TOL."""
+    z = complex(z)
+    r = abs(z)
+    if not abs(r - 1.0) <= UNIT_TOL:  # NaN fails too
+        raise NotUnitModulusError(f"{tag}[{i}] has modulus {r!r}")
+    z /= r
+    return z, cmath.phase(z) % TWO_PI
+
+
+def angle_reading(a, tag, i):
+    """The reading (e^(i a), a mod 2*pi) of an angle in radians; a NaN or
+    infinite angle names no point (NotUnitModulusError naming tag[i])."""
+    a = float(a)
+    if not math.isfinite(a):
+        raise NotUnitModulusError(f"{tag}[{i}] has angle {a!r}")
+    a %= TWO_PI
+    return cmath.rect(1.0, a), a
+
+
+def _normalize(read, zn_raw, zm_raw) -> CircleSpectrumPair:
+    """The pair of the readings read(value, tag, i) of each raw value; a
+    value's name tag[i] is built only to raise."""
+    zn = [read(v, "zn", i) for i, v in enumerate(zn_raw)]
+    zm = [read(v, "zm", i) for i, v in enumerate(zm_raw)]
+    _collision_checks([p for p, _ in zn], [p for p, _ in zm])
+    base = min((a for _, a in zm), default=0.0)  # CircleSpectrumPair refuses m = 0
+    zn, zm = (sorted(r, key=lambda t: (t[1] - base) % TWO_PI) for r in (zn, zm))
     return CircleSpectrumPair(
-        zetas=tuple(p for _, p in zn),
-        xis=tuple(p for _, p in zm),
-        thetas=thetas,
-        phis=phis,
+        zetas=tuple(p for p, _ in zn),
+        xis=tuple(p for p, _ in zm),
+        thetas=tuple(base + ((a - base) % TWO_PI) for _, a in zn),
+        phis=tuple(base + ((a - base) % TWO_PI) for _, a in zm),
     )
 
 
@@ -196,38 +214,13 @@ def normalize_circle(zetas_raw, xis_raw) -> CircleSpectrumPair:
     both sets are relabelled in increasing argument, so any permutation of
     the raw inputs yields the same pair.
     """
-    def project(tag, values):
-        pts = []
-        for i, z in enumerate(values):
-            z = complex(z)
-            r = abs(z)
-            if not abs(r - 1.0) <= UNIT_TOL:  # NaN fails too
-                raise NotUnitModulusError(f"{tag}[{i}] has modulus {r!r}")
-            pts.append(z / r)
-        return pts
-
-    pn = project("zn", zetas_raw)
-    pm = project("zm", xis_raw)
-    return _normalize(
-        pn, [_principal_angle(z) for z in pn], pm, [_principal_angle(z) for z in pm]
-    )
+    return _normalize(point_reading, zetas_raw, xis_raw)
 
 
 def circle_pair_from_angles(thetas_raw, phis_raw) -> CircleSpectrumPair:
     """Like :func:`normalize_circle` but from angles in radians; a NaN or
     infinite angle names no point of the circle (NotUnitModulusError)."""
-    def reduce(tag, values):
-        angles = [float(a) for a in values]
-        for i, a in enumerate(angles):
-            if not math.isfinite(a):
-                raise NotUnitModulusError(f"{tag}[{i}] has angle {a!r}")
-        return [a % TWO_PI for a in angles]
-
-    an = reduce("zn", thetas_raw)
-    am = reduce("zm", phis_raw)
-    pn = [cmath.rect(1.0, a) for a in an]
-    pm = [cmath.rect(1.0, a) for a in am]
-    return _normalize(pn, an, pm, am)
+    return _normalize(angle_reading, thetas_raw, phis_raw)
 
 
 def _circle_bands(pair: CircleSpectrumPair):

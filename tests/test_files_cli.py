@@ -87,6 +87,23 @@ class TestProblemParsing:
         problem = files.load_problem(doc)
         assert problem.pair.xis == (1 + 0j, -1 + 0j)
 
+    def test_mixed_document_reads_its_angles_as_an_all_angle_one(self):
+        mixed, angles = (
+            files.load_problem(json.loads((PROBLEMS / name).read_text()))
+            for name in ("circle_mixed.json", "circle_small.json")
+        )
+        assert mixed.pair.thetas == angles.pair.thetas
+        assert mixed.pair.phis == angles.pair.phis
+
+    @pytest.mark.parametrize(
+        "zn, zm",
+        [(["1/2 pi", "1 pi"], []), ([], ["0 pi"]), ([], [])],
+        ids=["empty_m", "empty_n", "both_empty"],
+    )
+    def test_empty_circle_sets_are_the_size_error(self, zn, zm):
+        with pytest.raises(twospec.ProblemFormatError, match="need 1 <= m < n"):
+            files.load_problem(dict(CIRCLE_DOC, zn=zn, zm=zm))
+
     def test_bare_numbers_are_radians(self):
         doc = dict(CIRCLE_DOC, zn=[0.5, 2.0, 4.0], zm=[1.0, 3.0])
         problem = files.load_problem(doc)
@@ -519,6 +536,7 @@ class TestCanonicalWriter:
             ("large_real.json", files.RATIONAL),
             ("large_real.json", files.FLOAT64),
             ("circle_small.json", files.FLOAT64),
+            ("circle_mixed.json", files.FLOAT64),
         ],
     )
     def test_problem_documents(self, name, arithmetic):
@@ -566,6 +584,7 @@ class TestCanonicalWriter:
             ("large_real.json", files.RATIONAL),
             ("large_real.json", files.FLOAT64),
             ("circle_small.json", files.FLOAT64),
+            ("circle_mixed.json", files.FLOAT64),
         ],
     )
     def test_indenting_the_text_gives_the_indented_document(self, name, arithmetic):
@@ -641,9 +660,9 @@ def run_cli(tmp_path, doc, *argv):
     return code, out.read_text()
 
 
-def real_text(zn="1, 2, 3", zm="1.5", extra=""):
+def real_text(zn="1, 2, 3", zm="1.5", extra="", arithmetic="float64"):
     return (
-        '{"schema": "v1", "setting": "real", "arithmetic": "float64", '
+        f'{{"schema": "v1", "setting": "real", "arithmetic": "{arithmetic}", '
         f'"zn": [{zn}], "zm": [{zm}]{extra}}}'
     )
 
@@ -687,6 +706,24 @@ BAD_NUMBERS = {
     # an empty flag is a value, as an empty "profile" in the document is
     "profile_empty": (["reconstruct", "--profile", ""], real_text()),
     "profile_nan_literal": (["reconstruct"], real_text(extra=', "profile": NaN')),
+    # Fraction reads underscores from Python 3.11 and spaces around "/" from
+    # 3.12; the documented grammar has neither on any interpreter
+    **{
+        f"real_{arithmetic}_{name}": (
+            ["check"], real_text(f'"{text}", 2000, 3000', "2500", arithmetic=arithmetic)
+        )
+        for name, text in (
+            ("underscore_integer", "1_000"),
+            ("underscore_ratio", "1_0/3"),
+            ("spaced_ratio", "1 / 3"),
+            ("underscore_decimal", "1_0.5"),
+            ("underscore_exponent", "1e1_0"),
+        )
+        for arithmetic in ("rational", "float64")
+    },
+    "circle_angle_underscore": (["check"], circle_text('"1_0/7 pi"')),
+    "circle_angle_spaced_ratio": (["check"], circle_text('"1 / 3 pi"')),
+    "circle_point_underscore": (["check"], circle_text('{"re": "1_0e-1", "im": 0}')),
     "fuzz_profile_inf": (
         "fuzz --setting real --n 4 --m 1 --count 1 --profile inf".split(),
         None,

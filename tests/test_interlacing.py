@@ -141,6 +141,12 @@ class TestCircleNormalize:
         with pytest.raises(twospec.NotUnitModulusError):
             twospec.normalize_circle([2 + 0j, 1j], [1 + 0j])
 
+    def test_empty_m_set_is_the_size_error(self):
+        with pytest.raises(ValueError, match="need 1 <= m < n"):
+            twospec.normalize_circle([1j, -1j], [])
+        with pytest.raises(ValueError, match="need 1 <= m < n"):
+            twospec.circle_pair_from_angles((1.0, 2.0), ())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_raises(self, bad):
         with pytest.raises(twospec.NotUnitModulusError):

@@ -2,10 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 from twospec import cli
@@ -13,34 +10,29 @@ from twospec import cli
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *argv],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+def reconstruct(*argv):
+    """Exit code and written document of `twospec reconstruct argv`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["reconstruct", *argv])
+    return code, json.loads(out.getvalue())
 
 
-def test_run_examples_exits_zero():
-    assert "verified    True" in run_script("run_examples.py")
+def test_reconstruct_with_a_coefficient_exits_zero():
+    # the 4-node line pair of the quick start with s1 = 3
+    code, doc = reconstruct("-i", str(ROOT / "problems" / "real_small.json"), "--param", "s1=3")
+    assert code == 0
+    assert doc["problem"]["weights"] == {"strategy": "coefficients", "coefficients": {"s1": "3"}}
+    assert doc["omega"] == ["2/3", "2/3", "2", "14/15"]
+    assert doc["verification"]["verdict"] == "pass"
 
 
 def test_run_large_instance_float64_exits_zero():
     # the 60-node pair (odd 1..119 against even 2..70, sum_all, profile 1e-6)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(
-            ["reconstruct", "-i", str(ROOT / "problems" / "large_real.json"),
-             "--arithmetic", "float64"]
-        )
+    code, doc = reconstruct(
+        "-i", str(ROOT / "problems" / "large_real.json"), "--arithmetic", "float64"
+    )
     assert code == 0
-    doc = json.loads(out.getvalue())
     assert doc["arithmetic"] == "float64"
     assert doc["verification"]["verdict"] == "pass"
 
