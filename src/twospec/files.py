@@ -152,6 +152,12 @@ def parse_real_value(value, arithmetic, problem=False):
         raise ProblemFormatError(f"not a real value: {value!r}")
     if isinstance(value, str):
         _check_text(value, problem)
+        if arithmetic == FLOAT64 and len(value) <= 40:  # float() is float(exact), under the cap
+            try:  # zero ("-0" reads +0.0), inf, nan and "p/q" are read below
+                if (x := float(value)) and math.isfinite(x):
+                    return x
+            except ValueError:
+                pass
     try:
         try:
             exact = Fraction(str(value) if isinstance(value, float) else value)
@@ -183,15 +189,12 @@ def _check_text(text, problem=True):
 
 
 def parse_angle_text(text: str) -> float:
-    """Angles written as rational multiples of pi, e.g. "4/3 pi" or "-pi"."""
+    """Angles as multiples of pi, e.g. "4/3 pi" or "-pi", the multiple a problem value."""
     m = _PI_TEXT.match(text)
     if not m:
         raise ProblemFormatError(f"not an angle: {text!r}")
     coef = {"": "1", "+": "1", "-": "-1"}.get(m[1], m[1])
-    try:
-        return float(Fraction(coef)) * math.pi
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ProblemFormatError(f"cannot parse angle {text!r}") from exc
+    return parse_real_value(coef, FLOAT64, problem=True) * math.pi
 
 
 def parse_circle_value(value, tag, i):

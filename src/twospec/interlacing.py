@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -195,7 +196,10 @@ def _normalize(read, zn_raw, zm_raw) -> CircleSpectrumPair:
     value's name tag[i] is built only to raise."""
     zn = [read(v, "zn", i) for i, v in enumerate(zn_raw)]
     zm = [read(v, "zm", i) for i, v in enumerate(zm_raw)]
-    _collision_checks([p for p, _ in zn], [p for p, _ in zm])
+    # points within POINT_TOL have angle-order neighbours, wrap included, within 4 POINT_TOL
+    ring = [p for p, _ in sorted(zn + zm, key=operator.itemgetter(1))]
+    if min(map(abs, map(operator.sub, ring, ring[1:] + ring[:1])), default=0.0) <= 4 * POINT_TOL:
+        _collision_checks([p for p, _ in zn], [p for p, _ in zm])
     base = min((a for _, a in zm), default=0.0)  # CircleSpectrumPair refuses m = 0
     zn, zm = (sorted(r, key=lambda t: (t[1] - base) % TWO_PI) for r in (zn, zm))
     return CircleSpectrumPair(

@@ -13,7 +13,8 @@ per band is entrywise nonnegative after the sign choice, and conical
 combinations of those circuits that cover every index are exactly the
 strictly positive solutions.  The sum of the whole one-per-band family
 factors over the bands, so the default weight is computed in closed form in
-O(n^2) whatever the family size, and the line's ``cover`` weight in O(n*m).
+O(n^2) whatever the family size, the line's ``cover`` weight in O(n*m), and
+the circle's from folds of circuit factors shared within a band.
 Rational line coordinates run on their integer grid X = D x, Y = D y, where
 a circuit entry is the Fraction D^(2m) / (integer product); binary64 and
 circle ones are their own, D = 1.
@@ -234,17 +235,21 @@ def circuits(pair, supports) -> tuple:
         for j, ps in partners.items()
     }
     for s in built:
-        entries = []
-        for p, j in enumerate(s):
-            factors = map(row[j].__getitem__, s[:p] + s[p + 1 :])
-            try:
-                entries.append(unit / math.prod(factors, start=pm[j]))
-            except ZeroDivisionError:  # the running product underflows binary64
-                raise NonpositiveWeightError(f"circuit entry {j} overflows") from None
-        if sum((e > 0) - (e < 0) for e in entries) < 0:
-            entries = [-e for e in entries]
-        built[s] = (s, tuple(entries))
+        factors = ((j, map(row[j].__getitem__, s[:p] + s[p + 1 :])) for p, j in enumerate(s))
+        dens = [math.prod(f, start=pm[j]) for j, f in factors]
+        built[s] = (s, _signed_entries(s, dens, unit))
     return tuple(map(built.__getitem__, supports))
+
+
+def _signed_entries(support, dens, unit) -> tuple:
+    """unit / den for each den, negated when most are negative; a zero den is
+    a running product that underflowed binary64 (NonpositiveWeightError)."""
+    if not all(dens):
+        raise NonpositiveWeightError(f"circuit entry {support[dens.index(0)]} overflows")
+    entries = [unit / d for d in dens]
+    if sum(map(operator.lt, entries, repeat(0))) > sum(map(operator.gt, entries, repeat(0))):
+        entries = [-e for e in entries]
+    return tuple(entries)
 
 
 def circuit(pair, support) -> tuple:
@@ -252,7 +257,7 @@ def circuit(pair, support) -> tuple:
     return circuits(pair, (support,))[0]
 
 
-def _sum_all_omega(pair, setting, bands: tuple, band_of: dict) -> list:
+def _sum_all_omega(pair, setting, bands: tuple) -> list:
     """The sum of every admissible circuit, in O(n^2) without building one.
 
     The entries of a one-per-band circuit share one sign, so the entry at j
@@ -264,6 +269,7 @@ def _sum_all_omega(pair, setting, bands: tuple, band_of: dict) -> list:
     nodes, points, scale = setting.coords(pair)
     diff, unit = setting.diff, off_grid(scale, 1)  # unit / d exact on the exact grid
     _check_distinct(setting, nodes)
+    band_of = {j: r for r, b in enumerate(bands) for j in b}
     omega = []
     for j, x in enumerate(nodes):
         acc = 1
@@ -274,10 +280,11 @@ def _sum_all_omega(pair, setting, bands: tuple, band_of: dict) -> list:
     return omega
 
 
-def _cover_omega(pair, setting, bands: tuple, band_of: dict) -> list:
-    """The sum of the n ``cover`` circuits in O(n*m), building none: a non-first
-    j of band b has one, with entry omega_j at j and c0_s d(x_{f_s}, x_{f_b}) /
+def _cover_omega(pair, bands: tuple) -> tuple:
+    """``(omega, circuits)`` of the line's ``cover``, omega in O(n*m): a non-first j of
+    band b is on one circuit, entry omega_j at j and c0_s d(x_{f_s}, x_{f_b}) /
     d(x_{f_s}, x_j) at the first index f_s of band s; c0, the base, counts B times."""
+    setting = setting_of(pair)
     nodes, points, scale = setting.coords(pair)
     diff, div = setting.diff, operator.truediv if isinstance(scale, float) else Fraction
     unit = off_grid(scale ** (len(points) + len(bands) - 1), 1)
@@ -286,7 +293,7 @@ def _cover_omega(pair, setting, bands: tuple, band_of: dict) -> list:
     firsts = [b[0] - 1 for b in bands]  # 0-based, as are the non-first ``rest``
     rest = [j - 1 for b in bands for j in b[1:]]
     xf, xr = [nodes[f] for f in firsts], [nodes[j] for j in rest]
-    br = [band_of[j + 1] for j in rest]
+    br = [r for r, b in enumerate(bands) for _ in b[1:]]
     table = [list(map(diff, repeat(x), xf)) for x in xf]
     rows = chain(table, (list(map(diff, repeat(x), xf)) for x in xr))
     omega = [0] * pair.n
@@ -298,7 +305,45 @@ def _cover_omega(pair, setting, bands: tuple, band_of: dict) -> list:
     for s, (f, x) in enumerate(zip(firsts, xf)):
         ratios = map(div, map(table[s].__getitem__, br), map(diff, repeat(x), xr))
         omega[f] *= plain_sum([len(bands), *map(abs, ratios)])
-    return omega
+    f = [b[0] for b in bands]
+    supports = ((*f[:r], j, *f[r + 1 :]) for r, b in enumerate(bands) for j in b)
+    return omega, circuits(pair, supports) if pair.n <= LIST_LIMIT // pair.circuit_size else None
+
+
+def _cover_sum(pair, bands: tuple) -> tuple:
+    """``(omega, circuits)`` of the circle's ``cover``: its n circuits S_j, j
+    with the first index f_q of every other band, built as :func:`circuits`
+    builds them (the base circuit once) and added in j order.  The entry at
+    f_p of S_j, j in band b, folds P_m(x_{f_p}) and d(x_{f_p}, x_{f_q}) for q < b
+    (kept per (p, b) for all of band b), d(x_{f_p}, x_j), then the q > b."""
+    nodes, points, _ = (setting := setting_of(pair)).coords(pair)
+    diff = setting.diff
+    _check_distinct(setting, nodes)
+    pm = [_pm_at(setting, j, x, points) for j, x in enumerate(nodes)]
+    firsts = [b[0] for b in bands]
+    # table[p][k] = d(x_{f_p}, x_k), rest[p] its d(x_{f_p}, x_{f_q}) for q != p
+    table = [list(map(diff, repeat(nodes[f - 1]), nodes)) for f in firsts]
+    rest = [[t[f - 1] for q, f in enumerate(firsts) if q != p] for p, t in enumerate(table)]
+    head = [pm[f - 1] for f in firsts]  # head[p]: the fold before band b
+    omega, vecs = [0] * pair.n, []
+    for b, band in enumerate(bands):
+        others = [p for p in range(len(bands)) if p != b]
+        xo = [nodes[firsts[p] - 1] for p in others]
+        tails = [(p, rest[p][b + (p > b) :]) for p in others]
+        for j in band:
+            if j == band[0] and vecs:  # the base circuit again
+                vec = vecs[0]
+            else:
+                s = (*firsts[:b], j, *firsts[b + 1 :])
+                dens = [math.prod(t, start=head[p] * table[p][j - 1]) for p, t in tails]
+                dens.insert(b, math.prod(map(diff, repeat(nodes[j - 1]), xo), start=pm[j - 1]))
+                vec = (s, _signed_entries(s, dens, 1.0))
+            vecs.append(vec)
+            for i, e in zip(*vec):
+                omega[i - 1] = omega[i - 1] + e
+        for p in others:
+            head[p] *= rest[p][b - (p < b)]
+    return omega, tuple(vecs) if pair.n <= LIST_LIMIT // pair.circuit_size else None
 
 
 def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightResult:
@@ -314,20 +359,9 @@ def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightRes
     Raises NonpositiveWeightError when an entry is not positive and finite,
     as when circuit entries under- or overflow binary64.
     """
-    n = pair.n
-    band_of = {j: r for r, b in enumerate(bands) for j in b}
-    omega = [0] * n
     most = LIST_LIMIT // pair.circuit_size  # the circuits that fit in LIST_LIMIT entries
-
-    def combine(chosen):
-        vecs = circuits(pair, [support for _, support in chosen])
-        for (coeff, _), (support, entries) in zip(chosen, vecs):
-            for j, e in zip(support, entries):
-                omega[j - 1] = omega[j - 1] + coeff * e
-        return vecs if len(vecs) <= most else None
-
     if selection.strategy == SUM_ALL:
-        omega = _sum_all_omega(pair, setting_of(pair), bands, band_of)
+        omega = _sum_all_omega(pair, setting_of(pair), bands)
         vecs = circuits(pair, iter_admissible(bands)) if admissible_size(bands) <= most else None
     elif selection.strategy == COEFFICIENTS:
         coeffs = dict(selection.coefficients or {})
@@ -341,23 +375,20 @@ def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightRes
             (c, admissible_at(bands, k)) for k, c in sorted(coeffs.items()) if c > 0
         ]
         covered = {j for _, support in chosen for j in support}
-        missing = sorted(set(range(1, n + 1)) - covered)
+        missing = sorted(set(range(1, pair.n + 1)) - covered)
         if missing:
             raise NotCoveredError(
                 f"index {missing[0]} is not covered by a positively "
                 "weighted circuit"
             )
-        vecs = combine(chosen)
+        omega = [0] * pair.n
+        vecs = circuits(pair, [support for _, support in chosen])
+        for (coeff, _), (support, entries) in zip(chosen, vecs):
+            for j, e in zip(support, entries):
+                omega[j - 1] = omega[j - 1] + coeff * e
+        vecs = vecs if len(vecs) <= most else None
     else:  # COVER
-        supports = (  # built only where they are used
-            tuple(j if r == band_of[j] else b[0] for r, b in enumerate(bands))
-            for j in range(1, n + 1)
-        )
-        if (setting := setting_of(pair)) is _CIRCLE:  # the closed form's ulps flip
-            vecs = combine([(1, s) for s in supports])  # 57 of 1,008 verdicts, seeds 1-7
-        else:
-            omega = _cover_omega(pair, setting, bands, band_of)
-            vecs = circuits(pair, supports) if n <= most else None
+        omega, vecs = setting_of(pair).cover(pair, bands)
 
     check_weights(omega)
     return WeightResult(tuple(omega), vecs)
@@ -376,8 +407,9 @@ class Setting:
     """The per-setting steps of the construction: the interlacing check,
     the band decomposition of an accepted pair, the kernel system, and what
     the circuit formula and the closed-form sum_all weight read: the node
-    and m-set coordinates and their grid scale D, their signed difference,
-    and the magnitude at or below which a difference means two points coincide."""
+    and m-set coordinates and their grid scale D, their signed difference, the
+    magnitude at or below which a difference means two points coincide, and
+    the ``cover`` weight as ``(omega, circuits)``."""
 
     check: Callable
     bands: Callable
@@ -385,6 +417,7 @@ class Setting:
     coords: Callable
     diff: Callable
     tol: float
+    cover: Callable
 
 
 def _line_grid(xs, ys):
@@ -395,12 +428,12 @@ def _line_grid(xs, ys):
 
 _REAL = Setting(
     check_interlace_real, bands_real, _assemble_real,
-    lambda pair: _line_grid(pair.xs, pair.ys), operator.sub, 0,
+    lambda pair: _line_grid(pair.xs, pair.ys), operator.sub, 0, _cover_omega,
 )  # fmt: skip
 _CIRCLE = Setting(
     check_interlace_circle, lambda pair, verdict: bands_circle(pair),
     _assemble_circle, lambda pair: (pair.thetas, pair.phis, 1.0),
-    lambda x, y: math.sin((x - y) / 2.0), _SIN_TOL,
+    lambda x, y: math.sin((x - y) / 2.0), _SIN_TOL, _cover_sum,
 )  # fmt: skip
 
 

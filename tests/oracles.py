@@ -5,8 +5,8 @@ verification residuals, and the tests cross-check them here with dense
 linear algebra over generic scalars (Fraction, float, complex), cofactor
 expansions, the recurrence run at a point, the Szego recurrence kept step by
 step, the CMV matrix from its two dense factors, the dense rows of band
-matrices and of the Jacobi matrix, and a generator of problems that violate
-interlacing.  Pivoting is by
+matrices and of the Jacobi matrix, the all-pairs scan for coincident circle
+points, and a generator of problems that violate interlacing.  Pivoting is by
 magnitude, which is a legal (if unnecessary) choice in exact arithmetic and
 the right one in binary64; exact pivots divide exactly.
 """
@@ -17,9 +17,9 @@ import math
 import random
 from fractions import Fraction
 
-from twospec.errors import TwospecError
+from twospec.errors import DegenerateAngleError, SharedPointError, TwospecError
 from twospec.fuzz import random_circle_instance, random_real_instance
-from twospec.interlacing import TWO_PI
+from twospec.interlacing import POINT_TOL, TWO_PI
 from twospec.oprl import JacobiData
 from twospec.poly import poly_scale
 from twospec.scalars import is_exact_scalar
@@ -298,6 +298,21 @@ def dense_jacobi(data: JacobiData) -> tuple:
             row[i - 1] = data.gamma[i - 1]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def collision_scan(zetas, xis):
+    """Every pair of circle points, in index order: DegenerateAngleError for
+    the first pair of zn, then of zm, within POINT_TOL of each other, then
+    SharedPointError for the first zn-zm pair."""
+    for tag, points in (("zn", zetas), ("zm", xis)):
+        for i, z in enumerate(points):
+            for j in range(i + 1, len(points)):
+                if abs(z - points[j]) <= POINT_TOL:
+                    raise DegenerateAngleError(f"{tag}[{i}] and {tag}[{j}] coincide")
+    for i, z in enumerate(zetas):
+        for j, w in enumerate(xis):
+            if abs(z - w) <= POINT_TOL:
+                raise SharedPointError(f"zn[{i}] equals zm[{j}]")
 
 
 def random_rejected_problem(rng: random.Random, kind: str) -> dict:

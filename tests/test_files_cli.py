@@ -209,6 +209,72 @@ class TestProblemDigitCap:
             with pytest.raises(twospec.ProblemFormatError):
                 files.load_problem(files.loads_document(circle_text(value)))
 
+    @pytest.mark.parametrize("text", ["1e-5000 pi", "1e-5000", "-1e5000 pi", "1e-4301"])
+    def test_circle_angles_are_capped_in_both_forms(self, text):
+        # an angle's coefficient of pi is a problem value like a bare angle:
+        # 1e-5000 is past the cap, not an angle of 0.0
+        with pytest.raises(twospec.ProblemFormatError, match="more than 4300 digits"):
+            files.parse_circle_value(text, "zn", 0)
+        assert files.parse_circle_value("1e-4299 pi", "zn", 0)[1] == 0.0
+
+
+def _unicode_digits(text, zero):
+    return "".join(chr(ord(zero) + int(c)) if c.isdigit() else c for c in text)
+
+
+_SPACES = st.sampled_from(["", " ", "\t", "\n", "\u2003", "\xa0", "\x1c", "\u3000"])
+_EXPONENTS = st.one_of(
+    st.integers(-30, 30),
+    *(st.integers(c - 20, c + 20) for c in (-4300, -324, -308, 308, 324, 4300)),
+)
+_DECIMAL_TEXTS = st.builds(
+    lambda lead, sign, whole, dot, frac, exp, zero, trail: lead + _unicode_digits(
+        sign + whole + dot + frac + ("" if exp is None else f"e{exp:+d}"), zero
+    ) + trail,
+    _SPACES,
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", max_size=25),
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=25),
+    st.none() | _EXPONENTS,
+    st.sampled_from(["0", "0", "0", "\u0660", "\u0966", "\uff10"]),
+    _SPACES,
+)
+_FLOAT_TEXTS = st.one_of(
+    _DECIMAL_TEXTS,
+    st.floats().map(repr),
+    st.sampled_from(
+        [".5", "5.", "-0", "+0.0", "-0e5", "1/3", "-2/7", "4/0", "inf", "-Infinity", "nan",
+         "1e400", "-1e-400", "5e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
+         "1" * 41, "0." + "0" * 39 + "5", "١٢٣", "１.５", " 1.5 ", "1 .5", "1e", "e5", ""]
+    ),
+)
+
+
+class TestFloatReading:
+    @given(_FLOAT_TEXTS)
+    @settings(max_examples=500, deadline=None)
+    def test_float64_reads_the_rational_value(self, text):
+        # float64 reads a text as float() of its rational reading, to the
+        # bit, and refuses the texts rational arithmetic refuses, with the
+        # same message, and those whose value overflows binary64
+        def read(arithmetic):
+            try:
+                return files.parse_real_value(text, arithmetic, problem=True)
+            except twospec.ProblemFormatError as exc:
+                return exc
+
+        exact, value = read(files.RATIONAL), read(files.FLOAT64)
+        try:
+            want = exact if isinstance(exact, Exception) else float(exact)
+        except OverflowError:
+            assert isinstance(value, twospec.ProblemFormatError)
+            return
+        if isinstance(want, Exception):
+            assert type(value) is type(want) and str(value) == str(want)
+        else:
+            assert type(value) is float and value.hex() == want.hex()
+
 
 class TestSolutionRoundTrip:
     def test_real_rational(self):

@@ -1,9 +1,12 @@
+import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import twospec
+from twospec import interlacing
 from twospec.interlacing import (
     EMPTY_BAND,
     GAP_OVERFULL,
@@ -11,6 +14,8 @@ from twospec.interlacing import (
     OUT_OF_RANGE,
     SHARED_POINT,
 )
+
+from . import oracles
 
 
 class TestRealCheck:
@@ -197,3 +202,101 @@ class TestCircleCheck:
         bands = twospec.bands_circle(circle_7_3)
         flat = [j for band in bands for j in band]
         assert sorted(flat) == list(range(1, circle_7_3.n + 1))
+
+
+_TOL, _TWO_PI = interlacing.POINT_TOL, interlacing.TWO_PI
+
+
+def _near_sets(g):
+    """(zn, zm) angle sets, m < n, whose closest pair is about g * POINT_TOL apart."""
+    d = g * _TOL
+    return {
+        "zn_pair_across_the_wrap": ([d / 2, 2.0, _TWO_PI - d / 2], [1.0]),
+        "zm_pair_across_the_wrap": ([1.0, 3.0, 4.0, 5.0], [_TWO_PI - d / 2, 2.0, d / 2]),
+        "zn_zm_across_the_wrap": ([_TWO_PI - d, 2.0, 3.0], [1.0, 0.0]),
+        "zn_zm_shared": ([1.0, 3.0, 4.0], [2.0, 1.0 + d]),
+        "zn_cluster_of_three": ([4.0, 1.0 + 2 * d, 2.5, 1.0 + d, 1.0], [3.0]),
+        "cluster_across_the_sets": ([1.0 + 2 * d, 1.0, 4.0], [1.0 + d, 5.0]),
+        "cluster_of_three_across_the_wrap": ([d, 3.0, _TWO_PI - d, 0.0], [2.0]),
+        # the mirror point's real part lies between the pair's
+        "zn_pair_and_its_mirror_point": ([1.0, 1.0 + d, _TWO_PI - 1.0 - d / 2], [3.0]),
+    }
+
+
+def _points(angles):
+    """The points at the angles, scaled off the circle by up to 1e-9 (well
+    within UNIT_TOL)."""
+    return [cmath.rect(1.0 + 1e-9 * (i % 3 - 1), a) for i, a in enumerate(angles)]
+
+
+def _outcome(build, zn, zm):
+    try:
+        build(zn, zm)
+    except (twospec.DegenerateAngleError, twospec.SharedPointError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_same_outcome(zn, zm, as_points=False):
+    """The pair built from the angles (or their points) fails as the
+    all-pairs scan of their readings' points does."""
+    if as_points:
+        zn, zm = _points(zn), _points(zm)
+    build = twospec.normalize_circle if as_points else twospec.circle_pair_from_angles
+    read = interlacing.point_reading if as_points else interlacing.angle_reading
+    points = [[read(v, tag, i)[0] for i, v in enumerate(vs)] for vs, tag in ((zn, "zn"), (zm, "zm"))]
+    want = _outcome(oracles.collision_scan, *points)
+    assert _outcome(build, zn, zm) == want
+    return want
+
+
+class TestCollisionCheck:
+    """Sorting by angle first, the circle pair raises what the all-pairs
+    scan raises: the same exception type, naming the same pair."""
+
+    @pytest.mark.parametrize("as_points", [False, True], ids=["angles", "points"])
+    @pytest.mark.parametrize("g", [0.99, 1.01, 4.0])
+    @pytest.mark.parametrize("case", sorted(_near_sets(1.0)))
+    def test_near_coincident_sets(self, case, g, as_points):
+        want = _assert_same_outcome(*_near_sets(g)[case], as_points)
+        assert (want is None) == (g > 1)
+
+    def test_named_pairs(self):
+        named = {
+            case: _outcome(twospec.circle_pair_from_angles, *sets)
+            for case, sets in _near_sets(0.99).items()
+        }
+        degenerate, shared = twospec.DegenerateAngleError, twospec.SharedPointError
+        assert named == {
+            "zn_pair_across_the_wrap": (degenerate, "zn[0] and zn[2] coincide"),
+            "zm_pair_across_the_wrap": (degenerate, "zm[0] and zm[2] coincide"),
+            "zn_zm_across_the_wrap": (shared, "zn[0] equals zm[1]"),
+            "zn_zm_shared": (shared, "zn[0] equals zm[1]"),
+            "zn_cluster_of_three": (degenerate, "zn[1] and zn[3] coincide"),
+            "cluster_across_the_sets": (shared, "zn[0] equals zm[0]"),
+            "cluster_of_three_across_the_wrap": (degenerate, "zn[0] and zn[3] coincide"),
+            "zn_pair_and_its_mirror_point": (degenerate, "zn[0] and zn[1] coincide"),
+        }
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_clusters(self, seed):
+        # a few well-separated anchors, each with points at random multiples
+        # of POINT_TOL around it, some of them across the wrap
+        rng = random.Random(seed)
+        anchors = [0.0, *(rng.uniform(0.0, _TWO_PI) for _ in range(3))]
+        zn, zm = [], []
+        for _ in range(rng.randint(2, 12)):
+            a = rng.choice(anchors) + rng.choice([-1, 1]) * rng.uniform(0.0, 6.0) * _TOL
+            rng.choice((zn, zm)).append(a % _TWO_PI)
+        zm = zm or [rng.uniform(0.0, _TWO_PI)]  # and n > m, for the pair's size check
+        zn += [rng.uniform(0.0, _TWO_PI) for _ in range(len(zm) + 1 - len(zn))]
+        _assert_same_outcome(zn, zm, as_points=seed % 2 == 1)
+
+    def test_far_apart_points_skip_the_scan(self, monkeypatch):
+        def no_scan(zetas, xis):
+            raise AssertionError("the all-pairs scan ran")
+
+        monkeypatch.setattr(interlacing, "_collision_checks", no_scan)
+        twospec.circle_pair_from_angles([0.5, 2.0, 4.0], [1.0, 3.0])
+        with pytest.raises(AssertionError):  # neighbours within 4 POINT_TOL run it
+            twospec.circle_pair_from_angles([0.5, 2.0, 4.0], [1.0, 0.5 + 3.9 * _TOL])

@@ -484,6 +484,21 @@ class TestCircuitWork:
         assert twospec.circuits(pair, supports) == want
         assert 0 < len(calls) <= n * m + n + 2 * n * len(bands)
 
+    def test_circle_cover_weight_within_the_same_bound(self, monkeypatch):
+        # positive_weight sums the same circuits without ``circuits``: P_m,
+        # the distinctness check, each first index's row to every node, and
+        # each other node's row to the first indices
+        n, m = 64, 16
+        pair = fuzz.random_circle_instance(random.Random(64), n, m)
+        bands = _bands(pair)
+        want = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        calls, circle = [], twospec.kernel._CIRCLE
+        counted = dataclasses.replace(circle, diff=lambda x, y: calls.append(1) or circle.diff(x, y))
+        monkeypatch.setattr(twospec.kernel, "_CIRCLE", counted)
+        got = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        assert repr(got) == repr(want)
+        assert 0 < len(calls) <= n * m + n + 2 * n * len(bands)
+
 
 class TestNonpositiveWeight:
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
@@ -522,6 +537,22 @@ class TestNonpositiveWeight:
             twospec.circuits(pair, _cover_supports(bands, pair.n))
         assert info.value.code == "NONPOSITIVE_WEIGHT"
         assert str(info.value) == "circuit entry 23 overflows"
+
+    def test_circle_cover_names_the_overflowing_entry(self):
+        # 100 nodes within 0.1 radians, an m-set point halfway across 80 of
+        # their gaps: the running product of a later circuit's entry at node
+        # 27 underflows, and positive_weight names it as ``circuits`` does
+        rng = random.Random(0)
+        thetas = sorted(rng.uniform(0.0, 0.1) for _ in range(100))
+        phis = [(thetas[g] + thetas[g + 1]) / 2 for g in sorted(rng.sample(range(99), 80))]
+        pair = twospec.circle_pair_from_angles(thetas, phis)
+        bands = _bands(pair)
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.positive_weight(pair, bands, twospec.WeightSelection(strategy=COVER))
+        assert str(info.value) == "circuit entry 27 overflows"
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.circuits(pair, _cover_supports(bands, pair.n))
+        assert str(info.value) == "circuit entry 27 overflows"
 
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_underflowing_pm_is_not_a_shared_point(self, strategy):
@@ -708,6 +739,15 @@ class TestCircuitBits:
         by_support = self._check(pair, twospec.WeightSelection(COVER))
         # the base support serves every first index of a band
         assert len(by_support) == pair.n - pair.circuit_size + 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, m", [(12, 5), (40, 25), (41, 25), (90, 30)])
+    def test_circle_cover_around_the_listing_cap(self, n, m, seed):
+        # n * m circuit entries: 60 and 1000 are listed, 1025 and 2700 are
+        # not, and their circuits are checked as ``circuits`` rebuilds them
+        pair = fuzz.random_circle_instance(random.Random(seed), n, m)
+        by_support = self._check(pair, twospec.WeightSelection(COVER))
+        assert len(by_support) == n - m + 1
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("kind", ["exact", "float", "circle"])
