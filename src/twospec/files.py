@@ -17,10 +17,12 @@ python -m json.tool --indent 2 --sort-keys --no-ensure-ascii.
 Problem values: the real setting accepts integers, "p/q" strings and
 decimal strings; the circle setting accepts {"re", "im"} points, angle
 strings of the form "p/q pi", and bare numbers meaning radians, each value
-read by its own form into (unit point, angle in [0, 2 pi)).  A number text
-holds no "_" and no space next to "/", on every interpreter.  A problem
-value has at most PROBLEM_DIGITS digits in its numerator and in its
-denominator.  The combination circle + rational arithmetic is rejected.
+read by its own form into (unit point, angle in [0, 2 pi)).  The problem
+and solution readers refuse coincident circle points by one check,
+interlacing._collision_checks.  A number text holds no "_", no space next to
+"/" and no digit but 0-9, on every interpreter.  A problem value has at most
+PROBLEM_DIGITS digits in its numerator and in its denominator.  The
+combination circle + rational arithmetic is rejected.
 """
 
 from __future__ import annotations
@@ -67,9 +69,11 @@ PROBLEM_DIGITS = 4300
 _PROBLEM_BOUND = 10**PROBLEM_DIGITS
 _LONG_DIGIT_RUN = re.compile(f"[0-9]{{{PROBLEM_DIGITS + 1}}}")
 _EXPONENT = re.compile(r"[eE][+-]?([0-9]+)")
-# Fraction reads "1_000" from Python 3.11 and "1 / 3" from 3.12: refusing
-# both gives every interpreter the same number grammar
+# Fraction reads "1_000" from Python 3.11 and "1 / 3" from 3.12, and any
+# Unicode decimal digit: refusing these gives every interpreter the same
+# number grammar, and makes the ASCII guards above exact
 _NOT_A_NUMBER = re.compile(r"_|\s/|/\s")
+_NON_ASCII_DIGIT = re.compile(r"[^\D0-9]")
 _CANONICAL = dict(sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False)
 
 
@@ -174,10 +178,12 @@ def parse_real_value(value, arithmetic, problem=False):
 
 
 def _check_text(text, problem=True):
-    """Refuse a text with an underscore or a space next to "/", a text with
-    an exponent of 10^4 or more, and a problem text whose number must have
-    more than PROBLEM_DIGITS digits: a longer digit run, or such an exponent
-    (the mantissa of a readable text has fewer than 10^4 digits)."""
+    """Refuse a text with a non-ASCII digit, an underscore or a space next to
+    "/", a text with an exponent of 10^4 or more, and a problem text whose
+    number must have more than PROBLEM_DIGITS digits: a longer digit run, or
+    such an exponent (the mantissa of a readable text has < 10^4 digits)."""
+    if not text.isascii() and _NON_ASCII_DIGIT.search(text):
+        raise ProblemFormatError(f"a number text holds a non-ASCII digit: {text[:40]!r}")
     if _NOT_A_NUMBER.search(text):
         raise ProblemFormatError(f"no '_' and no space next to '/' in {text[:40]!r}")
     exponent = _EXPONENT.search(text)
@@ -188,22 +194,14 @@ def _check_text(text, problem=True):
         raise ProblemFormatError(f"exponent of 10^4 or more in {text[:40]!r}")
 
 
-def parse_angle_text(text: str) -> float:
-    """Angles as multiples of pi, e.g. "4/3 pi" or "-pi", the multiple a problem value."""
-    m = _PI_TEXT.match(text)
-    if not m:
-        raise ProblemFormatError(f"not an angle: {text!r}")
-    coef = {"": "1", "+": "1", "-": "-1"}.get(m[1], m[1])
-    return parse_real_value(coef, FLOAT64, problem=True) * math.pi
-
-
 def parse_circle_value(value, tag, i):
     """The reading (unit point, angle in [0, 2 pi)) of the circle value
     tag[i], by its own form: an {"re", "im"} point by point_reading, an
-    angle by angle_reading."""
-    if isinstance(value, str) and _PI_TEXT.match(value):
+    angle, or a multiple of pi such as "4/3 pi" or "-pi", by angle_reading."""
+    if isinstance(value, str) and (m := _PI_TEXT.match(value)):
         _check_text(value)
-        return angle_reading(parse_angle_text(value), tag, i)
+        coef = {"": "1", "+": "1", "-": "-1"}.get(m[1], m[1])
+        return angle_reading(parse_real_value(coef, FLOAT64, problem=True) * math.pi, tag, i)
     if isinstance(value, dict) and "re" in value and "im" in value:
         parts = (parse_real_value(value[k], FLOAT64, problem=True) for k in ("re", "im"))
         return point_reading(complex(*parts), tag, i)
@@ -276,18 +274,14 @@ def load_problem(doc: dict) -> Problem:
             "not supported"
         )
 
-    if setting == REAL:
-        xs = tuple(parse_real_value(v, arithmetic, problem=True) for v in zn)
-        ys = tuple(parse_real_value(v, arithmetic, problem=True) for v in zm)
-        try:
-            pair = RealSpectrumPair(xs=xs, ys=ys)
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc)) from exc
-    else:
-        try:
+    try:  # a ValueError is the pair's "need 1 <= m < n"
+        if setting == REAL:
+            read = partial(parse_real_value, arithmetic=arithmetic, problem=True)
+            pair = RealSpectrumPair(xs=tuple(map(read, zn)), ys=tuple(map(read, zm)))
+        else:
             pair = _normalize(parse_circle_value, zn, zm)
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc)) from exc
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from exc
 
     selection = parse_weights(doc.get("weights"), arithmetic)
     profile = parse_profile(doc.get("profile"))
@@ -306,9 +300,7 @@ def load_problem(doc: dict) -> Problem:
 
 
 def encode_real(x):
-    """A Fraction as "p/q" or "p" text of any length; a float as it is."""
-    if isinstance(x, float):
-        return x
+    """A Fraction as "p/q" or "p" text of any length."""
     try:
         return str(x)
     except ValueError:  # past the str() digit limit, which decimal lacks
@@ -427,7 +419,7 @@ def _circle_pair(zn, zm, thetas, phis) -> CircleSpectrumPair:
     for z, angle in zip((*zn, *zm), (*thetas, *phis)):
         if not abs(z - cmath.rect(1.0, angle)) <= UNIT_TOL:
             raise ProblemFormatError(f"point {z!r} is not at angle {angle!r}")
-    _collision_checks(zn, zm)
+    _collision_checks(list(zip(zn, thetas)), list(zip(zm, phis)))
     return CircleSpectrumPair(zn, zm, thetas, phis)
 
 

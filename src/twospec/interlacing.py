@@ -6,7 +6,9 @@ circle) holds at most one point of the smaller set and the sets are
 disjoint.  Acceptance produces the interlacing indices (real case) and the
 partition of node indices into bands, a tuple whose r-th entry holds the
 ascending 1-based node indices of band r, which downstream modules use to
-enumerate the admissible kernel circuits.
+enumerate the admissible kernel circuits.  Circle points within POINT_TOL
+of each other are refused by one check, _collision_checks, which the
+problem readers (_normalize) and the solution reader share.
 
 All operations are pure functions of immutable inputs.
 """
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter, sub
 
 from .errors import DegenerateAngleError, NotUnitModulusError, SharedPointError
 from .scalars import coerce_real_field
@@ -160,12 +162,19 @@ def bands_real(pair: RealSpectrumPair, verdict: InterlacingVerdict) -> tuple:
     return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(idx, idx[1:]))
 
 
-def _collision_checks(zetas, xis):
-    for tag, points in (("zn", zetas), ("zm", xis)):
-        for (i, z), (j, w) in combinations(enumerate(points), 2):
+def _collision_checks(zn, zm):
+    """Refuse (point, angle) readings within POINT_TOL, first pair in index
+    order: DegenerateAngleError in zn, then zm, SharedPointError across.  With
+    each point within UNIT_TOL of its angle's, such a pair makes two angle-order
+    neighbours (wrap included) within 4 (POINT_TOL + UNIT_TOL): only then scan."""
+    ring = [p for p, _ in sorted(zn + zm, key=itemgetter(1))]
+    if min(map(abs, map(sub, ring, ring[1:] + ring[:1])), default=0.0) > 4 * (POINT_TOL + UNIT_TOL):
+        return
+    for tag, readings in (("zn", zn), ("zm", zm)):
+        for (i, (z, _)), (j, (w, _)) in combinations(enumerate(readings), 2):
             if abs(z - w) <= POINT_TOL:
                 raise DegenerateAngleError(f"{tag}[{i}] and {tag}[{j}] coincide")
-    for (i, z), (j, w) in product(enumerate(zetas), enumerate(xis)):
+    for (i, (z, _)), (j, (w, _)) in product(enumerate(zn), enumerate(zm)):
         if abs(z - w) <= POINT_TOL:
             raise SharedPointError(f"zn[{i}] equals zm[{j}]")
 
@@ -196,10 +205,7 @@ def _normalize(read, zn_raw, zm_raw) -> CircleSpectrumPair:
     value's name tag[i] is built only to raise."""
     zn = [read(v, "zn", i) for i, v in enumerate(zn_raw)]
     zm = [read(v, "zm", i) for i, v in enumerate(zm_raw)]
-    # points within POINT_TOL have angle-order neighbours, wrap included, within 4 POINT_TOL
-    ring = [p for p, _ in sorted(zn + zm, key=operator.itemgetter(1))]
-    if min(map(abs, map(operator.sub, ring, ring[1:] + ring[:1])), default=0.0) <= 4 * POINT_TOL:
-        _collision_checks([p for p, _ in zn], [p for p, _ in zm])
+    _collision_checks(zn, zm)
     base = min((a for _, a in zm), default=0.0)  # CircleSpectrumPair refuses m = 0
     zn, zm = (sorted(r, key=lambda t: (t[1] - base) % TWO_PI) for r in (zn, zm))
     return CircleSpectrumPair(

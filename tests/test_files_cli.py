@@ -104,6 +104,14 @@ class TestProblemParsing:
         with pytest.raises(twospec.ProblemFormatError, match="need 1 <= m < n"):
             files.load_problem(dict(CIRCLE_DOC, zn=zn, zm=zm))
 
+    @pytest.mark.parametrize(
+        "zm", [["3/2", "5/2", "7/2", "9/2"], []], ids=["m_equals_n", "empty_m"]
+    )
+    def test_line_sizes_outside_1_to_n_are_the_size_error(self, zm):
+        with pytest.raises(twospec.ProblemFormatError, match="need 1 <= m < n") as info:
+            files.load_problem(dict(REAL_DOC, zm=zm))
+        assert info.value.code == "BAD_PROBLEM"
+
     def test_bare_numbers_are_radians(self):
         doc = dict(CIRCLE_DOC, zn=[0.5, 2.0, 4.0], zm=[1.0, 3.0])
         problem = files.load_problem(doc)
@@ -216,6 +224,50 @@ class TestProblemDigitCap:
         with pytest.raises(twospec.ProblemFormatError, match="more than 4300 digits"):
             files.parse_circle_value(text, "zn", 0)
         assert files.parse_circle_value("1e-4299 pi", "zn", 0)[1] == 0.0
+
+
+_ARABIC_INDIC = {ord("0") + d: 0x660 + d for d in range(10)}
+# read as 10^9000000 by Fraction, in seconds, before the digit cap refused it
+_HUGE_POWER = "1e" + "9000000".translate(_ARABIC_INDIC)
+
+
+class TestAsciiDigits:
+    """Fraction and float read every Unicode decimal digit, but a number text
+    holds ASCII digits only, so the digit and exponent caps see every digit:
+    each form refuses a non-ASCII digit at once."""
+
+    def _refused(self, read, *args):
+        start = time.perf_counter()
+        with pytest.raises(twospec.ProblemFormatError, match="non-ASCII digit") as info:
+            read(*args)
+        assert time.perf_counter() - start < 0.1
+        assert info.value.code == "BAD_PROBLEM"
+
+    @pytest.mark.parametrize("arithmetic", [files.RATIONAL, files.FLOAT64])
+    def test_line_value(self, arithmetic):
+        doc = dict(REAL_DOC, arithmetic=arithmetic, zm=["3/2", _HUGE_POWER])
+        self._refused(files.load_problem, doc)
+        self._refused(files.parse_real_value, "\u0661\u0662", arithmetic, True)  # read as 12 before
+
+    @pytest.mark.parametrize("text", [_HUGE_POWER + " pi", "\u0661/2 pi", "\uff11", _HUGE_POWER])
+    def test_angle_text(self, text):
+        self._refused(files.parse_circle_value, text, "zn", 0)
+        self._refused(files.load_problem, dict(CIRCLE_DOC, zn=[text, "1 pi", "3/2 pi"]))
+
+    def test_point_part(self):
+        for point in ({"re": _HUGE_POWER, "im": 0}, {"re": 0, "im": "\u0661"}):
+            self._refused(files.parse_circle_value, point, "zm", 1)
+
+    @pytest.mark.parametrize("arithmetic", [files.RATIONAL, files.FLOAT64])
+    def test_solution_value(self, arithmetic):
+        # as a solution value, "1e100000" in these digits was a 332,193-bit integer
+        power = "1e" + "100000".translate(_ARABIC_INDIC)
+        self._refused(files.decode_value, power, arithmetic)
+        self._refused(files.decode_value, ["1", {"re": "0.5", "im": "\u0966.5"}], arithmetic)
+
+    def test_unicode_spaces_stay_accepted(self):
+        assert files.parse_real_value("\u2003 12\xa0", files.RATIONAL, problem=True) == 12
+        assert files.parse_circle_value("\u3000pi", "zn", 0)[1] == math.pi
 
 
 def _unicode_digits(text, zero):
@@ -899,6 +951,15 @@ class TestCli:
         code = cli.main(["reconstruct", "-i", str(path)])
         assert_coded_error(capsys, code, "BAD_PROBLEM")
 
+    def test_param_without_equals_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(REAL_DOC))
+        code = cli.main(["reconstruct", "-i", str(path), "--param", "s1"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (3, "")
+        error = json.loads(out)["error"]
+        assert error == {"code": "BAD_PROBLEM", "message": "--param wants sK=V, got 's1'"}
+
     def test_fuzz_param_exit_3(self, capsys):
         argv = "fuzz --setting real --n 4 --m 1 --count 1 --param s1=3".split()
         assert_coded_error(capsys, cli.main(argv), "BAD_PROBLEM")
@@ -1103,6 +1164,18 @@ class TestCli:
         assert 0 < body["failed"] < body["count"]
         assert body["passed"] + body["failed"] == body["count"]
         assert [set(f) for f in body["failures"]] == [{"index", "seed", "code", "detail"}]
+
+    def test_run_fuzz_records_a_coded_error(self):
+        # the base circuit alone leaves an index uncovered: each instance
+        # fails with the error's code and message, and the run goes on
+        selection = twospec.WeightSelection(strategy="coefficients")
+        body = fuzz.run_fuzz("real", 5, 2, 3, 1, selection=selection)
+        assert (body["passed"], body["failed"]) == (0, 3)
+        for i, failure in enumerate(body["failures"]):
+            assert failure["index"] == i and failure["seed"] == f"1:{i}"
+            assert failure["code"] == "NOT_COVERED"
+            detail = r"index \d is not covered by a positively weighted circuit"
+            assert re.fullmatch(detail, failure["detail"])
 
     @pytest.mark.parametrize("strategy", ["sum_all", "cover"])
     def test_underflowing_weight_exit_3(self, tmp_path, strategy):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import twospec
-from twospec import interlacing
+from twospec import files, interlacing
 from twospec.interlacing import (
     EMPTY_BAND,
     GAP_OVERFULL,
@@ -250,6 +250,35 @@ def _assert_same_outcome(zn, zm, as_points=False):
     return want
 
 
+_UNIT = interlacing.UNIT_TOL
+
+
+def _written(rng):
+    """(zn, zm, thetas, phis) as a solution holds them: the angles ascending
+    from phis[0], and clusters, some across the wrap, of two points within a
+    few POINT_TOL of one place, up to 0.999 UNIT_TOL (tangentially) off angles
+    anywhere within that of the place, and up to two more points half to 0.999
+    UNIT_TOL off their angles there, each angle between the pair's or not."""
+    readings = [(rng.uniform(0.0, _TWO_PI), 0.0) for _ in range(rng.randint(2, 5))]
+    for _ in range(rng.randint(1, 3)):
+        place, spread = rng.choice([0.0, rng.uniform(0.0, _TWO_PI)]), rng.choice([1.0, 4.0])
+        for k in range(rng.randint(2, 4)):
+            angle = rng.uniform(-0.999, 0.999) * _UNIT
+            if k < 2:  # the pair, near the place
+                point = rng.uniform(-spread, spread) * _TOL
+            else:
+                point = angle + rng.choice([-1, 1]) * rng.uniform(0.5, 0.999) * _UNIT
+            readings.append(((place + angle) % _TWO_PI, point - angle))  # the point off its angle
+    rng.shuffle(readings)
+    k = rng.randint(1, (len(readings) - 1) // 2)
+    base = min(a for a, _ in readings[:k])
+    (thetas, zn), (phis, zm) = (
+        zip(*sorted((base + (a - base) % _TWO_PI, cmath.rect(1.0, a + t)) for a, t in part))
+        for part in (readings[k:], readings[:k])
+    )
+    return zn, zm, thetas, phis
+
+
 class TestCollisionCheck:
     """Sorting by angle first, the circle pair raises what the all-pairs
     scan raises: the same exception type, naming the same pair."""
@@ -292,11 +321,39 @@ class TestCollisionCheck:
         zn += [rng.uniform(0.0, _TWO_PI) for _ in range(len(zm) + 1 - len(zn))]
         _assert_same_outcome(zn, zm, as_points=seed % 2 == 1)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_written_points_off_their_angles(self, seed):
+        # a solution's points may lie up to UNIT_TOL off their angles: the
+        # solution reader raises what the scan of its points raises
+        zn, zm, thetas, phis = _written(random.Random(seed))
+        want = _outcome(oracles.collision_scan, zn, zm)
+        assert _outcome(lambda *sets: files._circle_pair(*sets, thetas, phis), zn, zm) == want
+
+    def test_written_points_off_their_angles_cover_both_outcomes(self):
+        # the seeds above hold pairs that coincide and pairs that do not
+        written = [_written(random.Random(seed))[:2] for seed in range(40)]
+        assert {_outcome(oracles.collision_scan, *sets) is None for sets in written} == {False, True}
+
+    @pytest.mark.parametrize("factor, scanned", [(0.999, True), (1.001, False)])
+    def test_written_points_at_the_gate(self, monkeypatch, factor, scanned):
+        # points moved 0.999 UNIT_TOL toward each other off angles further
+        # apart, to 4 (POINT_TOL + UNIT_TOL) times factor: the scan runs
+        # within that distance only, and finds nothing
+        calls = []
+        monkeypatch.setattr(interlacing, "combinations", lambda *a: calls.append(a) or ())
+        shift = 0.999 * _UNIT
+        phis = (1.0,)
+        thetas = (1.0 + 4 * (_TOL + _UNIT) * factor + 2 * shift, 3.0, 5.0)
+        zm = (cmath.rect(1.0, phis[0] + shift),)
+        zn = (cmath.rect(1.0, thetas[0] - shift), *(cmath.rect(1.0, t) for t in thetas[1:]))
+        files._circle_pair(zn, zm, thetas, phis)
+        assert bool(calls) == scanned
+
     def test_far_apart_points_skip_the_scan(self, monkeypatch):
-        def no_scan(zetas, xis):
+        def no_scan(*args):
             raise AssertionError("the all-pairs scan ran")
 
-        monkeypatch.setattr(interlacing, "_collision_checks", no_scan)
+        monkeypatch.setattr(interlacing, "combinations", no_scan)  # the scan's first step
         twospec.circle_pair_from_angles([0.5, 2.0, 4.0], [1.0, 3.0])
         with pytest.raises(AssertionError):  # neighbours within 4 POINT_TOL run it
             twospec.circle_pair_from_angles([0.5, 2.0, 4.0], [1.0, 0.5 + 3.9 * _TOL])

@@ -49,6 +49,12 @@ class TestAssemble:
         with pytest.raises(twospec.SharedPointError):
             twospec.assemble_system(pair)
 
+    def test_circle_shared_point_raises(self):
+        # a raw pair skips the readers' collision check: the assembly codes it
+        pair = _raw_circle((1.0, 2.0, 3.0), (2.0, 0.5))
+        with pytest.raises(twospec.SharedPointError, match=r"zn\[1\] coincides with a zm point"):
+            twospec.assemble_system(pair)
+
     def test_single_base_point_circle_has_no_rows(self):
         pair = twospec.circle_pair_from_angles((1.0, 2.0, 3.0), (0.5,))
         system = twospec.assemble_system(pair)

@@ -59,6 +59,11 @@ class TestMoments:
         with pytest.raises(twospec.LengthMismatchError):
             twospec.moments_real(NODES, (1, 2))
 
+    def test_stieltjes_length_mismatch(self):
+        with pytest.raises(twospec.LengthMismatchError, match="2 weights for 4 nodes") as info:
+            twospec.stieltjes(NODES, (1, 2))
+        assert info.value.code == "LENGTH_MISMATCH"
+
 
 class TestStieltjes:
     def test_default_weights_polynomials(self):

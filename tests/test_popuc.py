@@ -109,6 +109,15 @@ class TestVerblunsky:
         with pytest.raises(twospec.ZeroDenominatorError):
             twospec.verblunsky_from_moments((-1 + 0j, 0j))
 
+    def test_vanishing_norm_is_a_zero_denominator(self):
+        # alpha_0 = alpha_1 = r inside the disk: <Phi_2, Phi_2> = (1 - r^2)^2,
+        # about 1e-14, is below DENOM_REL * mu_0
+        r = 1 - 5e-8
+        mu = (1 + 0j, complex(r), complex(r * r + r * (1 - r * r)), 0j)
+        with pytest.raises(twospec.ZeroDenominatorError, match="norm of Phi_2 vanished") as info:
+            twospec.verblunsky_from_moments(mu)
+        assert info.value.code == "ZERO_DENOMINATOR"
+
 
 class TestBoundaryParam:
     def test_three_point_set(self, circle_3_2):

@@ -360,6 +360,78 @@ class TestDeclinedAnswers:
         assert "kernel_residual=nan" in report.failures
 
 
+def _exact_psi(z, alpha, b):
+    """Psi(z) = z Phi(z) - conj(b) Phi*(z) by the Szego recurrence run in the
+    exact rationals of the binary64 inputs, real and imaginary parts apart."""
+
+    def exact(c):
+        return F(c.real), F(c.imag)
+
+    def mul(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def sub(p, q):
+        return p[0] - q[0], p[1] - q[1]
+
+    z, u = exact(complex(z)), (F(1), F(0))
+    v = u
+    for a in map(exact, map(complex, alpha)):
+        zu = mul(z, u)
+        u, v = sub(zu, mul((a[0], -a[1]), v)), sub(v, mul(a, zu))
+    return sub(mul(z, u), mul(exact(complex(b).conjugate()), v))
+
+
+class TestResidualEdges:
+    def test_circle_recurrence_rescales_past_2_to_the_400(self):
+        # alpha_k = -(1 - 2^-20): at z = 1, Phi*_k = (2 - 2^-20)^k leaves
+        # [2^-400, 2^400] at k = 401, and z = 1 holds the largest term
+        n = 402
+        thetas = tuple(TWO_PI * j / n for j in range(n))
+        phis = (TWO_PI - math.pi / n,)
+        zetas = tuple(cmath.rect(1.0, t) for t in thetas)
+        pair = twospec.CircleSpectrumPair(zetas, (cmath.rect(1.0, phis[0]),), thetas, phis)
+        alpha, b = (-(1 - 2.0**-20),) * (n - 1), -1.0
+        data = twospec.VerblunskyData(alpha, b)
+        report = twospec.verify_popuc(pair, (1.0,) * n, data, ((), ()))
+        psi = _exact_psi(1.0, alpha, b)
+        assert psi[1] == 0 and psi[0] > 2**401  # Psi(1) = 2 Phi*(1)
+        gap = TWO_PI - phis[0]  # to the zm point, the nearest one
+        want = float(psi[0]) / math.prod(abs(1 - z) for z in zetas[1:]) / gap
+        assert report.spectrum_residual_n == pytest.approx(want, rel=1e-12)
+
+    def test_coincident_points_make_the_spectrum_infinite(self):
+        # log2 |z_j - z_i| of a coincidence: the term is infinite, not an error
+        pair = twospec.CircleSpectrumPair(
+            (1 + 0j, 1 + 0j, -1 + 0j), (1j,), (0.0, 0.0, math.pi), (math.pi / 2,)
+        )
+        data = twospec.VerblunskyData((0.1 + 0j, 0.2 + 0j), 1 + 0j)
+        matrices = (cmv_matrix(data.alpha, data.b), cmv_matrix((), twospec.boundary_param(pair.xis)))
+        report = twospec.verify_popuc(pair, (1.0,) * 3, data, matrices)
+        assert report.spectrum_residual_n is None
+        assert report.failures == ("spectrum_residual_n=inf",)
+
+    def test_matrix_of_another_band_shape_is_infinitely_defective(self, circle_3_2):
+        sol = twospec.reconstruct_circle(circle_3_2)
+        assert sol.report.verdict
+        for c_n in (sol.c_n[:-1], tuple(r[:4] for r in sol.c_n)):
+            report = twospec.verify_popuc(
+                circle_3_2, sol.weight.omega, sol.verblunsky, (c_n, sol.c_m)
+            )
+            assert report.unitarity_defect is None
+            assert report.failures == ("unitarity_defect=inf",)
+            kept = dict(unitarity_defect=sol.report.unitarity_defect, verdict=True)
+            assert dataclasses.replace(report, **kept) == sol.report  # nothing else moves
+
+    def test_residual_past_the_float_range_is_infinite(self, pair_4_2):
+        # an exact residual of about 10^400 has no float: it reads inf
+        sol = twospec.reconstruct_real(pair_4_2)
+        data = dataclasses.replace(sol.jacobi, beta=(F(10**400),) + sol.jacobi.beta[1:])
+        report = twospec.verify_oprl(pair_4_2, sol.weight.omega, data)
+        assert report.poly_match_n is None and report.spectrum_residual_n is None
+        assert report.failures == ("spectrum_residual_n=inf", "spectrum_residual_m=inf")
+        assert report.kernel_residual == 0
+
+
 COVER = WeightSelection(strategy="cover")
 
 
