@@ -435,9 +435,9 @@ def decode_solution(doc: dict):
     array's length does not fit the zero sets (omega and beta n, gamma and
     alpha n-1, thetas n, phis m, and a circuit's entries as many as its
     support); when a support is not circuit_size distinct ascending ints in
-    1..n; when omega, the circle pair or the report is not one the pipeline
-    writes (check_weights, _circle_pair, _decode_report); or when a step
-    refuses its value with any TwospecError."""
+    1..n; when a circle is rational, or omega, the circle pair or the report
+    is not one the pipeline writes (check_weights, _circle_pair,
+    _decode_report); or when a step refuses its value with any TwospecError."""
     try:
         if doc.get("schema") != SCHEMA:
             raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
@@ -446,6 +446,8 @@ def decode_solution(doc: dict):
         strategy = problem["weights"]["strategy"]
         if setting not in (REAL, CIRCLE) or arithmetic not in (RATIONAL, FLOAT64):
             raise ProblemFormatError(f"unknown setting or arithmetic {setting!r}, {arithmetic!r}")
+        if setting == CIRCLE and arithmetic == RATIONAL:  # load_problem's rule
+            raise UnsupportedArithmeticError("circle solutions are float64, not rational")
         if strategy not in STRATEGIES:
             raise ProblemFormatError(f"unknown strategy {strategy!r}")
 

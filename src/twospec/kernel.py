@@ -367,7 +367,7 @@ def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightRes
         coeffs = dict(selection.coefficients or {})
         size = admissible_size(bands)
         for jdx, value in coeffs.items():
-            if not (isinstance(jdx, int) and 1 <= jdx <= size - 1):
+            if not (type(jdx) is int and 1 <= jdx <= size - 1):  # bool excluded
                 raise ProblemFormatError(f"no parameter s{jdx} for a family of size {size}")
             if not value >= 0:  # a NaN is refused here, not dropped below
                 raise NegativeCoefficientError(f"s{jdx} is {'negative' if value < 0 else 'NaN'}")

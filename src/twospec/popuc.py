@@ -82,7 +82,7 @@ def verblunsky_from_moments(mu) -> VerblunskyData:
         if abs(den) <= DENOM_REL * mu0:
             raise ZeroDenominatorError(f"norm of Phi_{k} vanished")
         a = (functional(poly_shift(phi)) / den).conjugate()
-        if abs(a) >= 1.0 - DISK_MARGIN:
+        if not abs(a) < 1.0 - DISK_MARGIN:  # refuses a NaN too
             raise AlphaOutOfDiskError(
                 f"|alpha_{k}| = {abs(a)!r}: weights invalid or too few "
                 "support points"
@@ -106,7 +106,7 @@ def boundary_param(zs) -> complex:
 
 def _check_alpha(alpha):
     for k, a in enumerate(alpha):
-        if abs(a) >= 1.0 - DISK_MARGIN:
+        if not abs(a) < 1.0 - DISK_MARGIN:  # refuses a NaN too
             raise AlphaOutOfDiskError(f"|alpha_{k}| = {abs(a)!r}")
 
 
@@ -129,41 +129,29 @@ def cmv_matrix(alpha, b: complex) -> tuple:
     len(alpha) + 1, as n band rows of 5 cells: entry (i, j) at [i][j - i + 2],
     and a cell whose column falls outside 0..n-1 holds 0j.
 
-    Assembled as the banded product L * M over the extended parameter list
-    (alpha_0, ..., alpha_{n-2}, b) with rho_{n-1} = 0: Theta_k is the 2x2 block
-    [[conj(a_k), rho_k], [rho_k, -a_k]] at rows (k, k+1), L holds the even-k
-    blocks, M = [1] + odd-k blocks, and the leftover 1x1 slot (in L or M by
-    parity) is [conj(b)].  Both are kept as band rows, (i, t) at [i][t - i + 1].
+    The CMV entries of Cantero, Moral and Velazquez, with a_{-1} = -1, a_k =
+    alpha_k, a_{n-1} = b, a_n = 0j and rho_{-1} = rho_{n-1} = 0: C = L M, L
+    holding the even-k and M the odd-k blocks [[conj(a_k), rho_k], [rho_k,
+    -a_k]] at rows (k, k+1).  For k even, row k has L entries (lo, hi) =
+    (conj(a_k), rho_k) and row k+1 has (rho_k, -a_k), and both meet the same
+    M entries at columns k-1..k+2: each cell is 0j plus one product, L entry
+    first, lo rho_{k-1}, lo (-a_{k-1}), hi conj(a_{k+1}) and hi rho_{k+1}.
+    The dense sum 0j + sum_t L(i, t) M(t, j) has the same bits, as its other
+    terms have a zero factor: +-0 keeps a nonzero part, and all-zero parts
+    sum to +0 (the -0.0 of M(0, 0) = -a_{-1} = 1-0j too).  Past the edge a
+    zero rho or a_n makes the cell 0j.
     """
     _check_alpha(alpha)
-    params = [complex(a) for a in alpha] + [complex(b)]
-    n = len(params)
-    rhos = [math.sqrt(1.0 - abs(a) ** 2) for a in params[:-1]] + [0.0]
+    n = len(alpha) + 1
+    # a_k at a[k] and rho_k at r[k] for k = -1..n: index -1 reads the last entry
+    a = [complex(x) for x in alpha] + [complex(b), 0j, -1 + 0j]
+    r = [complex(math.sqrt(1.0 - abs(x) ** 2)) for x in a[: n - 1]] + [0j, 0j]
 
-    def factor(start):
-        rows = [[0.0 + 0.0j] * 3 for _ in range(n)]
-        for d in range(start):
-            rows[d][1] = 1.0 + 0.0j
-        for k in range(start, n, 2):
-            if k + 1 < n:
-                a, r = params[k], complex(rhos[k])
-                rows[k][1:] = a.conjugate(), r
-                rows[k + 1][:2] = r, -a
-            else:
-                rows[k][1] = params[-1].conjugate()
-        return rows
+    def row(i):
+        k = i - i % 2  # L's block Theta_k covers rows k and k + 1
+        lo, hi = (r[k], -a[k]) if i % 2 else (a[k].conjugate(), r[k])
+        cells = (0j + lo * r[k - 1], 0j + lo * -a[k - 1],
+                 0j + hi * a[k + 1].conjugate(), 0j + hi * r[k + 1])
+        return cells + (0j,) if i % 2 else (0j,) + cells
 
-    lf, mf = factor(0), factor(1)
-    # Entry (i, j) sums lf(i, t) * mf(t, j) from 0j over t within one of i,
-    # in increasing t, zero terms included: mf row t adds into cells t - i + 1
-    # .. t - i + 3.  A cell outside the matrix adds only 0j factor cells.
-    prod = []
-    for i in range(n):
-        row = [0j] * 5
-        for t in range(max(i - 1, 0), min(i + 2, n)):
-            lt, (m0, m1, m2), c = lf[i][t - i + 1], mf[t], t - i + 1
-            row[c] += lt * m0
-            row[c + 1] += lt * m1
-            row[c + 2] += lt * m2
-        prod.append(tuple(row))
-    return tuple(prod)
+    return tuple(map(row, range(n)))

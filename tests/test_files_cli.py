@@ -1718,6 +1718,14 @@ class TestSolutionDecoding:
             files.decode_solution(mangle(self._circle_doc()))
         assert info.value.code == "BAD_PROBLEM"
 
+    def test_rational_circle_solution_is_refused(self):
+        # load_problem refuses circle + rational, and the writer never writes it
+        doc = dict(self._circle_doc(), arithmetic=files.RATIONAL)
+        with pytest.raises(twospec.UnsupportedArithmeticError) as info:
+            files.decode_solution(doc)
+        assert info.value.code == "UNSUPPORTED_ARITHMETIC"
+        assert isinstance(info.value, twospec.ProblemFormatError)
+
     @pytest.mark.parametrize("arithmetic", [files.RATIONAL, files.FLOAT64])
     def test_huge_exponent_is_refused_at_once(self, arithmetic):
         # the power of ten of 1e999999999 alone has a billion digits

@@ -218,6 +218,14 @@ class TestPositiveWeight:
         with pytest.raises(twospec.NegativeCoefficientError, match="s1 is NaN"):
             twospec.positive_weight(pair, _bands(pair), selection)
 
+    def test_coefficients_bool_index_refused(self):
+        # True == 1, but a bool names no parameter, as in a solution's supports
+        pair = twospec.RealSpectrumPair(xs=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ys=(1.5, 3.5))
+        selection = twospec.WeightSelection(COEFFICIENTS, {True: 2})
+        with pytest.raises(twospec.ProblemFormatError, match="no parameter sTrue") as info:
+            twospec.positive_weight(pair, _bands(pair), selection)
+        assert info.value.code == "BAD_PROBLEM"
+
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_coefficients_refused_by_other_strategies(self, strategy):
         with pytest.raises(ValueError):

@@ -105,6 +105,11 @@ class TestVerblunsky:
         with pytest.raises(twospec.AlphaOutOfDiskError, match="alpha_1"):
             twospec.verblunsky_from_moments(mu)
 
+    def test_nan_alpha_is_out_of_the_disk(self):
+        # abs(nan) >= 1 - DISK_MARGIN is false: the check must refuse it anyway
+        with pytest.raises(twospec.AlphaOutOfDiskError, match=r"\|alpha_0\| = nan"):
+            twospec.verblunsky_from_moments((1 + 0j, complex(math.nan, 0.0)))
+
     def test_nonpositive_mass_is_a_zero_denominator(self):
         with pytest.raises(twospec.ZeroDenominatorError):
             twospec.verblunsky_from_moments((-1 + 0j, 0j))
@@ -170,6 +175,10 @@ class TestSzegoPopuc:
         with pytest.raises(twospec.AlphaOutOfDiskError):
             twospec.szego_popuc((1.0 + 0j,), 1.0, 2)
 
+    def test_nan_alpha_is_out_of_the_disk(self):
+        with pytest.raises(twospec.AlphaOutOfDiskError, match=r"\|alpha_0\| = nan"):
+            twospec.szego_popuc((math.nan,), 1.0, 2)
+
     def test_needs_enough_alphas(self):
         with pytest.raises(twospec.LengthMismatchError):
             twospec.szego_popuc((), 1.0, 2)
@@ -208,6 +217,10 @@ class TestCmvMatrix:
         b = cmath.rect(1.0, rng.uniform(0, 2 * math.pi))
         mat = twospec.cmv_matrix(alpha, b)
         assert unitarity_defect(mat) <= 1e-14
+
+    def test_nan_alpha_is_out_of_the_disk(self):
+        with pytest.raises(twospec.AlphaOutOfDiskError, match=r"\|alpha_0\| = nan"):
+            twospec.cmv_matrix((complex(math.nan, 0.0),), 1.0)
 
     def test_pentadiagonal_band(self):
         rng = random.Random(5)

@@ -194,6 +194,23 @@ class TestVerifyCircle:
         assert report.poly_match_n is None and report.poly_match_m is None
         assert report.kernel_residual is not None
 
+    def test_nan_alpha_is_reported(self):
+        # a NaN alpha fails (d), and what it leaves undefined reads None
+        pair = twospec.circle_pair_from_angles((0.4, 1.9, 3.3, 5.0), (0.1, 2.5))
+        sol = twospec.reconstruct_circle(pair)
+        alpha = sol.verblunsky.alpha[:2] + (complex(math.nan, 0.0),)
+        bad = dataclasses.replace(sol.verblunsky, alpha=alpha)
+        report = twospec.verify_popuc(pair, sol.weight.omega, bad, (sol.c_n, sol.c_m))
+        assert report.failures == (
+            "coefficients_ok=False", "spectrum_residual_n=nan", "unitarity_defect=nan"
+        )
+        assert not report.coefficients_ok and not report.verdict
+        assert report.poly_match_n is None and report.spectrum_residual_n is None
+        assert report.unitarity_defect is None and report.warnings == ()
+        # alpha_2 is not used for the m = 2 polynomial, which still matches
+        assert report.poly_match_m <= 1e-15 and report.spectrum_residual_m <= 1e-15
+        assert report.kernel_residual == sol.report.kernel_residual
+
 
 class TestBruteOracles:
     def test_nullspace_dimension(self, pair_4_2):
