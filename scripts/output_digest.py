@@ -56,6 +56,7 @@ PROBLEM_RUNS = (
     ("reconstruct", "--strategy", "cover"),
     ("reconstruct", "--strategy", "coefficients", "--param", "s1=2"),
     ("reconstruct", "--arithmetic", "float64"),
+    ("reconstruct", "--arithmetic", "rational"),
 )
 FUZZ_RUNS = (
     ("--setting", "real", "--n", "8", "--m", "3", "--count", "20", "--seed", "1"),

@@ -6,14 +6,16 @@ nodes and weights directly, never from a moment-matrix factorization, which
 would be ill-conditioned in binary64.  Exact inputs run on the integer grids
 x_j = X_j / D, w_j = W_j / E (``scalars.integer_grid``): moments are integer
 power sums S_k = sum_j W_j X_j^k, each leaving as the Fraction
-S_k / (E D^k), and the discrete Stieltjes procedure runs on primitive
-integer vectors, one Fraction per coefficient.  Binary64 inputs (D = E = 1)
-run the square-root-free RKPW update, which solves this inverse eigenvalue
-problem for the Jacobi matrix with Givens rotations.  The coefficients fix
-the rest: the monic family P_0..P_n follows by the three-term recurrence,
-and they are the band of the n-by-n Jacobi matrix (beta on the diagonal,
-ones above it, gamma below it; the writer alone makes it dense), whose
-order-k leading block has characteristic polynomial P_k.
+S_k / (E D^k), and the moment form of the Stieltjes procedure reads
+beta_k and gamma_k off them and the coefficients of P_k, in the one pass of
+the recurrence on primitive integer vectors that builds P_0..P_n.  Binary64
+inputs (D = E = 1) run the square-root-free RKPW update, which solves this
+inverse eigenvalue problem for the Jacobi matrix with Givens rotations.
+The coefficients fix the rest: the monic family P_0..P_n follows by the
+three-term recurrence, and they are the band of the n-by-n Jacobi matrix
+(beta on the diagonal, ones above it, gamma below it; the writer alone
+makes it dense), whose order-k leading block has characteristic
+polynomial P_k.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import LengthMismatchError, ZeroNormError
 from .kernel import check_weights
@@ -46,20 +49,12 @@ class JacobiData:
     def polys(self) -> tuple:
         """P_0..P_n as ascending coefficient tuples, from P_{k+1} =
         (x - beta_k) P_k - gamma_k P_{k-1}, in the scalar field of beta:
-        exact coefficients as primitive integer vectors (times x is a shift),
-        binary64 ones by the recurrence itself."""
+        exact ones by ``_exact_family`` (``stieltjes`` fills in the family
+        it built), binary64 ones by the recurrence itself."""
         if self.beta and not is_exact_scalar(self.beta[0]):
             return _recurrence_polys(self.beta, self.gamma, 1.0)  # typed: no "1" in binary64
-        u_prev, u, ratio = [], [1], Fraction(0)
-        out = [(Fraction(1),)]
-        for k, bk in enumerate(self.beta):
-            if k:  # gamma_k P_{k-1} in units of P_k: P_k = u / lead(u)
-                ratio = Fraction(self.gamma[k - 1]) * u[-1] / u_prev[-1]
-            u_prev, (u, _) = u, _next_primitive(
-                [0, *u], 1, [*u, 0], [*u_prev, 0, 0], Fraction(bk), ratio
-            )
-            out.append(tuple(Fraction(c, u[-1]) for c in u))
-        return tuple(out)
+        pairs = tuple(zip(self.beta, (0, *self.gamma)))
+        return _exact_family(self.n, lambda k, u, u_prev: pairs[k])
 
 
 def moments_real(xs, omega) -> tuple:
@@ -72,17 +67,17 @@ def moments_real(xs, omega) -> tuple:
 def stieltjes(xs, omega) -> JacobiData:
     """beta/gamma of sum_j w_j delta_{x_j}.
 
-    Over ``Fraction`` by the discrete Stieltjes procedure (Gautschi,
-    Orthogonal Polynomials (2004), section 2.2.3): beta_k and gamma_k are
-    inner products of the values P_k(x_j), each vector held as a rational
-    scale times a primitive integer vector, so a step costs O(n) integer
-    products and one content gcd.  Over binary64 by RKPW (``_rkpw``), which
-    stays accurate with no reorthogonalization.  Both give the exact
-    coefficients over ``Fraction``.  NonpositiveWeightError unless every
-    weight is positive and finite (``kernel.check_weights``); ZeroNormError
-    for no nodes, or when nodes coincide (a zero P_k vector exactly; a
-    gamma_k that is not positive, NaN too, in binary64), or when a binary64
-    gamma_k underflows to 0 at distinct nodes.  No threshold.
+    Over ``Fraction`` by the moment form of the Stieltjes procedure
+    (Gautschi, Orthogonal Polynomials (2004), sections 2.1 and 2.2.3):
+    beta_k and gamma_k are power sums paired with the coefficients of P_k,
+    and one pass of the recurrence builds P_0..P_n, which the returned data
+    holds; a step costs O(k) integer products and one content gcd.  Over
+    binary64 by RKPW (``_rkpw``), which needs no reorthogonalization.  Both
+    give the exact coefficients over ``Fraction``.  NonpositiveWeightError
+    unless every weight is positive and finite (``kernel.check_weights``);
+    ZeroNormError for no nodes, or when nodes coincide (a P_k of norm zero
+    exactly; a gamma_k that is not positive, NaN too, in binary64), or when
+    a binary64 gamma_k underflows to 0 at distinct nodes.  No threshold.
     """
     if len(omega) != len(xs):
         raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
@@ -90,8 +85,13 @@ def stieltjes(xs, omega) -> JacobiData:
     check_weights(omega)
     if not omega:
         raise ZeroNormError("total mass is not positive")
-    beta, gamma = (_stieltjes_exact if is_exact_scalar(xs[0]) else _rkpw)(xs, omega)
-    bad = next((k for k, g in enumerate(gamma, 1) if not g > 0), 0)  # binary64 only
+    if is_exact_scalar(xs[0]):
+        beta, gamma, polys = _moment_stieltjes(xs, omega)
+        data = JacobiData(beta=tuple(beta), gamma=tuple(gamma))
+        data.__dict__["polys"] = polys  # no field: dataclasses.replace rebuilds it
+        return data
+    beta, gamma = _rkpw(xs, omega)
+    bad = next((k for k, g in enumerate(gamma, 1) if not g > 0), 0)
     if bad and len(set(xs)) < len(xs):
         raise ZeroNormError("a gamma_k is not positive: coincident nodes")
     if bad:  # at distinct nodes
@@ -99,48 +99,58 @@ def stieltjes(xs, omega) -> JacobiData:
     return JacobiData(beta=tuple(beta), gamma=tuple(gamma))
 
 
-def _next_primitive(xu, scale, u, u_prev, beta, ratio):
-    """The vector xu / scale - beta u - ratio u_prev, for integer vectors
-    xu, u, u_prev and rationals beta, ratio, as (g, f): g a primitive
-    integer vector (zero if the vector is) and f a rational with
-    vector = f g."""
-    den = math.lcm(scale, beta.denominator, ratio.denominator)
-    c1, c0, cp = den // scale, den // beta.denominator, den // ratio.denominator
-    c0, cp = c0 * beta.numerator, cp * ratio.numerator
-    g = [c1 * a - c0 * b - cp * c for a, b, c in zip(xu, u, u_prev)]
+def _next_primitive(xu, u, u_prev, beta, ratio):
+    """The primitive integer vector, a positive multiple, of
+    xu - beta u - ratio u_prev (integer vectors, rational beta and ratio)."""
+    den = math.lcm(beta.denominator, ratio.denominator)
+    c0 = den // beta.denominator * beta.numerator
+    cp = den // ratio.denominator * ratio.numerator
+    g = [den * a - c0 * b - cp * c for a, b, c in zip(xu, u, u_prev)]
     content = math.gcd(*g)
-    if content > 1:
-        g = [v // content for v in g]
-    return g, Fraction(content, den)
+    return [v // content for v in g] if content > 1 else g
 
 
-def _stieltjes_exact(xs, omega):
-    """beta, gamma over Fraction from P_{k+1} = (x - beta_k) P_k
-    - gamma_k P_{k-1} on the values at the nodes, with
-    beta_k = <x P_k, P_k> / h_k and gamma_k = h_k / h_{k-1}.  The nodes and
-    weights are scaled to integers x_j = X_j / D, w_j ~ W_j once; P_k(x_j)
-    = s_k u_kj with u_k primitive, and only t_k = s_k / s_{k-1} is kept,
-    since h_k ~ s_k^2 sum_j W_j u_kj^2."""
+def _exact_family(n, coefficients):
+    """P_0..P_n as Fraction tuples by the recurrence on primitive integer
+    vectors u_k, P_k = u_k / L_k with L_k = u_k[-1] > 0: times x is a shift,
+    and gamma_k P_{k-1} is gamma_k L_k / L_{k-1} times u_{k-1} in units of
+    P_k.  ``coefficients(k, u_k, u_{k-1})`` gives beta_k and gamma_k (0 at
+    k = 0)."""
+    u_prev, u = [], [1]
+    out = [(Fraction(1),)]
+    for k in range(n):
+        beta, gamma = map(Fraction, coefficients(k, u, u_prev))
+        ratio = gamma * u[-1] / u_prev[-1] if k else gamma
+        u_prev, u = u, _next_primitive([0, *u], [*u, 0], [*u_prev, 0, 0], beta, ratio)
+        out.append(tuple(Fraction(c, u[-1]) for c in u))
+    return tuple(out)
+
+
+def _moment_stieltjes(xs, omega):
+    """beta, gamma and P_0..P_n over Fraction, in one ``_exact_family`` pass.
+    With R_i = D^(2n-1-i) S_i (the power sums over one denominator) and
+    P_k = u / L: H_k = sum_i u_i R_{i+k} and A_k = sum_i u_i R_{i+k+1} are
+    h_k = <P_k, P_k> = <P_k, x^k> and <P_k, x^(k+1)> times L E D^(2n-1), so
+    beta_k = <x P_k, P_k> / h_k = A_k / H_k + u_{k-1} / L (0 at k = 0) and
+    gamma_k = h_k / h_{k-1} = H_k L_{k-1} / (H_{k-1} L_k).  H_k = 0: P_k
+    vanishes at every node."""
     (scale, nodes), (_, weights) = integer_grid(xs), integer_grid(omega)
     n = len(xs)
-    u, u_prev, ratio = [1] * n, [0] * n, Fraction(0)
-    t, norm_prev = Fraction(1), 1
-    beta, gamma = [], []
-    for k in range(n):
-        wuu = [w * a * a for w, a in zip(weights, u)]
-        norm = sum(wuu)
-        beta.append(Fraction(sum([x * q for x, q in zip(nodes, wuu)]), scale * norm))
+    sums = [s * scale ** (2 * n - 1 - i) for i, s in enumerate(power_sums(nodes, weights, 2 * n))]
+    beta, gamma, norms = [], [], []
+
+    def moments(k, u, u_prev):
+        norm = sum(map(mul, u, sums[k : 2 * k + 1]))
+        if not norm:
+            raise ZeroNormError(f"P_{k} vanishes at every node: coincident nodes")
+        first, lead = sum(map(mul, u, sums[k + 1 : 2 * k + 2])), u[-1]
+        beta.append(Fraction(first * lead + (u[-2] * norm if k else 0), norm * lead))
         if k:
-            ratio = t * norm / norm_prev  # gamma_k s_{k-1} / s_k
-            gamma.append(ratio * t)
-        if k + 1 == n:
-            break
-        xu = [x * a for x, a in zip(nodes, u)]
-        u_prev, (u, t) = u, _next_primitive(xu, scale, u, u_prev, beta[k], ratio)
-        if not t:
-            raise ZeroNormError(f"P_{k + 1} vanishes at every node: coincident nodes")
-        norm_prev = norm
-    return beta, gamma
+            gamma.append(Fraction(norm * u_prev[-1], norms[-1] * lead))
+        norms.append(norm)
+        return beta[k], gamma[k - 1] if k else 0
+
+    return beta, gamma, _exact_family(n, moments)
 
 
 def _rkpw(xs, omega):

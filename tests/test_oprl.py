@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twospec
+from twospec import files, oprl
 from twospec.fuzz import random_real_instance
-from twospec.oprl import JacobiData, _recurrence_polys, _rkpw, _stieltjes_exact
+from twospec.oprl import JacobiData, _moment_stieltjes, _recurrence_polys, _rkpw
 from twospec.poly import poly_from_roots, power_sums
 
 from . import oracles
@@ -138,7 +140,7 @@ class TestStieltjes:
             twospec.stieltjes((1, 1, 2), (F(1, 3), F(1, 3), F(1, 3)))
         # a P_k that vanishes at every node, early or at the last step
         for xs in ((0, 0), (F(1, 3), 2, F(2, 6), 5), (1, 2, 3, 3)):
-            with pytest.raises(twospec.ZeroNormError):
+            with pytest.raises(twospec.ZeroNormError, match="coincident nodes"):
                 twospec.stieltjes(xs, (F(10**30, 7),) * len(xs))
         with pytest.raises(twospec.ZeroNormError):
             twospec.stieltjes((1.0, 1.0, 2.0), (0.3, 0.3, 0.3))
@@ -202,14 +204,16 @@ def rational_measures(draw, max_n=9):
 
 
 class TestExactStieltjes:
-    """The fraction-free Stieltjes procedure that rational mode runs, against
-    RKPW and the generic recurrence over Fraction."""
+    """The moment form of the Stieltjes procedure that rational mode runs
+    (beta/gamma from power sums on the coefficient vectors of P_k, one pass
+    of the recurrence on primitive integer vectors), against RKPW and the
+    generic recurrence over Fraction."""
 
     @given(rational_measures())
     @settings(max_examples=150, deadline=None)
     def test_matches_rkpw(self, measure):
         xs, omega = measure
-        beta, gamma = _stieltjes_exact(xs, omega)
+        beta, gamma, _ = _moment_stieltjes(xs, omega)
         assert (beta, gamma) == _rkpw(xs, omega)
         assert all(type(v) is F for v in (*beta, *gamma))
 
@@ -227,7 +231,7 @@ class TestExactStieltjes:
     def test_symmetric_measure_has_zero_beta(self):
         xs = (F(-5, 2), -1, F(-1, 3), 0, F(1, 3), 1, F(5, 2))
         omega = (F(1, 9), 2, F(3, 7), 5, F(3, 7), 2, F(1, 9))
-        beta, gamma = _stieltjes_exact(xs, omega)
+        beta, gamma, _ = _moment_stieltjes(xs, omega)
         assert beta == [0] * 7
         assert (beta, gamma) == _rkpw(xs, omega)
 
@@ -241,6 +245,40 @@ class TestExactStieltjes:
         data = sol.jacobi
         assert data.polys == _recurrence_polys(data.beta, data.gamma, F(1))
         assert (list(data.beta), list(data.gamma)) == _rkpw(pair.xs, sol.weight.omega)
+
+    def test_one_pass_builds_the_family(self, monkeypatch):
+        # reconstruct, verify and the writer share the P_k of one recurrence:
+        # one primitive step per degree, not a second pass for polys
+        pair = random_real_instance(random.Random(3), 14, 5)
+        pair = twospec.RealSpectrumPair(
+            xs=tuple(F(x) for x in pair.xs), ys=tuple(F(y) for y in pair.ys)
+        )
+        problem = files.Problem(
+            setting=files.REAL,
+            arithmetic=files.RATIONAL,
+            pair=pair,
+            selection=twospec.WeightSelection(),
+            profile=twospec.STANDARD,
+        )
+        calls = []
+        step = oprl._next_primitive
+        monkeypatch.setattr(oprl, "_next_primitive", lambda *a: calls.append(1) or step(*a))
+        sol = twospec.reconstruct(pair)
+        doc = files.encode_solution(sol, problem)
+        assert sol.report.verdict
+        assert len(doc["polynomials"]) == pair.n + 1
+        assert len(calls) == pair.n
+        # data rebuilt from beta/gamma alone runs the recurrence of its own
+        assert JacobiData(sol.jacobi.beta, sol.jacobi.gamma).polys == sol.jacobi.polys
+        assert len(calls) == 2 * pair.n
+
+    def test_replaced_data_rebuilds_its_family(self):
+        # the family stieltjes hands over is no field: replace runs the
+        # recurrence on the new coefficients
+        data = twospec.stieltjes(NODES, W_DEFAULT)
+        moved = dataclasses.replace(data, beta=(0, *data.beta[1:]))
+        assert moved.polys == _recurrence_polys(moved.beta, moved.gamma, F(1))
+        assert moved.polys[1:] != data.polys[1:]
 
 
 class TestBinary64Recurrence:
