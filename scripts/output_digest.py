@@ -19,12 +19,12 @@ same seed are equal: ``diff`` them to see which cases moved.
 
 With ``--values`` each output document is reduced before it is hashed, so
 that a change of format alone moves no digest: ``polynomials`` and
-``matrices`` are dropped, and each circuit becomes its support and the
-values there, read from sparse ``entries`` or from a dense ``weights``
-array, and the rest is written again as json.dumps(doc, sort_keys=True,
-separators=(",", ":"), ensure_ascii=False) plus a newline, whatever
-whitespace the program writes.  Exit and error codes are kept.  Copy the
-script into another checkout to compare the values two versions compute.
+``matrices`` are dropped, each circuit becomes its support and its
+``entries`` there, and the rest is written again as json.dumps(doc,
+sort_keys=True, separators=(",", ":"), ensure_ascii=False) plus a newline,
+whatever whitespace the program writes.  Exit and error codes are kept.
+Copy the script into another checkout to compare the values two versions
+compute.
 
 With ``--bytes`` each digest is followed by a tab and the length in bytes
 of the output text as written (0 for a perfbench case that ended with an
@@ -44,9 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from twospec import cli, files  # noqa: E402
+from twospec import cli  # noqa: E402
 from twospec.errors import TwospecError  # noqa: E402
-from twospec.pipeline import reconstruct  # noqa: E402
 
 PROBLEM_RUNS = (
     ("check",),
@@ -77,15 +76,6 @@ def _digest(text: str, values=False, sizes=False) -> str:
     return f"{digest}\t{len(text.encode())}" if sizes else digest
 
 
-def _circuit_values(circuit: dict) -> dict:
-    support = circuit["support"]
-    if "entries" in circuit:
-        values = circuit["entries"]
-    else:
-        values = [circuit["weights"][j - 1] for j in support]
-    return {"support": support, "values": values}
-
-
 def reduce_values(text: str) -> str:
     """An output document without its format-only parts (see the module
     docstring), written by the canonical rule but independently of the
@@ -99,7 +89,8 @@ def reduce_values(text: str) -> str:
     doc.pop("polynomials", None)
     doc.pop("matrices", None)
     if doc.get("circuits") is not None:
-        doc["circuits"] = [_circuit_values(c) for c in doc["circuits"]]
+        doc["circuits"] = [{"support": c["support"], "values": c["entries"]}
+                           for c in doc["circuits"]]  # fmt: skip
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
@@ -123,17 +114,16 @@ def cli_cases(values=False, sizes=False) -> list:
 
 
 def perfbench_cases(seed: int, values=False, sizes=False) -> list:
-    """Digest lines of every perfbench instance at ``seed``, sorted."""
+    """Digest lines of every perfbench instance at ``seed``, each solved by
+    the chain the benchmark times, sorted."""
+    from perfbench.stages import solve
     from perfbench.workloads import WORKLOADS
 
     lines = []
     for name, build in WORKLOADS.items():
         for inst in build(seed):
             try:
-                problem = files.load_problem(files.loads_document(inst.text))
-                solution = reconstruct(problem.pair, problem.selection, problem.profile)
-                text = files.dumps_canonical(files.encode_solution(solution, problem))
-                value = _digest(text, values, sizes)
+                value = _digest(solve(inst.text)[2], values, sizes)
             except TwospecError as exc:
                 value = f"{exc.code}\t0" if sizes else exc.code
             lines.append(f"perfbench {name} {seed} {inst.index:03d}\t{value}")

@@ -44,7 +44,7 @@ from .interlacing import (
 )
 from .kernel import (
     CIRCLE, COEFFICIENTS, LIST_LIMIT, REAL, STRATEGIES, SUM_ALL, WeightResult, WeightSelection,
-    check_weights, family_listing,
+    _support, check_weights, family_listing,
 )
 from .oprl import JacobiData, moments_real
 from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
@@ -469,10 +469,9 @@ def decode_solution(doc: dict):
         omega = array(doc["omega"], n)
         check_weights(omega)
 
-        def circuit(c):  # the support rule of kernel.circuits, bool excluded
+        def circuit(c):  # the support rule of kernel.circuits, written ascending
             s = c["support"]
-            if not (isinstance(s, list) and len(s) == k and all(type(j) is int for j in s)
-                    and s == sorted(set(s)) and 1 <= s[0] and s[-1] <= n):
+            if not (isinstance(s, list) and _support(s, k, n) == tuple(s)):
                 raise ProblemFormatError(f"a support holds {k} ascending indices in 1..{n}")
             return tuple(s), array(c["entries"], k)
 

@@ -13,8 +13,8 @@ per band is entrywise nonnegative after the sign choice, and conical
 combinations of those circuits that cover every index are exactly the
 strictly positive solutions.  The sum of the whole one-per-band family
 factors over the bands, so the default weight is computed in closed form in
-O(n^2) whatever the family size, the line's ``cover`` weight in O(n*m), and
-the circle's from folds of circuit factors shared within a band.
+O(n^2) whatever the family size, and the line's ``cover`` weight in O(n*m);
+both settings build their ``cover`` circuits by one fold of shared factors.
 Rational line coordinates run on their integer grid X = D x, Y = D y, where
 a circuit entry is the Fraction D^(2m) / (integer product); binary64 and
 circle ones are their own, D = 1.
@@ -149,7 +149,7 @@ def iter_admissible(bands: tuple):
 
 def admissible_at(bands: tuple, k: int) -> tuple:
     """The k-th (0-based) admissible support without enumerating the rest."""
-    if not 0 <= k < admissible_size(bands):
+    if type(k) is not int or not 0 <= k < admissible_size(bands):  # bool excluded
         raise IndexError(k)
     digits = []
     for b in reversed(bands):
@@ -204,39 +204,35 @@ def _check_distinct(setting, nodes):
         raise DegenerateAngleError("two nodes coincide")
 
 
+def _support(s, size, n):
+    """``s`` ascending if it holds ``size`` distinct ints in 1..n, bool
+    excluded (the types are checked before sorting), else None."""
+    s = tuple(s)
+    s = tuple(sorted(s)) if len(s) == size and all(type(j) is int for j in s) else ()
+    return s if s and 1 <= s[0] and s[-1] <= n and all(map(operator.lt, s, s[1:])) else None
+
+
 def circuits(pair, supports) -> tuple:
-    """The circuits on ``supports`` (each of ``pair.circuit_size`` 1-based
-    node indices) as ``(support, entries)`` pairs: the support ascending,
-    the entries its values in support order (zero off it), each by the
-    formula of the module docstring as one running product, P_m first, then
-    the differences in support order; the entries are negated when more of
-    them are negative than positive.  P_m and each difference d(x_j, x_i)
-    are computed once per call, and each distinct support once: a repeated
-    support returns the same pair.
-    """
-    setting = setting_of(pair)
-    nodes, points, scale = setting.coords(pair)
+    """The circuits on ``supports`` (each as :func:`_support` accepts it)
+    as ``(support, entries)`` pairs: the support ascending, the entries its
+    values in support order (zero off it), each by the formula of the module
+    docstring as one running product, P_m first, then the differences in
+    support order; the entries are negated when more of them are negative
+    than positive.  P_m is computed once per node and call, and each
+    distinct support once: a repeated support returns the same pair."""
+    nodes, points, scale = (setting := setting_of(pair)).coords(pair)
     diff, size = setting.diff, pair.circuit_size
-    # one D per difference; a Fraction on the exact grid, so unit / den is exact
-    unit = off_grid(scale ** (len(points) + size - 1), 1)
-    supports = [tuple(sorted(s)) for s in supports]
-    for s in supports:
-        if len(set(s)) != size or not (1 <= s[0] and s[-1] <= pair.n):
-            raise ValueError(f"support must hold {size} distinct indices in 1..n")
+    unit = off_grid(scale ** (len(points) + size - 1), 1)  # one D per difference
+    supports = [_support(s, size, pair.n) for s in supports]
+    if None in supports:
+        raise ValueError(f"support must hold {size} distinct indices in 1..n")
     _check_distinct(setting, nodes)
     pm = {j: _pm_at(setting, j - 1, nodes[j - 1], points) for j in sorted(set().union(*supports))}
     built = dict.fromkeys(supports)
-    partners = {}  # j -> the union of the supports that hold j
     for s in built:
-        for j in s:
-            partners.setdefault(j, set()).update(s)
-    row = {  # j -> {i: d(x_j, x_i)}; the zero d(x_j, x_j) is never read
-        j: dict(zip(ps, map(diff, repeat(nodes[j - 1]), [nodes[i - 1] for i in ps])))
-        for j, ps in partners.items()
-    }
-    for s in built:
-        factors = ((j, map(row[j].__getitem__, s[:p] + s[p + 1 :])) for p, j in enumerate(s))
-        dens = [math.prod(f, start=pm[j]) for j, f in factors]
+        xs = [nodes[i - 1] for i in s]
+        dens = [math.prod(map(diff, repeat(x), xs[:p] + xs[p + 1 :]), start=pm[j])
+                for p, (j, x) in enumerate(zip(s, xs))]  # fmt: skip
         built[s] = (s, _signed_entries(s, dens, unit))
     return tuple(map(built.__getitem__, supports))
 
@@ -284,8 +280,7 @@ def _cover_omega(pair, bands: tuple) -> tuple:
     """``(omega, circuits)`` of the line's ``cover``, omega in O(n*m): a non-first j of
     band b is on one circuit, entry omega_j at j and c0_s d(x_{f_s}, x_{f_b}) /
     d(x_{f_s}, x_j) at the first index f_s of band s; c0, the base, counts B times."""
-    setting = setting_of(pair)
-    nodes, points, scale = setting.coords(pair)
+    nodes, points, scale = (setting := setting_of(pair)).coords(pair)
     diff, div = setting.diff, operator.truediv if isinstance(scale, float) else Fraction
     unit = off_grid(scale ** (len(points) + len(bands) - 1), 1)
     _check_distinct(setting, nodes)
@@ -305,45 +300,47 @@ def _cover_omega(pair, bands: tuple) -> tuple:
     for s, (f, x) in enumerate(zip(firsts, xf)):
         ratios = map(div, map(table[s].__getitem__, br), map(diff, repeat(x), xr))
         omega[f] *= plain_sum([len(bands), *map(abs, ratios)])
-    f = [b[0] for b in bands]
-    supports = ((*f[:r], j, *f[r + 1 :]) for r, b in enumerate(bands) for j in b)
-    return omega, circuits(pair, supports) if pair.n <= LIST_LIMIT // pair.circuit_size else None
+    return omega, _cover_circuits(pair, bands) if pair.n * pair.circuit_size <= LIST_LIMIT else None
 
 
-def _cover_sum(pair, bands: tuple) -> tuple:
-    """``(omega, circuits)`` of the circle's ``cover``: its n circuits S_j, j
-    with the first index f_q of every other band, built as :func:`circuits`
-    builds them (the base circuit once) and added in j order.  The entry at
-    f_p of S_j, j in band b, folds P_m(x_{f_p}) and d(x_{f_p}, x_{f_q}) for q < b
+def _cover_circuits(pair, bands: tuple) -> tuple:
+    """The n ``cover`` circuits S_j, j with the first index f_q of every other
+    band, in node order, built as :func:`circuits` builds them; the base
+    circuit is one object, repeated at every first index.  The entry at f_p
+    of S_j, j in band b, folds P_m(x_{f_p}) and d(x_{f_p}, x_{f_q}) for q < b
     (kept per (p, b) for all of band b), d(x_{f_p}, x_j), then the q > b."""
-    nodes, points, _ = (setting := setting_of(pair)).coords(pair)
-    diff = setting.diff
+    nodes, points, scale = (setting := setting_of(pair)).coords(pair)
+    diff, unit = setting.diff, off_grid(scale ** (len(points) + len(bands) - 1), 1)
     _check_distinct(setting, nodes)
     pm = [_pm_at(setting, j, x, points) for j, x in enumerate(nodes)]
     firsts = [b[0] for b in bands]
     # table[p][k] = d(x_{f_p}, x_k), rest[p] its d(x_{f_p}, x_{f_q}) for q != p
     table = [list(map(diff, repeat(nodes[f - 1]), nodes)) for f in firsts]
     rest = [[t[f - 1] for q, f in enumerate(firsts) if q != p] for p, t in enumerate(table)]
-    head = [pm[f - 1] for f in firsts]  # head[p]: the fold before band b
-    omega, vecs = [0] * pair.n, []
+    head, vecs = [pm[f - 1] for f in firsts], []  # head[p]: the fold before band b
     for b, band in enumerate(bands):
         others = [p for p in range(len(bands)) if p != b]
         xo = [nodes[firsts[p] - 1] for p in others]
         tails = [(p, rest[p][b + (p > b) :]) for p in others]
         for j in band:
             if j == band[0] and vecs:  # the base circuit again
-                vec = vecs[0]
-            else:
-                s = (*firsts[:b], j, *firsts[b + 1 :])
-                dens = [math.prod(t, start=head[p] * table[p][j - 1]) for p, t in tails]
-                dens.insert(b, math.prod(map(diff, repeat(nodes[j - 1]), xo), start=pm[j - 1]))
-                vec = (s, _signed_entries(s, dens, 1.0))
-            vecs.append(vec)
-            for i, e in zip(*vec):
-                omega[i - 1] = omega[i - 1] + e
-        for p in others:
-            head[p] *= rest[p][b - (p < b)]
-    return omega, tuple(vecs) if pair.n <= LIST_LIMIT // pair.circuit_size else None
+                vecs.append(vecs[0])
+                continue
+            s = (*firsts[:b], j, *firsts[b + 1 :])
+            dens = [math.prod(t, start=head[p] * table[p][j - 1]) for p, t in tails]
+            dens.insert(b, math.prod(map(diff, repeat(nodes[j - 1]), xo), start=pm[j - 1]))
+            vecs.append((s, _signed_entries(s, dens, unit)))
+        head = [h * rest[p][b - (p < b)] if p != b else h for p, h in enumerate(head)]
+    return tuple(vecs)
+
+
+def _cover_sum(pair, bands: tuple) -> tuple:
+    """``(omega, circuits)`` of the circle's ``cover``: its n circuits added in node order."""
+    omega, vecs = [0] * pair.n, _cover_circuits(pair, bands)
+    for s, entries in vecs:
+        for i, e in zip(s, entries):
+            omega[i - 1] = omega[i - 1] + e
+    return omega, vecs if pair.n * pair.circuit_size <= LIST_LIMIT else None
 
 
 def positive_weight(pair, bands: tuple, selection: WeightSelection) -> WeightResult:

@@ -65,14 +65,14 @@ def verblunsky_from_moments(mu) -> VerblunskyData:
     With L(z^i) = mu_i, each step solves conj(alpha_k) = L(z Phi_k) /
     L(Phi*_k); the denominator equals <Phi_k, Phi_k> and stays positive for
     a measure with enough support points.  ZeroDenominatorError when it
-    does not, mu_0 = <Phi_0, Phi_0> <= 0 included.  Returns the alpha part
-    only (``b`` unset).
+    does not, mu_0 = <Phi_0, Phi_0> <= 0 included, or when ``mu`` is empty.
+    Returns the alpha part only (``b`` unset).
     """
 
     def functional(coeffs):
         return plain_sum(map(mul, coeffs, mu))
 
-    mu0 = mu[0].real
+    mu0 = mu[0].real if mu else 0.0
     if not mu0 > 0:
         raise ZeroDenominatorError("norm of Phi_0 (mu_0) is not positive")
     phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]

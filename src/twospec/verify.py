@@ -39,7 +39,7 @@ from itertools import chain, repeat
 from operator import mul, ne, sub
 
 from . import kernel as _kernel
-from .errors import AlphaOutOfDiskError
+from .errors import AlphaOutOfDiskError, LengthMismatchError
 from .interlacing import TWO_PI, CircleSpectrumPair, RealSpectrumPair
 from .oprl import JacobiData
 from .poly import poly_from_roots
@@ -218,8 +218,13 @@ def verify_oprl(pair: RealSpectrumPair, omega, data: JacobiData, profile=STANDAR
         its recurrence evaluation passes the spectrum residual in binary64;
     (c) every gamma_k is positive.  In binary64 the coefficient match of
     P_n and P_m against the zero products is reported only.
+    LengthMismatchError unless there are n weights, n betas and n - 1 gammas.
     """
     n, m = pair.n, pair.m
+    if (len(omega), len(data.beta), len(data.gamma)) != (n, n, n - 1):
+        raise LengthMismatchError(
+            f"{len(omega)} weights, {len(data.beta)} betas and {len(data.gamma)} gammas, n = {n}"
+        )
     xs, ys, omega = coerce_real_field(pair.xs, pair.ys, omega)
     exact, grid_omega = is_exact_scalar(omega[0]), integer_grid(omega)[1]
     gamma = (0, *data.gamma)
@@ -273,8 +278,11 @@ def verify_popuc(
     coefficient match of Psi_n and Psi_m against the zero products is
     reported only.  An alpha outside the disk fails (d); the coefficient
     match and the CMV product it leaves undefined read None.
+    LengthMismatchError unless there are n weights and n - 1 alphas.
     """
     n, m = pair.n, pair.m
+    if (len(omega), len(data.alpha)) != (n, n - 1):
+        raise LengthMismatchError(f"{len(omega)} weights and {len(data.alpha)} alphas, n = {n}")
     alpha = [complex(a) for a in data.alpha]
     b_n = boundary_param(pair.zetas) if data.b is None else complex(data.b)
     b_m = boundary_param(pair.xis)

@@ -96,6 +96,11 @@ class TestAdmissibleFamily:
         with pytest.raises(IndexError):
             twospec.admissible_at(bands, len(family))
 
+    @pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+    def test_indexing_refuses_a_k_that_is_not_an_int(self, circle_7_3, k):
+        with pytest.raises(IndexError):
+            twospec.admissible_at(_bands(circle_7_3), k)
+
 
 class TestRealCircuits:
     def test_first_support(self, pair_4_2):
@@ -137,6 +142,14 @@ class TestRealCircuits:
     def test_bad_support_size(self, pair_4_2):
         with pytest.raises(ValueError):
             twospec.circuit(pair_4_2, (1, 2))
+
+    @pytest.mark.parametrize(
+        "support", [(True, 2, 4), (1.0, 2, 4), ("1", 2, 4)], ids=["bool", "float", "text"]
+    )
+    def test_support_of_indices_that_are_not_ints(self, pair_4_2, support):
+        # the rule decode_solution reads supports by: ints only, bool excluded
+        with pytest.raises(ValueError):
+            twospec.circuit(pair_4_2, support)
 
 
 class TestCircleCircuits:
@@ -482,22 +495,6 @@ class TestCoverClosedForm:
 
 
 class TestCircuitWork:
-    def test_each_difference_once_per_call(self, monkeypatch):
-        # the circle's n cover supports: P_m at every node (n m differences),
-        # the distinctness check (n), and each node's row of differences to
-        # the nodes it shares a support with; a first index of a band shares
-        # one with every node, another index only with its own support
-        n, m = 64, 16
-        pair = fuzz.random_circle_instance(random.Random(64), n, m)
-        bands = _bands(pair)
-        supports = _cover_supports(bands, n)
-        want = twospec.circuits(pair, supports)
-        calls, circle = [], twospec.kernel._CIRCLE
-        counted = dataclasses.replace(circle, diff=lambda x, y: calls.append(1) or circle.diff(x, y))
-        monkeypatch.setattr(twospec.kernel, "_CIRCLE", counted)
-        assert twospec.circuits(pair, supports) == want
-        assert 0 < len(calls) <= n * m + n + 2 * n * len(bands)
-
     def test_circle_cover_weight_within_the_same_bound(self, monkeypatch):
         # positive_weight sums the same circuits without ``circuits``: P_m,
         # the distinctness check, each first index's row to every node, and
@@ -512,6 +509,23 @@ class TestCircuitWork:
         got = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
         assert repr(got) == repr(want)
         assert 0 < len(calls) <= n * m + n + 2 * n * len(bands)
+
+    def test_line_cover_recording_within_twice_the_bound(self, monkeypatch):
+        # a listed line cover: the closed-form omega and the recorded
+        # circuits each take P_m, the distinctness check and at most two
+        # rows per node and band, 2,909 differences here; recording through
+        # ``circuits``, B (B - 1) differences per circuit, takes 6,279
+        n, m = 30, 20
+        pair = fuzz.random_real_instance(random.Random(30), n, m)
+        bands = _bands(pair)
+        want = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        assert want.circuits is not None
+        calls, real = [], twospec.kernel._REAL
+        counted = dataclasses.replace(real, diff=lambda x, y: calls.append(1) or real.diff(x, y))
+        monkeypatch.setattr(twospec.kernel, "_REAL", counted)
+        got = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        assert repr(got) == repr(want)
+        assert 0 < len(calls) <= 2 * (n * m + n + 2 * n * len(bands))
 
 
 class TestNonpositiveWeight:
@@ -700,9 +714,9 @@ def _reference_entries(pair, support):
 
 
 class TestCircuitBits:
-    """One build per distinct support and one table of node differences
-    leave every bit of the per-support formula, in the circuits and in
-    omega."""
+    """One build per distinct support and the ``cover`` fold of shared
+    circuit factors leave every bit of the per-support formula, in the
+    circuits and in omega."""
 
     def _check(self, pair, selection):
         bands = _bands(pair)

@@ -114,6 +114,10 @@ class TestVerblunsky:
         with pytest.raises(twospec.ZeroDenominatorError):
             twospec.verblunsky_from_moments((-1 + 0j, 0j))
 
+    def test_no_moments_is_a_zero_denominator(self):
+        with pytest.raises(twospec.ZeroDenominatorError):
+            twospec.verblunsky_from_moments(())
+
     def test_vanishing_norm_is_a_zero_denominator(self):
         # alpha_0 = alpha_1 = r inside the disk: <Phi_2, Phi_2> = (1 - r^2)^2,
         # about 1e-14, is below DENOM_REL * mu_0

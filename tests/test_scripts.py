@@ -2,7 +2,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from twospec import cli
@@ -63,18 +66,15 @@ def test_output_digest_cli_cases():
 
 def test_output_digest_values_ignore_the_format():
     digest = load_digest()
-    dense = {
+    full = {
         "omega": ["1", "2", "3"],
-        "circuits": [{"support": [1, 3], "weights": ["1/2", "0", "-1/3"]}],
+        "circuits": [{"support": [1, 3], "entries": ["1/2", "-1/3"]}],
         "polynomials": [["1"], ["-1", "1"]],
         "matrices": {"jacobi": [["1"]]},
     }
-    sparse = {
-        "omega": ["1", "2", "3"],
-        "circuits": [{"support": [1, 3], "entries": ["1/2", "-1/3"]}],
-        "polynomials": None,
-    }
-    reduced = digest.reduce_values(json.dumps(dense))
+    sparse = dict(full, polynomials=None)
+    del sparse["matrices"]
+    reduced = digest.reduce_values(json.dumps(full))
     assert reduced == digest.reduce_values(json.dumps(sparse))
     assert json.loads(reduced) == {
         "omega": ["1", "2", "3"],
@@ -106,3 +106,21 @@ def test_output_digest_bytes_follow_each_digest():
     with contextlib.redirect_stdout(out):
         cli.main(["reconstruct", "-i", str(ROOT / "problems" / "real_small.json")])
     assert lengths["cli real_small.json reconstruct"] == len(out.getvalue().encode())
+
+
+def test_output_digest_cli_cases_do_not_depend_on_the_hash_seed():
+    # identical inputs write identical bytes: no set or string-hash order
+    # reaches any output, under either of two string-hash seeds
+    script = ROOT / "scripts" / "output_digest.py"
+    code = f"import runpy; print(*runpy.run_path({str(script)!r})['cli_cases'](), sep='\\n')"
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]  # fmt: skip
+    assert runs[0] == runs[1]
+    digest = load_digest()
+    problems = len(list((ROOT / "problems").glob("*.json")))
+    assert len(runs[0].splitlines()) == problems * len(digest.PROBLEM_RUNS) + len(digest.FUZZ_RUNS)

@@ -212,6 +212,49 @@ class TestVerifyCircle:
         assert report.kernel_residual == sol.report.kernel_residual
 
 
+class TestInputLengths:
+    """n weights, n betas and n - 1 gammas on the line, n - 1 alphas on the
+    circle, or LengthMismatchError before anything is computed."""
+
+    @staticmethod
+    def _line(pair, exact):
+        if not exact:
+            pair = twospec.RealSpectrumPair(*(tuple(map(float, v)) for v in (pair.xs, pair.ys)))
+        return pair, twospec.reconstruct_real(pair)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float64"])
+    def test_line_extra_weight(self, pair_4_2, exact):
+        pair, sol = self._line(pair_4_2, exact)
+        with pytest.raises(twospec.LengthMismatchError):
+            twospec.verify_oprl(pair, sol.weight.omega + sol.weight.omega[:1], sol.jacobi)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float64"])
+    def test_line_extra_beta_and_gamma(self, pair_4_2, exact):
+        pair, sol = self._line(pair_4_2, exact)
+        beta, gamma = sol.jacobi.beta, sol.jacobi.gamma
+        longer = dataclasses.replace(sol.jacobi, beta=beta + beta[:1], gamma=gamma + gamma[:1])
+        with pytest.raises(twospec.LengthMismatchError):
+            twospec.verify_oprl(pair, sol.weight.omega, longer)
+
+    def test_line_gamma_one_short(self, pair_4_2):
+        pair, sol = self._line(pair_4_2, True)
+        shorter = dataclasses.replace(sol.jacobi, gamma=sol.jacobi.gamma[:-1])
+        with pytest.raises(twospec.LengthMismatchError):
+            twospec.verify_oprl(pair, sol.weight.omega, shorter)
+
+    def test_circle_extra_weight(self, circle_3_2):
+        sol = twospec.reconstruct_circle(circle_3_2)
+        omega = sol.weight.omega + sol.weight.omega[:1]
+        with pytest.raises(twospec.LengthMismatchError):
+            twospec.verify_popuc(circle_3_2, omega, sol.verblunsky, (sol.c_n, sol.c_m))
+
+    def test_circle_extra_alpha(self, circle_3_2):
+        sol = twospec.reconstruct_circle(circle_3_2)
+        longer = dataclasses.replace(sol.verblunsky, alpha=sol.verblunsky.alpha + (0j,))
+        with pytest.raises(twospec.LengthMismatchError):
+            twospec.verify_popuc(circle_3_2, sol.weight.omega, longer, (sol.c_n, sol.c_m))
+
+
 class TestBruteOracles:
     def test_nullspace_dimension(self, pair_4_2):
         system = twospec.assemble_system(pair_4_2)
