@@ -30,8 +30,7 @@ from .errors import (
 )
 from .fuzz import run_fuzz
 from .kernel import (
-    CIRCLE, COEFFICIENTS, REAL, STRATEGIES, WeightSelection, circuits, family_listing,
-    iter_admissible,
+    CIRCLE, REAL, STRATEGIES, WeightSelection, circuits, family_listing, iter_admissible,
 )
 from .pipeline import interlace, reconstruct
 
@@ -117,8 +116,8 @@ def _read_input(args) -> dict:
 
 
 def _apply_overrides(doc: dict, args) -> dict:
-    """The document with the flags applied; a document, weights or
-    coefficients that is not an object is left for load_problem to reject."""
+    """The flags merged into the document for load_problem, which picks an
+    unset strategy and refuses a non-object document, weights or coefficients."""
     if not isinstance(doc, dict):
         return doc
     doc = dict(doc)
@@ -129,21 +128,14 @@ def _apply_overrides(doc: dict, args) -> dict:
     weights = {} if doc.get("weights") is None else doc["weights"]
     coeffs = isinstance(weights, dict) and weights.get("coefficients")
     coeffs = {} if coeffs is None else coeffs
-    if not isinstance(coeffs, dict):
-        return doc
-    weights = dict(weights)
-    if args.strategy or args.param:
-        weights["strategy"] = args.strategy or COEFFICIENTS
-    if args.param:
+    if (args.strategy or args.param) and isinstance(coeffs, dict):
         coeffs = dict(coeffs)
         for item in args.param:
             key, sep, value = item.partition("=")
             if not sep:
                 raise ProblemFormatError(f"--param wants sK=V, got {item!r}")
             coeffs[key.strip()] = value.strip()
-        weights["coefficients"] = coeffs
-    if weights:
-        doc["weights"] = weights
+        doc["weights"] = {**weights, "strategy": args.strategy, "coefficients": coeffs}
     return doc
 
 

@@ -177,7 +177,7 @@ def parse_real_value(value, arithmetic, problem=False):
         raise ProblemFormatError(f"cannot parse real value {value!r}") from exc
 
 
-def _check_text(text, problem=True):
+def _check_text(text, problem):
     """Refuse a text with a non-ASCII digit, an underscore or a space next to
     "/", a text with an exponent of 10^4 or more, and a problem text whose
     number must have more than PROBLEM_DIGITS digits: a longer digit run, or
@@ -199,7 +199,6 @@ def parse_circle_value(value, tag, i):
     tag[i], by its own form: an {"re", "im"} point by point_reading, an
     angle, or a multiple of pi such as "4/3 pi" or "-pi", by angle_reading."""
     if isinstance(value, str) and (m := _PI_TEXT.match(value)):
-        _check_text(value)
         coef = {"": "1", "+": "1", "-": "-1"}.get(m[1], m[1])
         return angle_reading(parse_real_value(coef, FLOAT64, problem=True) * math.pi, tag, i)
     if isinstance(value, dict) and "re" in value and "im" in value:
@@ -435,9 +434,10 @@ def decode_solution(doc: dict):
     array's length does not fit the zero sets (omega and beta n, gamma and
     alpha n-1, thetas n, phis m, and a circuit's entries as many as its
     support); when a support is not circuit_size distinct ascending ints in
-    1..n; when a circle is rational, or omega, the circle pair or the report
-    is not one the pipeline writes (check_weights, _circle_pair,
-    _decode_report); or when a step refuses its value with any TwospecError."""
+    1..n; when a circle is rational; when omega (check_weights) or a circuit
+    entry is not positive and finite, or the circle pair or the report is
+    not one the pipeline writes (_circle_pair, _decode_report); or when a
+    step refuses its value with any TwospecError."""
     try:
         if doc.get("schema") != SCHEMA:
             raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
@@ -473,7 +473,10 @@ def decode_solution(doc: dict):
             s = c["support"]
             if not (isinstance(s, list) and _support(s, k, n) == tuple(s)):
                 raise ProblemFormatError(f"a support holds {k} ascending indices in 1..{n}")
-            return tuple(s), array(c["entries"], k)
+            entries = array(c["entries"], k)
+            if not all(0 < e < math.inf for e in entries):  # admissible circuits share one sign
+                raise ProblemFormatError("a circuit entry is not positive and finite")
+            return tuple(s), entries
 
         circuits = None if doc["circuits"] is None else tuple(map(circuit, doc["circuits"]))
         common = dict(

@@ -238,11 +238,15 @@ def circuits(pair, supports) -> tuple:
 
 
 def _signed_entries(support, dens, unit) -> tuple:
-    """unit / den for each den, negated when most are negative; a zero den is
-    a running product that underflowed binary64 (NonpositiveWeightError)."""
+    """unit / den for each den, negated when most are negative; an entry that
+    binary64 cannot hold is a NonpositiveWeightError naming its node: a zero
+    den (an underflowed running product) first, then an entry of 0 or inf."""
     if not all(dens):
         raise NonpositiveWeightError(f"circuit entry {support[dens.index(0)]} overflows")
     entries = [unit / d for d in dens]
+    for j, e in zip(support, entries):
+        if not 0 < abs(e) < math.inf:
+            raise NonpositiveWeightError(f"circuit entry {j} {'over' if e else 'under'}flows")
     if sum(map(operator.lt, entries, repeat(0))) > sum(map(operator.gt, entries, repeat(0))):
         entries = [-e for e in entries]
     return tuple(entries)
@@ -291,28 +295,25 @@ def _cover_omega(pair, bands: tuple) -> tuple:
     br = [r for r, b in enumerate(bands) for _ in b[1:]]
     table = [list(map(diff, repeat(x), xf)) for x in xf]
     rows = chain(table, (list(map(diff, repeat(x), xf)) for x in xr))
-    omega = [0] * pair.n
-    for j, b, row in zip(firsts + rest, [*range(len(bands)), *br], rows):
-        try:  # the entry at j of j's circuit: c0 at a first index
-            omega[j] = abs(unit / math.prod(row[:b] + row[b + 1 :], start=pm[j]))
-        except ZeroDivisionError:  # the running product underflows binary64
-            raise NonpositiveWeightError(f"circuit entry {j + 1} overflows") from None
+    order = firsts + rest  # the entry at j of j's circuit: c0 at a first index
+    dens = [math.prod(row[:b] + row[b + 1 :], start=pm[j])
+            for j, b, row in zip(order, [*range(len(bands)), *br], rows)]  # fmt: skip
+    entries = _signed_entries([j + 1 for j in order], dens, unit)
+    omega = [abs(e) for _, e in sorted(zip(order, entries))]
     for s, (f, x) in enumerate(zip(firsts, xf)):
         ratios = map(div, map(table[s].__getitem__, br), map(diff, repeat(x), xr))
         omega[f] *= plain_sum([len(bands), *map(abs, ratios)])
-    return omega, _cover_circuits(pair, bands) if pair.n * pair.circuit_size <= LIST_LIMIT else None
+    listed = pair.n * pair.circuit_size <= LIST_LIMIT
+    return omega, _cover_circuits(pair, bands, pm) if listed else None
 
 
-def _cover_circuits(pair, bands: tuple) -> tuple:
-    """The n ``cover`` circuits S_j, j with the first index f_q of every other
-    band, in node order, built as :func:`circuits` builds them; the base
-    circuit is one object, repeated at every first index.  The entry at f_p
-    of S_j, j in band b, folds P_m(x_{f_p}) and d(x_{f_p}, x_{f_q}) for q < b
-    (kept per (p, b) for all of band b), d(x_{f_p}, x_j), then the q > b."""
+def _cover_circuits(pair, bands: tuple, pm: list) -> tuple:
+    """The n ``cover`` circuits S_j, j with the first index f_q of every other band, in
+    node order, as :func:`circuits` builds them from ``pm``, P_m at the nodes checked
+    distinct; the base circuit is one object.  The entry at f_p of S_j, j in band b, folds
+    P_m(x_{f_p}), d(x_{f_p}, x_{f_q}) for q < b (kept per (p, b)), d(x_{f_p}, x_j), q > b."""
     nodes, points, scale = (setting := setting_of(pair)).coords(pair)
     diff, unit = setting.diff, off_grid(scale ** (len(points) + len(bands) - 1), 1)
-    _check_distinct(setting, nodes)
-    pm = [_pm_at(setting, j, x, points) for j, x in enumerate(nodes)]
     firsts = [b[0] for b in bands]
     # table[p][k] = d(x_{f_p}, x_k), rest[p] its d(x_{f_p}, x_{f_q}) for q != p
     table = [list(map(diff, repeat(nodes[f - 1]), nodes)) for f in firsts]
@@ -336,7 +337,10 @@ def _cover_circuits(pair, bands: tuple) -> tuple:
 
 def _cover_sum(pair, bands: tuple) -> tuple:
     """``(omega, circuits)`` of the circle's ``cover``: its n circuits added in node order."""
-    omega, vecs = [0] * pair.n, _cover_circuits(pair, bands)
+    nodes, points, _ = (setting := setting_of(pair)).coords(pair)
+    _check_distinct(setting, nodes)
+    pm = [_pm_at(setting, j, x, points) for j, x in enumerate(nodes)]
+    omega, vecs = [0] * pair.n, _cover_circuits(pair, bands, pm)
     for s, entries in vecs:
         for i, e in zip(s, entries):
             omega[i - 1] = omega[i - 1] + e

@@ -157,6 +157,35 @@ class TestProblemParsing:
         with pytest.raises(twospec.ProblemFormatError):
             files.load_problem(dict(REAL_DOC, profile="loose"))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: files.load_problem(dict(REAL_DOC, zn=[True, "2", "3", "4"])),
+             "not a real value: True"),
+            (lambda: files.load_problem(dict(CIRCLE_DOC, zm=["0 pi", [1]])),
+             "cannot parse circle value [1]"),
+            (lambda: files.load_problem(dict(REAL_DOC, weights={"coefficients": {"t1": 3}})),
+             "coefficient keys look like 's1', got 't1'"),
+            (lambda: files.load_problem(dict(REAL_DOC, schema="v2")),
+             "unsupported schema 'v2'"),
+            (lambda: files.decode_solution(
+                dict(files.loads_document(_solved_file("real_small.json")[2]), schema="v2")),
+             "unsupported schema 'v2'"),
+            (lambda: files.emit_mathematica(
+                files.load_problem(dict(REAL_DOC, weights={"strategy": "cover"}))),
+             "strategy 'cover' has no notebook equivalent"),
+        ],
+        ids=[
+            "not_a_real_value", "circle_value", "coefficient_key", "problem_schema",
+            "solution_schema", "notebook_strategy",
+        ],
+    )
+    def test_refusals_name_their_value(self, call, message):
+        with pytest.raises(twospec.ProblemFormatError) as info:
+            call()
+        assert type(info.value) is twospec.ProblemFormatError
+        assert (info.value.code, str(info.value)) == ("BAD_PROBLEM", message)
+
 
 class TestProblemDigitCap:
     """Problem values have at most PROBLEM_DIGITS digits in a numerator or a
@@ -1165,6 +1194,11 @@ class TestCli:
         assert body["passed"] + body["failed"] == body["count"]
         assert [set(f) for f in body["failures"]] == [{"index", "seed", "code", "detail"}]
 
+    def test_run_fuzz_refuses_an_unknown_setting(self):
+        with pytest.raises(ValueError) as info:
+            fuzz.run_fuzz("sphere", 5, 2, 1, 0)
+        assert (type(info.value), str(info.value)) == (ValueError, "unknown setting 'sphere'")
+
     def test_run_fuzz_records_a_coded_error(self):
         # the base circuit alone leaves an index uncovered: each instance
         # fails with the error's code and message, and the run goes on
@@ -1192,6 +1226,27 @@ class TestCli:
         code, text = run_cli(tmp_path, doc, "reconstruct", "--strategy", strategy)
         assert code == 3
         assert json.loads(text)["error"]["code"] == "NONPOSITIVE_WEIGHT"
+
+    @pytest.mark.parametrize(
+        "zn, zm, message",
+        [
+            (["1e300", "2e300", "3e300"], ["1.5e300"], "circuit entry 1 underflows"),
+            (["0", "1e-155", "2e-155"], ["1.5e-155"], "circuit entry 1 overflows"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_circuit_entries_out_of_binary64_exit_3(self, tmp_path, zn, zm, message):
+        # each circuit entry is 1 / (a product of two differences), which
+        # binary64 holds as 0.0 here and as inf there: neither is a circuit
+
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        doc = {"schema": "v1", "setting": "real", "arithmetic": "float64", "zn": zn, "zm": zm}
+        code, text = run_cli(tmp_path, doc, "circuits")
+        assert code == 3
+        error = json.loads(text, parse_constant=no_constant)["error"]
+        assert error == {"code": "NONPOSITIVE_WEIGHT", "message": message}
 
     @pytest.mark.parametrize("strategy", ["sum_all", "cover"])
     def test_underflowing_pm_exit_3(self, tmp_path, strategy):
@@ -1628,6 +1683,8 @@ class TestSolutionDecoding:
             lambda doc: _with_circuit(doc, support=["1", "2", "4"]),
             lambda doc: _with_circuit(doc, support=[0, 2, 4]),
             lambda doc: _with_circuit(doc, entries=doc["circuits"][0]["entries"][:-1]),
+            lambda doc: _with_circuit(doc, entries=["0.0", *doc["circuits"][0]["entries"][1:]]),
+            lambda doc: _with_circuit(doc, entries=["-1.0", *doc["circuits"][0]["entries"][1:]]),
             lambda doc: _with(doc, "problem", zm=["1", "7/2"]),
             lambda doc: _with_entry(doc, "omega", 0, "0"),
             lambda doc: _with_entry(doc, "omega", 1, "-" + doc["omega"][1]),
@@ -1657,6 +1714,8 @@ class TestSolutionDecoding:
             "support_text",
             "support_zero",
             "entries_short",
+            "circuit_zero_entry",
+            "circuit_negative_entry",
             "not_interlacing",
             "omega_zero_entry",
             "omega_negative_entry",
@@ -1687,6 +1746,8 @@ class TestSolutionDecoding:
             lambda doc: _with(doc, "problem", thetas=doc["problem"]["thetas"][:-1]),
             lambda doc: _with(doc, "problem", phis=doc["problem"]["phis"] + [6.0]),
             lambda doc: _with_circuit(doc, support=[1, 1]),
+            lambda doc: _with_circuit(doc, entries=[0.0, *doc["circuits"][0]["entries"][1:]]),
+            lambda doc: _with_circuit(doc, entries=[-1.0, *doc["circuits"][0]["entries"][1:]]),
             lambda doc: _with_entry(doc, "omega", 0, "0"),
             lambda doc: _with_entry(doc, "omega", 1, "-" + doc["omega"][1]),
             lambda doc: _with(doc, "problem", thetas=[1.0, 4.0, 5.5]),
@@ -1704,6 +1765,8 @@ class TestSolutionDecoding:
             "thetas_short",
             "phis_long",
             "support_repeated",
+            "circuit_zero_entry",
+            "circuit_negative_entry",
             "omega_zero_entry",
             "omega_negative_entry",
             "thetas_off_the_points",

@@ -244,6 +244,11 @@ class TestPositiveWeight:
         with pytest.raises(ValueError):
             twospec.WeightSelection(strategy=strategy, coefficients={1: 3})
 
+    def test_unknown_strategy_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            twospec.WeightSelection(strategy="all")
+        assert (type(info.value), str(info.value)) == (ValueError, "unknown strategy 'all'")
+
     def test_cover(self, pair_7_3):
         bands = _bands(pair_7_3)
         result = twospec.positive_weight(
@@ -528,6 +533,18 @@ class TestCircuitWork:
         assert 0 < len(calls) <= 2 * (n * m + n + 2 * n * len(bands))
 
 
+    def test_listed_line_cover_takes_pm_once_per_node(self, monkeypatch):
+        # the closed form hands its P_m values to the recorded circuits
+        n, m = 30, 20
+        pair = fuzz.random_real_instance(random.Random(30), n, m)
+        bands = _bands(pair)
+        calls, pm_at = [], twospec.kernel._pm_at
+        monkeypatch.setattr(twospec.kernel, "_pm_at", lambda *a: calls.append(a[1]) or pm_at(*a))
+        result = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        assert result.circuits is not None
+        assert sorted(calls) == list(range(n))
+
+
 class TestNonpositiveWeight:
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_underflowing_entries_raise_a_coded_error(self, strategy):
@@ -581,6 +598,25 @@ class TestNonpositiveWeight:
         with pytest.raises(twospec.NonpositiveWeightError) as info:
             twospec.circuits(pair, _cover_supports(bands, pair.n))
         assert str(info.value) == "circuit entry 27 overflows"
+
+    @pytest.mark.parametrize(
+        "xs, ys, message",
+        [
+            ((1e300, 2e300, 3e300), (1.5e300,), "circuit entry 1 underflows"),
+            ((0.0, 1e-155, 2e-155), (1.5e-155,), "circuit entry 1 overflows"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_entries_binary64_cannot_hold_are_refused(self, xs, ys, message):
+        # no zero denominator: each entry itself rounds to 0.0 or to inf
+        pair = twospec.RealSpectrumPair(xs=xs, ys=ys)
+        bands = _bands(pair)
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.circuits(pair, twospec.iter_admissible(bands))
+        assert (info.value.code, str(info.value)) == ("NONPOSITIVE_WEIGHT", message)
+        with pytest.raises(twospec.NonpositiveWeightError) as info:
+            twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("strategy", [SUM_ALL, COVER])
     def test_underflowing_pm_is_not_a_shared_point(self, strategy):

@@ -187,6 +187,11 @@ class TestSzegoPopuc:
         with pytest.raises(twospec.LengthMismatchError):
             twospec.szego_popuc((), 1.0, 2)
 
+    def test_degree_below_one_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            twospec.szego_popuc((), 1.0, 0)
+        assert (type(info.value), str(info.value)) == (ValueError, "degree must be at least 1")
+
 
 class TestCmvMatrix:
     def test_two_by_two(self):
