@@ -74,17 +74,21 @@ def interlace(pair) -> tuple:
     return verdict, setting.bands(pair, verdict)
 
 
-def circle_parts(pair: CircleSpectrumPair, alpha) -> dict:
+def circle_parts(pair: CircleSpectrumPair, alpha, szego=None) -> dict:
     """The CircleSolution fields that the pair and alpha_0..alpha_{n-2} fix:
-    the Verblunsky data with b_n, b_m, C_n, C_m, Psi_n and Psi_m."""
+    the Verblunsky data with b_n, b_m, C_n, C_m, Psi_n and Psi_m, the Psi
+    read off its Szego family: ``szego``, the recovery's, or built once."""
     b_n, b_m = boundary_param(pair.zetas), boundary_param(pair.xis)
+    data = VerblunskyData(alpha=alpha, b=b_n)
+    if szego:
+        data.__dict__["szego"] = szego
     return dict(
-        verblunsky=VerblunskyData(alpha=alpha, b=b_n),
+        verblunsky=data,
         b_m=b_m,
         c_n=cmv_matrix(alpha, b_n),
         c_m=cmv_matrix(alpha[: pair.m - 1], b_m),
-        psi_n=szego_popuc(alpha, b_n, pair.n),
-        psi_m=szego_popuc(alpha, b_m, pair.m),
+        psi_n=szego_popuc(alpha, b_n, pair.n, data.szego),
+        psi_m=szego_popuc(alpha, b_m, pair.m, data.szego),
     )
 
 
@@ -103,7 +107,8 @@ def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD
         report = verify_oprl(pair, omega, jacobi, profile)
         return RealSolution(pair=pair, moments=moments, jacobi=jacobi, report=report, **common)
     moments = trig_moments(pair.zetas, omega)
-    parts = circle_parts(pair, verblunsky_from_moments(moments).alpha)
+    recovered = verblunsky_from_moments(moments)
+    parts = circle_parts(pair, recovered.alpha, recovered.szego)
     matrices = (parts["c_n"], parts["c_m"])
     report = verify_popuc(pair, omega, parts["verblunsky"], matrices, profile)
     return CircleSolution(pair=pair, moments=moments, report=report, **parts, **common)

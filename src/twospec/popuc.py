@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
 from operator import mul
 
 from .errors import AlphaOutOfDiskError, LengthMismatchError, ZeroDenominatorError
@@ -27,14 +28,15 @@ from .scalars import plain_sum
 DISK_MARGIN = 1e-12
 # Relative threshold on the moment-functional denominator <Phi_k, Phi_k>.
 DENOM_REL = 1e-13
+_ONE = ((1.0 + 0.0j,), (1.0 + 0.0j,))  # (Phi_0, Phi*_0): every Szego pass starts here
 
 
 @dataclass(frozen=True)
 class VerblunskyData:
     """Szego recurrence coefficients: alpha_0..alpha_{n-2} in the open disk
     and the boundary parameter b (unimodular, possibly unset while only the
-    alpha part is known).  rho_k = sqrt(1 - |alpha_k|^2) is derived from
-    alpha on first use."""
+    alpha part is known).  rho_k = sqrt(1 - |alpha_k|^2) and the Szego
+    family are derived from alpha on first use."""
 
     alpha: tuple
     b: complex | None
@@ -43,15 +45,22 @@ class VerblunskyData:
     def rho(self) -> tuple:
         return tuple(math.sqrt(1.0 - abs(a) ** 2) for a in self.alpha)
 
+    @cached_property
+    def szego(self) -> tuple:
+        """(Phi_k, Phi*_k) for k = 0..len(alpha) in one Szego pass, or the
+        recovery's own pairs; no field, so dataclasses.replace rebuilds it."""
+        return tuple(accumulate(self.alpha, _advance, initial=_ONE))
+
 
 def trig_moments(zetas, omega) -> tuple:
     """Trigonometric moments mu_k = sum_j w_j zeta_j^k for k = 0..n-1."""
     return tuple(power_sums(zetas, [complex(w) for w in omega], len(zetas)))
 
 
-def _advance(phi, phi_star, alpha_k):
-    """One Szego step: Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k and
-    Phi*_{k+1} = Phi*_k - alpha_k z Phi_k."""
+def _advance(pair, alpha_k):
+    """One Szego step from (Phi_k, Phi*_k): Phi_{k+1} = z Phi_k -
+    conj(alpha_k) Phi*_k and Phi*_{k+1} = Phi*_k - alpha_k z Phi_k."""
+    (phi, phi_star), alpha_k = pair, complex(alpha_k)
     z_phi = poly_shift(phi)
     nxt = poly_sub(z_phi, poly_scale(phi_star, alpha_k.conjugate()))
     nxt_star = poly_sub(phi_star, poly_scale(z_phi, alpha_k))
@@ -66,7 +75,7 @@ def verblunsky_from_moments(mu) -> VerblunskyData:
     L(Phi*_k); the denominator equals <Phi_k, Phi_k> and stays positive for
     a measure with enough support points.  ZeroDenominatorError when it
     does not, mu_0 = <Phi_0, Phi_0> <= 0 included, or when ``mu`` is empty.
-    Returns the alpha part only (``b`` unset).
+    Returns the alpha part (``b`` unset) and the pairs it built as ``szego``.
     """
 
     def functional(coeffs):
@@ -75,9 +84,9 @@ def verblunsky_from_moments(mu) -> VerblunskyData:
     mu0 = mu[0].real if mu else 0.0
     if not mu0 > 0:
         raise ZeroDenominatorError("norm of Phi_0 (mu_0) is not positive")
-    phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
-    alpha = []
+    pairs, alpha = [_ONE], []
     for k in range(len(mu) - 1):
+        phi, phi_star = pairs[-1]
         den = functional(phi_star)
         if abs(den) <= DENOM_REL * mu0:
             raise ZeroDenominatorError(f"norm of Phi_{k} vanished")
@@ -88,8 +97,10 @@ def verblunsky_from_moments(mu) -> VerblunskyData:
                 "support points"
             )
         alpha.append(a)
-        phi, phi_star = _advance(phi, phi_star, a)
-    return VerblunskyData(alpha=tuple(alpha), b=None)
+        pairs.append(_advance(pairs[-1], a))
+    data = VerblunskyData(alpha=tuple(alpha), b=None)
+    data.__dict__["szego"] = tuple(pairs)
+    return data
 
 
 def boundary_param(zs) -> complex:
@@ -110,17 +121,16 @@ def _check_alpha(alpha):
             raise AlphaOutOfDiskError(f"|alpha_{k}| = {abs(a)!r}")
 
 
-def szego_popuc(alpha, b: complex, ell: int) -> tuple:
+def szego_popuc(alpha, b: complex, ell: int, family=None) -> tuple:
     """Ascending coefficients of the degree-``ell`` paraorthogonal polynomial
-    Psi_l(z) = z Phi_{l-1}(z) - conj(b) Phi*_{l-1}(z); uses alpha_0..alpha_{l-2}."""
-    if ell < 1:
-        raise ValueError("degree must be at least 1")
+    Psi_l(z) = z Phi_{l-1}(z) - conj(b) Phi*_{l-1}(z); uses alpha_0..alpha_{l-2},
+    or reads Phi_{l-1} off ``family``, the ``szego`` of these alphas, if given."""
+    if type(ell) is not int or ell < 1:  # bool excluded
+        raise ValueError("degree must be an int of at least 1")
     if len(alpha) < ell - 1:
         raise LengthMismatchError(f"need {ell - 1} alphas, got {len(alpha)}")
     _check_alpha(alpha[: ell - 1])
-    phi, phi_star = [1.0 + 0.0j], [1.0 + 0.0j]
-    for a in alpha[: ell - 1]:
-        phi, phi_star = _advance(phi, phi_star, complex(a))
+    phi, phi_star = family[ell - 1] if family else reduce(_advance, alpha[: ell - 1], _ONE)
     return tuple(poly_sub(poly_shift(phi), poly_scale(phi_star, complex(b).conjugate())))
 
 

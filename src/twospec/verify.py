@@ -274,10 +274,10 @@ def verify_popuc(
         the spectrum residual;
     (c) both matrices, ``cmv_matrix`` band rows, are unitary and equal the
         CMV products of (alpha, b) (the unitarity defect; another shape is
-        infinite); (d) every |alpha_k| < 1 and |b| = 1.  The
-    coefficient match of Psi_n and Psi_m against the zero products is
-    reported only.  An alpha outside the disk fails (d); the coefficient
-    match and the CMV product it leaves undefined read None.
+        infinite); (d) every |alpha_k| < 1 and |b| = 1.  The coefficient
+    match of Psi_n and Psi_m (read off ``data.szego``) against the zero
+    products is reported only.  An alpha outside the disk fails (d); the
+    coefficient match and the CMV product it leaves undefined read None.
     LengthMismatchError unless there are n weights and n - 1 alphas.
     """
     n, m = pair.n, pair.m
@@ -289,7 +289,7 @@ def verify_popuc(
 
     def poly_match(k, b, points):
         try:
-            psi = szego_popuc(alpha, b, k)
+            psi = szego_popuc(alpha, b, k, data.szego)
         except AlphaOutOfDiskError:
             return None
         return _poly_residual(psi, poly_from_roots(points))

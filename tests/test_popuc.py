@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twospec
+from twospec import files, fuzz, popuc
+from twospec.kernel import CIRCLE, WeightSelection
 from twospec.poly import poly_from_roots, poly_sub, power_sums
-from twospec.verify import unitarity_defect
+from twospec.verify import FLOAT64, RESIDUALS, STANDARD, unitarity_defect
 
 from . import oracles
 
@@ -190,7 +193,89 @@ class TestSzegoPopuc:
     def test_degree_below_one_is_refused(self):
         with pytest.raises(ValueError) as info:
             twospec.szego_popuc((), 1.0, 0)
-        assert (type(info.value), str(info.value)) == (ValueError, "degree must be at least 1")
+        assert (type(info.value), str(info.value)) == (
+            ValueError, "degree must be an int of at least 1"
+        )
+
+    @pytest.mark.parametrize("ell", [True, 2.0, 1.5], ids=["bool", "integral_float", "float"])
+    def test_degree_that_is_not_an_int_is_refused(self, ell):
+        # True once returned Psi_1, and 2.0 failed in slicing with a bare TypeError
+        with pytest.raises(ValueError) as info:
+            twospec.szego_popuc((0.5,), 1, ell)
+        assert (type(info.value), str(info.value)) == (
+            ValueError, "degree must be an int of at least 1"
+        )
+
+
+def _counting_advance(monkeypatch):
+    """Count the Szego steps taken from here on: ``popuc._advance`` calls."""
+    calls, advance = [], popuc._advance
+    monkeypatch.setattr(popuc, "_advance", lambda *args: calls.append(1) or advance(*args))
+    return calls
+
+
+# (seed, n, m) of seeded circle pairs, m = 1 and m = n - 1 included
+_CIRCLE_CASES = [
+    (1, 6, 1), (2, 6, 5), (3, 12, 4), (4, 12, 11), (5, 20, 1), (6, 20, 19), (1, 40, 13)
+]
+
+
+class TestSzegoFamily:
+    """The recovery's one Szego pass gives Psi_n and Psi_m, to the bit."""
+
+    def test_one_pass_per_solve(self, monkeypatch):
+        calls = _counting_advance(monkeypatch)
+        pair = fuzz.random_circle_instance(random.Random(1), 40, 13)
+        solution = twospec.reconstruct(pair)
+        assert len(calls) == pair.n - 1
+        problem = files.Problem(CIRCLE, FLOAT64, pair, WeightSelection(), STANDARD)
+        del calls[:]
+        text = files.dumps_canonical(files.encode_solution(solution, problem))
+        back = files.decode_solution(files.loads_document(text))
+        assert len(calls) <= pair.n - 1
+        assert back == solution and repr(back.psi_m) == repr(solution.psi_m)
+
+    @pytest.mark.parametrize("seed, n, m", _CIRCLE_CASES)
+    def test_psi_equals_its_own_recurrence(self, seed, n, m):
+        pair = fuzz.random_circle_instance(random.Random(seed), n, m)
+        solution = twospec.reconstruct(pair)
+        data = solution.verblunsky
+        assert repr(solution.psi_n) == repr(twospec.szego_popuc(data.alpha, data.b, n))
+        assert repr(solution.psi_m) == repr(twospec.szego_popuc(data.alpha, solution.b_m, m))
+        assert repr(data.szego) == repr(twospec.VerblunskyData(data.alpha, None).szego)
+
+    @pytest.mark.parametrize("seed, n, m", _CIRCLE_CASES)
+    def test_report_does_not_depend_on_where_the_family_came_from(self, seed, n, m):
+        pair = fuzz.random_circle_instance(random.Random(seed), n, m)
+        solution = twospec.reconstruct(pair)
+        data, omega = solution.verblunsky, solution.weight.omega
+        matrices = (solution.c_n, solution.c_m)
+
+        def residuals(d):
+            report = twospec.verify_popuc(pair, omega, d, matrices)
+            return [repr(getattr(report, name)) for name in RESIDUALS]
+
+        fresh = twospec.VerblunskyData(data.alpha, data.b)
+        assert "szego" in vars(data) and "szego" not in vars(fresh)
+        want = residuals(data)
+        assert residuals(fresh) == residuals(dataclasses.replace(data, b=data.b)) == want
+        assert [repr(getattr(solution.report, name)) for name in RESIDUALS] == want
+
+    @pytest.mark.parametrize("seed, n, m", _CIRCLE_CASES)
+    def test_new_alphas_never_read_the_old_family(self, seed, n, m):
+        pair = fuzz.random_circle_instance(random.Random(seed), n, m)
+        solution = twospec.reconstruct(pair)
+        data, omega = solution.verblunsky, solution.weight.omega
+        alpha = tuple(a / 2 for a in data.alpha)
+        moved = dataclasses.replace(data, alpha=alpha)
+        assert "szego" not in vars(moved)
+        fresh = twospec.VerblunskyData(alpha, data.b)
+        assert repr(moved.szego) == repr(fresh.szego) != repr(data.szego)
+        reports = [
+            twospec.verify_popuc(pair, omega, d, (solution.c_n, solution.c_m))
+            for d in (moved, fresh)
+        ]
+        assert reports[0] == reports[1] and reports[0].poly_match_n != solution.report.poly_match_n
 
 
 class TestCmvMatrix:
