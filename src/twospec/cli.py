@@ -8,10 +8,10 @@ insignificant whitespace), so identical inputs and flags produce
 byte-identical files; python -m json.tool --indent 2 --sort-keys
 --no-ensure-ascii indents it.
 
-Exit codes: 0 success-and-verified, 2 interlacing rejected (coincident
-points included), 3 problem or reconstruction error (a usage error
-included, or, code BAD_OUTPUT, an -o path that cannot be written), 4
-verification failure.
+Exit codes, which main alone chooses from a command's outcome: 0
+success-and-verified, 2 interlacing rejected (coincident points included),
+3 problem or reconstruction error (a usage error included, or, code
+BAD_OUTPUT, an -o path that cannot be written), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .errors import (
 )
 from .fuzz import run_fuzz
 from .kernel import (
-    CIRCLE, REAL, STRATEGIES, WeightSelection, circuits, family_listing, iter_admissible,
+    CIRCLE, COVER, REAL, STRATEGIES, SUM_ALL, WeightSelection, circuits, family_listing,
+    iter_admissible,
 )
 from .pipeline import interlace, reconstruct
 
@@ -55,10 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile",
         help="verification tolerance profile: strict, standard, or a number",
     )
-    common.add_argument(
+    problem = argparse.ArgumentParser(add_help=False, parents=[common])
+    problem.add_argument(
         "--strategy", choices=STRATEGIES, help="override the weight combination strategy"
     )
-    problem = argparse.ArgumentParser(add_help=False, parents=[common])
     problem.add_argument("-i", "--input", help="problem file path, or - for stdin")
     problem.add_argument(
         "--arithmetic",
@@ -98,6 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--m", type=int, required=True)
     fz.add_argument("--count", type=int, default=100)
     fz.add_argument("--seed", type=int, default=0)
+    # fuzz draws no sK, so the coefficients strategy could weigh only the base circuit
+    fz.add_argument("--strategy", choices=[SUM_ALL, COVER], help="the weight strategy")
     return parser
 
 
@@ -139,36 +142,18 @@ def _apply_overrides(doc: dict, args) -> dict:
     return doc
 
 
-def _error_doc(code: str, message: str) -> dict:
-    return {"schema": files.SCHEMA, "error": {"code": code, "message": message}}
-
-
 def _cmd_check(problem: files.Problem):
-    try:
-        verdict, bands = interlace(problem.pair)
-    except InterlacingRejectedError as exc:
-        verdict = exc.verdict
-    doc = {
-        "schema": files.SCHEMA,
-        "command": "check",
-        "setting": problem.setting,
-        "accepted": verdict.accepted,
-    }
-    if verdict.accepted:
-        if verdict.indices is not None:
-            doc["indices"] = verdict.indices
-        doc["bands"] = bands
-    else:
-        doc["code"] = verdict.code
-        doc["detail"] = verdict.detail
-    return EXIT_OK if verdict.accepted else EXIT_REJECTED, doc
+    verdict, bands = interlace(problem.pair)
+    doc = {"command": "check", "setting": problem.setting, "accepted": True, "bands": bands}
+    if verdict.indices is not None:
+        doc["indices"] = verdict.indices
+    return True, doc
 
 
 def _cmd_circuits(problem: files.Problem):
     _, bands = interlace(problem.pair)
     size, family = family_listing(bands)
     doc = {
-        "schema": files.SCHEMA,
         "command": "circuits",
         "setting": problem.setting,
         "bands": bands,
@@ -178,13 +163,12 @@ def _cmd_circuits(problem: files.Problem):
         doc["circuits"] = files.encode_circuits(circuits(problem.pair, family))
     else:
         doc["family_head"] = list(islice(iter_admissible(bands), 10))
-    return EXIT_OK, doc
+    return True, doc
 
 
 def _cmd_reconstruct(problem: files.Problem):
     solution = reconstruct(problem.pair, problem.selection, problem.profile)
-    doc = files.encode_solution(solution, problem)
-    return EXIT_OK if solution.report.verdict else EXIT_VERIFICATION, doc
+    return solution.report.verdict, files.encode_solution(solution, problem)
 
 
 def _cmd_fuzz(args):
@@ -193,18 +177,18 @@ def _cmd_fuzz(args):
         args.setting, args.n, args.m, args.count, args.seed,
         files.parse_profile(args.profile), selection,
     )
-    doc = {"schema": files.SCHEMA, "command": "fuzz", **body}
-    return EXIT_VERIFICATION if body["failed"] else EXIT_OK, doc
+    return not body["failed"], {"command": "fuzz", **body}
 
 
 def _run(args):
-    """The command's exit code and its output, a document or a text."""
+    """The command's outcome: whether it verified, and its output, a text or
+    a document that main stamps with the schema."""
     if args.command == "fuzz":
         return _cmd_fuzz(args)
     doc = _apply_overrides(_read_input(args), args)
     problem = files.load_problem(doc)
     if args.emit_mathematica:
-        return EXIT_OK, files.emit_mathematica(problem) + "\n"
+        return True, files.emit_mathematica(problem) + "\n"
     if args.command == "check":
         return _cmd_check(problem)
     if args.command == "circuits":
@@ -217,26 +201,21 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         out_path = args.out
-        code, out = _run(args)
+        verified, out = _run(args)
+        code = EXIT_OK if verified else EXIT_VERIFICATION
     except (InterlacingRejectedError, SharedPointError, DegenerateAngleError) as exc:
-        code, out = EXIT_REJECTED, {
-            "schema": files.SCHEMA,
-            "accepted": False,
-            "code": exc.code,
-            "detail": str(exc),
-        }
+        code, out = EXIT_REJECTED, {"accepted": False, "code": exc.code, "detail": str(exc)}
     except TwospecError as exc:
-        code, out = EXIT_ERROR, _error_doc(exc.code, str(exc))
-    text = out if isinstance(out, str) else files.dumps_canonical(out)
+        code, out = EXIT_ERROR, {"error": {"code": exc.code, "message": str(exc)}}
+    text = out if isinstance(out, str) else files.dumps_canonical({"schema": files.SCHEMA, **out})
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return code
         except OSError as exc:  # the error document goes to stdout instead
-            message = f"cannot write {out_path}: {exc}"
-            code = EXIT_ERROR
-            text = files.dumps_canonical(_error_doc("BAD_OUTPUT", message))
+            error = {"code": "BAD_OUTPUT", "message": f"cannot write {out_path}: {exc}"}
+            code, text = EXIT_ERROR, files.dumps_canonical({"schema": files.SCHEMA, "error": error})
     sys.stdout.write(text)
     return code
 

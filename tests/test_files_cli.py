@@ -1005,16 +1005,26 @@ class TestCli:
         "doc, code",
         [
             (dict(REAL_DOC, zn=["1", "2", "2", "4"]), "NOT_SORTED"),
+            (dict(REAL_DOC, zn=["1", "2", "3"], zm=["2"]), "SHARED_POINT"),
+            (dict(REAL_DOC, zn=["1", "2", "3"], zm=["1/4"]), "OUT_OF_RANGE"),
+            (dict(REAL_DOC, zm=["3/2", "7/4"]), "GAP_OVERFULL"),
+            (dict(CIRCLE_DOC, zn=["1/4 pi", "3/4 pi", "5/4 pi"], zm=["1/8 pi", "1/6 pi"]),
+             "EMPTY_BAND"),
+            (dict(CIRCLE_DOC, zm=["0 pi", "1/2 pi"]), "SHARED_POINT"),
             (dict(CIRCLE_DOC, zn=["1/2 pi", "1/2 pi", "5/3 pi"]), "DEGENERATE_ANGLE"),
         ],
-        ids=["real", "circle"],
-    )
-    @pytest.mark.parametrize("command", ["check", "reconstruct"])
-    def test_coincident_points_rejected_exit_2(self, tmp_path, doc, code, command):
-        exit_code, text = run_cli(tmp_path, doc, command)
-        out = json.loads(text)
+        ids=["real", "real_shared", "real_out_of_range", "real_gap_overfull",
+             "circle_empty_band", "circle_shared", "circle"],
+    )  # fmt: skip
+    def test_coincident_points_rejected_exit_2(self, tmp_path, doc, code):
+        # every command rejects through the same path: exit 2 and one document
+        runs = {run_cli(tmp_path, doc, command) for command in ("check", "circuits", "reconstruct")}
+        assert len(runs) == 1
+        exit_code, text = runs.pop()
         assert exit_code == 2
-        assert (out["accepted"], out["code"]) == (False, code)
+        out = json.loads(text)
+        assert set(out) == {"accepted", "code", "detail", "schema"}
+        assert (out["accepted"], out["code"], out["schema"]) == (False, code, "v1")
 
     def test_reconstruct_circle_default(self, tmp_path):
         code, text = run_cli(tmp_path, CIRCLE_DOC, "reconstruct")
@@ -1089,8 +1099,9 @@ class TestCli:
         code, text = run_cli(
             tmp_path, CIRCLE_DOC, "reconstruct", "--profile", "1e-30"
         )
+        doc = json.loads(text)
         assert code == 4
-        assert json.loads(text)["verification"]["verdict"] == "fail"
+        assert (doc["schema"], doc["verification"]["verdict"]) == ("v1", "fail")
 
     def test_circuits(self, tmp_path):
         code, text = run_cli(tmp_path, REAL_DOC, "circuits")
@@ -1319,9 +1330,11 @@ class TestCli:
         [
             "reconstruct --strategy foo",
             "fuzz --setting real --n 5 --m 2 --count x",
+            # fuzz draws no sK, so coefficients could weigh only the base circuit
+            "fuzz --setting real --n 8 --m 3 --strategy coefficients",
             "",
         ],
-        ids=["bad_choice", "bad_int", "no_command"],
+        ids=["bad_choice", "bad_int", "fuzz_coefficients", "no_command"],
     )
     def test_usage_error_exit_3(self, capsys, argv):
         assert_coded_error(capsys, cli.main(argv.split()), "BAD_PROBLEM")

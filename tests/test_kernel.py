@@ -516,10 +516,10 @@ class TestCircuitWork:
         assert 0 < len(calls) <= n * m + n + 2 * n * len(bands)
 
     def test_line_cover_recording_within_twice_the_bound(self, monkeypatch):
-        # a listed line cover: the closed-form omega and the recorded
-        # circuits each take P_m, the distinctness check and at most two
-        # rows per node and band, 2,909 differences here; recording through
-        # ``circuits``, B (B - 1) differences per circuit, takes 6,279
+        # a listed line cover: the closed-form omega takes P_m, the
+        # distinctness check and at most two rows per node and band, and the
+        # recorded circuits reuse its P_m, 2,279 differences here; recording
+        # through ``circuits``, B (B - 1) differences per circuit, takes 6,279
         n, m = 30, 20
         pair = fuzz.random_real_instance(random.Random(30), n, m)
         bands = _bands(pair)
@@ -531,7 +531,6 @@ class TestCircuitWork:
         got = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
         assert repr(got) == repr(want)
         assert 0 < len(calls) <= 2 * (n * m + n + 2 * n * len(bands))
-
 
     def test_listed_line_cover_takes_pm_once_per_node(self, monkeypatch):
         # the closed form hands its P_m values to the recorded circuits
