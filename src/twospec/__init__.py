@@ -52,7 +52,6 @@ from .oprl import JacobiData, moments_real, stieltjes
 from .pipeline import (
     CircleSolution,
     RealSolution,
-    circle_parts,
     interlace,
     reconstruct,
     reconstruct_circle,
@@ -61,6 +60,7 @@ from .pipeline import (
 from .popuc import (
     VerblunskyData,
     boundary_param,
+    circle_parts,
     cmv_matrix,
     szego_popuc,
     trig_moments,

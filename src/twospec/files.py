@@ -47,8 +47,8 @@ from .kernel import (
     _support, check_weights, family_listing,
 )
 from .oprl import JacobiData, moments_real
-from .pipeline import CircleSolution, RealSolution, circle_parts, interlace
-from .popuc import trig_moments
+from .pipeline import CircleSolution, RealSolution, interlace
+from .popuc import VerblunskyData, circle_parts, trig_moments
 from .scalars import is_exact_scalar
 from .verify import (
     FLOAT64, RATIONAL, RESIDUALS, STANDARD, STRICT, Profile, VerificationReport
@@ -251,20 +251,14 @@ def parse_weights(doc, arithmetic) -> WeightSelection:
         raise ProblemFormatError(str(exc)) from exc
 
 
-def load_problem(doc: dict) -> Problem:
-    if not isinstance(doc, dict):
-        raise ProblemFormatError("problem must be a JSON object")
-    if doc.get("schema", SCHEMA) != SCHEMA:
-        raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
-    setting = doc.get("setting")
+def _check_kind(setting, arithmetic, zn, zm):
+    """The problem's and the solution's one rule, in this order: the setting
+    is real or circle, zn and zm are arrays, the arithmetic is rational or
+    float64, and a circle is not rational."""
     if setting not in (REAL, CIRCLE):
         raise ProblemFormatError(f"setting must be {REAL!r} or {CIRCLE!r}, got {setting!r}")
-    zn, zm = doc.get("zn"), doc.get("zm")
     if not isinstance(zn, list) or not isinstance(zm, list):
         raise ProblemFormatError("zn and zm must be arrays")
-
-    if (arithmetic := doc.get("arithmetic")) is None:
-        arithmetic = RATIONAL if setting == REAL else FLOAT64
     if arithmetic not in (RATIONAL, FLOAT64):
         raise ProblemFormatError(f"unknown arithmetic {arithmetic!r}")
     if setting == CIRCLE and arithmetic == RATIONAL:
@@ -272,6 +266,17 @@ def load_problem(doc: dict) -> Problem:
             "circle problems run in float64; rational circle arithmetic is "
             "not supported"
         )
+
+
+def load_problem(doc: dict) -> Problem:
+    if not isinstance(doc, dict):
+        raise ProblemFormatError("problem must be a JSON object")
+    if doc.get("schema", SCHEMA) != SCHEMA:
+        raise ProblemFormatError(f"unsupported schema {doc.get('schema')!r}")
+    setting, zn, zm = doc.get("setting"), doc.get("zn"), doc.get("zm")
+    if (arithmetic := doc.get("arithmetic")) is None:
+        arithmetic = RATIONAL if setting == REAL else FLOAT64
+    _check_kind(setting, arithmetic, zn, zm)
 
     try:  # a ValueError is the pair's "need 1 <= m < n"
         if setting == REAL:
@@ -444,10 +449,7 @@ def decode_solution(doc: dict):
         setting, arithmetic = doc["setting"], doc["arithmetic"]
         problem, rec = doc["problem"], doc["recurrence"]
         strategy = problem["weights"]["strategy"]
-        if setting not in (REAL, CIRCLE) or arithmetic not in (RATIONAL, FLOAT64):
-            raise ProblemFormatError(f"unknown setting or arithmetic {setting!r}, {arithmetic!r}")
-        if setting == CIRCLE and arithmetic == RATIONAL:  # load_problem's rule
-            raise UnsupportedArithmeticError("circle solutions are float64, not rational")
+        _check_kind(setting, arithmetic, problem["zn"], problem["zm"])
         if strategy not in STRATEGIES:
             raise ProblemFormatError(f"unknown strategy {strategy!r}")
 
@@ -487,7 +489,7 @@ def decode_solution(doc: dict):
         if setting == REAL:
             jacobi = JacobiData(beta=array(rec["beta"], n), gamma=array(rec["gamma"], n - 1))
             return RealSolution(moments=moments_real(pair.xs, omega), jacobi=jacobi, **common)
-        parts = circle_parts(pair, array(rec["alpha"], n - 1))
+        parts = circle_parts(pair, VerblunskyData(array(rec["alpha"], n - 1), None))
         return CircleSolution(moments=trig_moments(pair.zetas, omega), **parts, **common)
     except ProblemFormatError:
         raise

@@ -3,9 +3,9 @@
 ``reconstruct`` runs the chain once: the interlacing check with its band
 decomposition, the family listing and the positive weight; then, on the
 line, Stieltjes, the moments and the OPRL report, and on the circle, the
-moments, the Verblunsky recovery, the CMV assembly and the POPUC report.
-``reconstruct_real`` and ``reconstruct_circle`` are the same function.  The
-solution decoder reuses ``interlace`` and ``circle_parts``.
+moments, the Verblunsky recovery, its closing by ``popuc.circle_parts``
+and the POPUC report.  ``reconstruct_real`` and ``reconstruct_circle`` are
+the same function.  The solution decoder reuses ``interlace``.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from .kernel import (
     setting_of,
 )
 from .oprl import JacobiData, moments_real, stieltjes
-from .popuc import (
-    VerblunskyData,
-    boundary_param,
-    cmv_matrix,
-    szego_popuc,
-    trig_moments,
-    verblunsky_from_moments,
-)
+from .popuc import VerblunskyData, circle_parts, trig_moments, verblunsky_from_moments
 from .verify import STANDARD, VerificationReport, verify_oprl, verify_popuc
 
 
@@ -74,24 +67,6 @@ def interlace(pair) -> tuple:
     return verdict, setting.bands(pair, verdict)
 
 
-def circle_parts(pair: CircleSpectrumPair, alpha, szego=None) -> dict:
-    """The CircleSolution fields that the pair and alpha_0..alpha_{n-2} fix:
-    the Verblunsky data with b_n, b_m, C_n, C_m, Psi_n and Psi_m, the Psi
-    read off its Szego family: ``szego``, the recovery's, or built once."""
-    b_n, b_m = boundary_param(pair.zetas), boundary_param(pair.xis)
-    data = VerblunskyData(alpha=alpha, b=b_n)
-    if szego:
-        data.__dict__["szego"] = szego
-    return dict(
-        verblunsky=data,
-        b_m=b_m,
-        c_n=cmv_matrix(alpha, b_n),
-        c_m=cmv_matrix(alpha[: pair.m - 1], b_m),
-        psi_n=szego_popuc(alpha, b_n, pair.n, data.szego),
-        psi_m=szego_popuc(alpha, b_m, pair.m, data.szego),
-    )
-
-
 def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD):
     """Full pipeline of the pair's setting: a RealSolution or a
     CircleSolution.  Raises InterlacingRejectedError when the prescribed
@@ -107,8 +82,7 @@ def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD
         report = verify_oprl(pair, omega, jacobi, profile)
         return RealSolution(pair=pair, moments=moments, jacobi=jacobi, report=report, **common)
     moments = trig_moments(pair.zetas, omega)
-    recovered = verblunsky_from_moments(moments)
-    parts = circle_parts(pair, recovered.alpha, recovered.szego)
+    parts = circle_parts(pair, verblunsky_from_moments(moments))
     matrices = (parts["c_n"], parts["c_m"])
     report = verify_popuc(pair, omega, parts["verblunsky"], matrices, profile)
     return CircleSolution(pair=pair, moments=moments, report=report, **parts, **common)

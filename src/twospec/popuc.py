@@ -7,7 +7,8 @@ the open unit disk).  A boundary parameter b on the unit circle closes the
 finite model: the degree-l paraorthogonal polynomial is
 ``Psi_l(z) = z Phi_{l-1}(z) - conj(b) Phi*_{l-1}(z)`` and the matching
 unitary pentadiagonal matrix has characteristic polynomial Psi_l up to a
-unimodular constant.
+unimodular constant.  ``circle_parts`` closes a recovered record by b_n,
+builds both matrices, and reads both Psi off the record's Szego family.
 
 All circle-path arithmetic is complex binary64.
 """
@@ -119,6 +120,23 @@ def _check_alpha(alpha):
     for k, a in enumerate(alpha):
         if not abs(a) < 1.0 - DISK_MARGIN:  # refuses a NaN too
             raise AlphaOutOfDiskError(f"|alpha_{k}| = {abs(a)!r}")
+
+
+def circle_parts(pair, recovered: VerblunskyData) -> dict:
+    """The CircleSolution fields that the pair and the ``recovered`` alphas
+    fix: the record closed by b_n, b_m, C_n, C_m, Psi_n and Psi_m.  The
+    closed record takes ``recovered``'s Szego family, the recovery's or one
+    built once, and the Psi are read off it; C_n refuses an alpha outside
+    the disk before any Szego step."""
+    alpha, b_n, b_m = recovered.alpha, boundary_param(pair.zetas), boundary_param(pair.xis)
+    c_n = cmv_matrix(alpha, b_n)
+    data = VerblunskyData(alpha=alpha, b=b_n)
+    data.__dict__["szego"] = family = recovered.szego
+    return dict(
+        verblunsky=data, b_m=b_m, c_n=c_n, c_m=cmv_matrix(alpha[: pair.m - 1], b_m),
+        psi_n=szego_popuc(alpha, b_n, pair.n, family),
+        psi_m=szego_popuc(alpha, b_m, pair.m, family),
+    )
 
 
 def szego_popuc(alpha, b: complex, ell: int, family=None) -> tuple:

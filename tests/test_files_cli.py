@@ -1648,7 +1648,8 @@ class TestSolutionDecoding:
 
     def test_reconstruct_circle_builds_the_circle_parts(self):
         _, solution, _ = _solved_file("circle_small.json")
-        parts = twospec.circle_parts(solution.pair, solution.verblunsky.alpha)
+        recovered = twospec.VerblunskyData(solution.verblunsky.alpha, None)
+        parts = twospec.circle_parts(solution.pair, recovered)
         assert {k: getattr(solution, k) for k in parts} == parts
 
     def test_non_finite_moments_round_trip(self):

@@ -236,6 +236,24 @@ class TestSzegoFamily:
         assert back == solution and repr(back.psi_m) == repr(solution.psi_m)
 
     @pytest.mark.parametrize("seed, n, m", _CIRCLE_CASES)
+    def test_closed_record_takes_the_recovered_family(self, seed, n, m):
+        pair = fuzz.random_circle_instance(random.Random(seed), n, m)
+        recovered = twospec.verblunsky_from_moments(twospec.reconstruct(pair).moments)
+        built = twospec.VerblunskyData(recovered.alpha, None)
+        for data in (recovered, built):
+            closed = popuc.circle_parts(pair, data)["verblunsky"]
+            assert closed.szego is data.szego
+            assert closed.b == twospec.boundary_param(pair.zetas) and data.b is None
+
+    def test_alpha_outside_the_disk_is_refused_before_any_szego_step(self, monkeypatch):
+        calls = _counting_advance(monkeypatch)
+        pair = fuzz.random_circle_instance(random.Random(2), 6, 5)
+        data = twospec.VerblunskyData((0.1,) * 4 + (1.0 + 0j,), None)
+        with pytest.raises(twospec.AlphaOutOfDiskError, match="alpha_4"):
+            popuc.circle_parts(pair, data)
+        assert calls == [] and "szego" not in vars(data)
+
+    @pytest.mark.parametrize("seed, n, m", _CIRCLE_CASES)
     def test_psi_equals_its_own_recurrence(self, seed, n, m):
         pair = fuzz.random_circle_instance(random.Random(seed), n, m)
         solution = twospec.reconstruct(pair)
