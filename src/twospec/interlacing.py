@@ -3,12 +3,13 @@
 Two zero sets interlace strictly when every open gap between consecutive
 points of the larger set (interval on the line, counterclockwise arc on the
 circle) holds at most one point of the smaller set and the sets are
-disjoint.  Acceptance produces the interlacing indices (real case) and the
-partition of node indices into bands, a tuple whose r-th entry holds the
-ascending 1-based node indices of band r, which downstream modules use to
-enumerate the admissible kernel circuits.  Circle points within POINT_TOL
-of each other are refused by one check, _collision_checks, which the
-problem readers (_normalize) and the solution reader share.
+disjoint.  The scan that decides it also cuts the nodes into the bands an
+accepted verdict carries, with the interlacing indices (real case): a tuple
+whose r-th entry holds the ascending 1-based node indices of band r, which
+downstream modules use to enumerate the admissible kernel circuits; a
+rejected verdict carries none.  Circle points within POINT_TOL of each other
+are refused by one check, _collision_checks, which the problem readers
+(_normalize) and the solution reader share.
 
 All operations are pure functions of immutable inputs.
 """
@@ -109,6 +110,12 @@ class InterlacingVerdict:
     indices: tuple | None = None
     code: str | None = None
     detail: str = ""
+    bands: tuple | None = None  # on acceptance only
+
+
+def _cut(cuts) -> tuple:
+    """The bands {a + 1, ..., b} (1-based) between consecutive cuts of 0..n."""
+    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
 
 
 def check_interlace_real(pair: RealSpectrumPair) -> InterlacingVerdict:
@@ -151,15 +158,14 @@ def check_interlace_real(pair: RealSpectrumPair) -> InterlacingVerdict:
             )
         indices.append(pos)
     indices.append(n)
-    return InterlacingVerdict(True, indices=tuple(indices))
+    return InterlacingVerdict(True, indices=tuple(indices), bands=_cut(indices))
 
 
 def bands_real(pair: RealSpectrumPair, verdict: InterlacingVerdict) -> tuple:
-    """Bands I_r = {i_r + 1, ..., i_{r+1}} (1-based), r = 0..m."""
-    if not verdict.accepted or verdict.indices is None:
+    """The verdict's bands I_r = {i_r + 1, ..., i_{r+1}} (1-based), r = 0..m."""
+    if verdict.bands is None:
         raise ValueError("bands_real requires an accepted verdict")
-    idx = verdict.indices
-    return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(idx, idx[1:]))
+    return verdict.bands
 
 
 def _collision_checks(zn, zm):
@@ -233,38 +239,24 @@ def circle_pair_from_angles(thetas_raw, phis_raw) -> CircleSpectrumPair:
     return _normalize(angle_reading, thetas_raw, phis_raw)
 
 
-def _circle_bands(pair: CircleSpectrumPair):
-    phis_ext = pair.phis + (pair.phis[0] + TWO_PI,)
-    lo = 0
-    bands = []
-    for r in range(pair.m):
-        hi = bisect_left(pair.thetas, phis_ext[r + 1], lo=lo)
-        bands.append(tuple(range(lo + 1, hi + 1)))
-        lo = hi
-    return bands
-
-
 def check_interlace_circle(pair: CircleSpectrumPair) -> InterlacingVerdict:
     """Decide strict interlacing on the circle.
 
     With the normalized arguments, the bands I_r = {j : phi_r < theta_j <
-    phi_{r+1}} must all be nonempty; an empty band is the same violation as
-    an arc between consecutive n-set points holding two m-set points.
+    phi_{r+1}}, r < m, phi_m = phi_0 + 2*pi, must all be nonempty: an empty
+    band is an arc between consecutive n-set points holding two m-set points.
     """
-    for r, band in enumerate(_circle_bands(pair)):
+    bands = _cut((0, *(bisect_left(pair.thetas, phi) for phi in pair.phis[1:]), pair.n))
+    for r, band in enumerate(bands):
         if not band:
-            return InterlacingVerdict(
-                False,
-                code=EMPTY_BAND,
-                detail=f"no zn point on the arc between zm[{r}] and "
-                f"zm[{(r + 1) % pair.m}]",
-            )
-    return InterlacingVerdict(True)
+            detail = f"no zn point on the arc between zm[{r}] and zm[{(r + 1) % pair.m}]"
+            return InterlacingVerdict(False, code=EMPTY_BAND, detail=detail)
+    return InterlacingVerdict(True, bands=bands)
 
 
 def bands_circle(pair: CircleSpectrumPair) -> tuple:
-    """Bands I_r = {j : phi_r < theta_j < phi_{r+1}}, r = 1..m."""
-    bands = _circle_bands(pair)
-    if any(not b for b in bands):
+    """The bands I_r, r = 0..m-1, of :func:`check_interlace_circle`'s verdict."""
+    bands = check_interlace_circle(pair).bands
+    if bands is None:
         raise ValueError("bands_circle requires an interlacing pair")
-    return tuple(bands)
+    return bands

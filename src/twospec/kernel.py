@@ -42,8 +42,6 @@ from .interlacing import (
     POINT_TOL,
     CircleSpectrumPair,
     RealSpectrumPair,
-    bands_circle,
-    bands_real,
     check_interlace_circle,
     check_interlace_real,
 )
@@ -406,14 +404,13 @@ def check_weights(omega):
 @dataclass(frozen=True)
 class Setting:
     """The per-setting steps of the construction: the interlacing check,
-    the band decomposition of an accepted pair, the kernel system, and what
-    the circuit formula and the closed-form sum_all weight read: the node
-    and m-set coordinates and their grid scale D, their signed difference, the
-    magnitude at or below which a difference means two points coincide, and
-    the ``cover`` weight as ``(omega, circuits)``."""
+    whose verdict carries the bands of an accepted pair, the kernel system,
+    and what the circuit formula and the closed-form sum_all weight read:
+    the node and m-set coordinates and their grid scale D, their signed
+    difference, the magnitude at or below which a difference means two
+    points coincide, and the ``cover`` weight as ``(omega, circuits)``."""
 
     check: Callable
-    bands: Callable
     system: Callable
     coords: Callable
     diff: Callable
@@ -428,12 +425,11 @@ def _line_grid(xs, ys):
 
 
 _REAL = Setting(
-    check_interlace_real, bands_real, _assemble_real,
+    check_interlace_real, _assemble_real,
     lambda pair: _line_grid(pair.xs, pair.ys), operator.sub, 0, _cover_omega,
 )  # fmt: skip
 _CIRCLE = Setting(
-    check_interlace_circle, lambda pair, verdict: bands_circle(pair),
-    _assemble_circle, lambda pair: (pair.thetas, pair.phis, 1.0),
+    check_interlace_circle, _assemble_circle, lambda pair: (pair.thetas, pair.phis, 1.0),
     lambda x, y: math.sin((x - y) / 2.0), _SIN_TOL, _cover_sum,
 )  # fmt: skip
 

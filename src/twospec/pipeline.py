@@ -60,11 +60,10 @@ class CircleSolution:
 def interlace(pair) -> tuple:
     """``(verdict, bands)`` of a strictly interlacing pair in either
     setting; raises InterlacingRejectedError otherwise."""
-    setting = setting_of(pair)
-    verdict = setting.check(pair)
+    verdict = setting_of(pair).check(pair)
     if not verdict.accepted:
         raise InterlacingRejectedError(verdict)
-    return verdict, setting.bands(pair, verdict)
+    return verdict, verdict.bands
 
 
 def reconstruct(pair, selection: WeightSelection | None = None, profile=STANDARD):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import twospec
-from twospec import files, interlacing
+from twospec import files, fuzz, interlacing
 from twospec.interlacing import (
     EMPTY_BAND,
     GAP_OVERFULL,
@@ -14,6 +14,8 @@ from twospec.interlacing import (
     OUT_OF_RANGE,
     SHARED_POINT,
 )
+from twospec.kernel import CIRCLE, WeightSelection
+from twospec.verify import FLOAT64, STANDARD
 
 from . import oracles
 
@@ -202,6 +204,37 @@ class TestCircleCheck:
         bands = twospec.bands_circle(circle_7_3)
         flat = [j for band in bands for j in band]
         assert sorted(flat) == list(range(1, circle_7_3.n + 1))
+
+
+def _counting_bisect(monkeypatch):
+    """Count the band scan's steps from here on: ``bisect_left`` calls."""
+    calls, bisect = [], interlacing.bisect_left
+    monkeypatch.setattr(
+        interlacing, "bisect_left", lambda *a, **kw: calls.append(1) or bisect(*a, **kw)
+    )
+    return calls
+
+
+class TestOneScanPerSolve:
+    """The verdict carries the bands: a circle solve, and the decode of its
+    document, scan the pair exactly as one check does."""
+
+    @pytest.mark.parametrize("seed, n, m", [(1, 6, 2), (2, 6, 5), (3, 12, 4), (1, 40, 13)])
+    def test_reconstruct_and_decode_scan_once(self, monkeypatch, seed, n, m):
+        pair = fuzz.random_circle_instance(random.Random(seed), n, m)
+        calls = _counting_bisect(monkeypatch)
+        assert twospec.check_interlace_circle(pair).accepted
+        one = len(calls)
+        assert one > 0
+        del calls[:]
+        solution = twospec.reconstruct(pair)
+        assert len(calls) == one
+        problem = files.Problem(CIRCLE, FLOAT64, pair, WeightSelection(), STANDARD)
+        text = files.dumps_canonical(files.encode_solution(solution, problem))
+        del calls[:]
+        back = files.decode_solution(files.loads_document(text))
+        assert len(calls) == one
+        assert back == solution
 
 
 _TOL, _TWO_PI = interlacing.POINT_TOL, interlacing.TWO_PI

@@ -121,12 +121,48 @@ def interlaces_by_scan(xs, ys):
     return True
 
 
+def real_bands_by_definition(pair):
+    """Band r = {j : y_r < x_j < y_{r+1}}, r = 0..m, with y_0 = -inf and
+    y_{m+1} = +inf."""
+    ys = (-math.inf, *pair.ys, math.inf)
+    return tuple(
+        tuple(j for j, x in enumerate(pair.xs, start=1) if lo < x < hi)
+        for lo, hi in zip(ys, ys[1:])
+    )
+
+
+def circle_bands_by_definition(pair):
+    """Band r = {j : phi_r < theta_j < phi_{r+1}}, r = 0..m-1, with
+    phi_m = phi_0 + 2 pi, on the normalized arguments."""
+    phis = (*pair.phis, pair.phis[0] + TWO_PI)
+    return tuple(
+        tuple(j for j, t in enumerate(pair.thetas, start=1) if lo < t < hi)
+        for lo, hi in zip(phis, phis[1:])
+    )
+
+
 class TestInterlacingProperties:
     @given(arbitrary_real_pairs())
     @settings(max_examples=120, deadline=None)
     def test_check_equals_exhaustive_scan(self, pair):
         verdict = twospec.check_interlace_real(pair)
         assert verdict.accepted == interlaces_by_scan(pair.xs, pair.ys)
+
+    @given(arbitrary_real_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_verdict_carries_the_defined_bands_on_acceptance_only(self, pair):
+        verdict = twospec.check_interlace_real(pair)
+        want = real_bands_by_definition(pair) if verdict.accepted else None
+        assert verdict.bands == want
+
+    @given(circle_raw_angles())
+    @settings(max_examples=120, deadline=None)
+    def test_circle_check_equals_nonempty_defined_bands(self, angles):
+        pair = twospec.circle_pair_from_angles(*angles)
+        verdict = twospec.check_interlace_circle(pair)
+        bands = circle_bands_by_definition(pair)
+        assert verdict.accepted == all(bands)
+        assert verdict.bands == (bands if verdict.accepted else None)
 
     @given(interlacing_real_pairs())
     @settings(max_examples=80, deadline=None)
@@ -146,6 +182,7 @@ class TestInterlacingProperties:
         flat = [j for band in bands for j in band]
         assert sorted(flat) == list(range(1, pair.n + 1))
         assert all(band for band in bands)
+        assert bands == real_bands_by_definition(pair)
 
     @given(circle_instances())
     @settings(max_examples=60, deadline=None)
@@ -154,6 +191,7 @@ class TestInterlacingProperties:
         bands = twospec.bands_circle(pair)
         flat = [j for band in bands for j in band]
         assert sorted(flat) == list(range(1, pair.n + 1))
+        assert bands == circle_bands_by_definition(pair)
 
 
 class TestKernelProperties:
