@@ -93,7 +93,8 @@ def loads_document(text: str) -> dict:
     exact."""
     try:
         return json.loads(text, parse_float=str)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    # JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
 
 
@@ -499,20 +500,21 @@ def decode_solution(doc: dict):
 
 def emit_mathematica(problem: Problem) -> str:
     """The problem in the reference notebook's call syntax (real setting
-    only); output-only, never parsed back."""
+    only); output-only, never parsed back.  A Fraction is written p/q, a
+    binary64 value as its shortest repr with the exponent in Mathematica's
+    *^ form and a point in the mantissa (1.*^-5, -2.5*^16)."""
     if problem.setting != REAL:
         raise ProblemFormatError("notebook emission supports the real setting only")
 
-    zn = "{" + ", ".join(str(x) for x in problem.pair.xs) + "}"
-    zm = "{" + ", ".join(str(y) for y in problem.pair.ys) + "}"
+    def number(v):
+        mantissa, e, exponent = str(v).partition("e")
+        return f"{mantissa}{'' if '.' in mantissa else '.'}*^{int(exponent)}" if e else mantissa
+
+    zn, zm = ("{" + ", ".join(map(number, zs)) + "}" for zs in (problem.pair.xs, problem.pair.ys))
     sel = problem.selection
     if sel.strategy == SUM_ALL:
         return f"OPRLFamily[{zn}, {zm}]"
     if sel.strategy == COEFFICIENTS:
-        rules = ", ".join(
-            f"s[{j}] -> {v}" for j, v in sorted(sel.coefficients.items())
-        )
+        rules = ", ".join(f"s[{j}] -> {number(v)}" for j, v in sorted(sel.coefficients.items()))
         return f"OPRLFamily[{zn}, {zm}, {{{rules}}}]"
-    raise ProblemFormatError(
-        f"strategy {sel.strategy!r} has no notebook equivalent"
-    )
+    raise ProblemFormatError(f"strategy {sel.strategy!r} has no notebook equivalent")

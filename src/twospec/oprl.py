@@ -48,13 +48,10 @@ class JacobiData:
     @cached_property
     def polys(self) -> tuple:
         """P_0..P_n as ascending coefficient tuples, from P_{k+1} =
-        (x - beta_k) P_k - gamma_k P_{k-1}, in the scalar field of beta:
-        exact ones by ``_exact_family`` (``stieltjes`` fills in the family
-        it built), binary64 ones by the recurrence itself."""
-        if self.beta and not is_exact_scalar(self.beta[0]):
-            return _recurrence_polys(self.beta, self.gamma, 1.0)  # typed: no "1" in binary64
-        pairs = tuple(zip(self.beta, (0, *self.gamma)))
-        return _exact_family(self.n, lambda k, u, u_prev: pairs[k])
+        (x - beta_k) P_k - gamma_k P_{k-1} in the field of beta (``Fraction``
+        if empty); ``stieltjes`` hands exact data the family its pass built."""
+        exact = not self.beta or is_exact_scalar(self.beta[0])
+        return _recurrence_polys(self.beta, self.gamma, Fraction(1) if exact else 1.0)
 
 
 def moments_real(xs, omega) -> tuple:
@@ -70,14 +67,15 @@ def stieltjes(xs, omega) -> JacobiData:
     Over ``Fraction`` by the moment form of the Stieltjes procedure
     (Gautschi, Orthogonal Polynomials (2004), sections 2.1 and 2.2.3):
     beta_k and gamma_k are power sums paired with the coefficients of P_k,
-    and one pass of the recurrence builds P_0..P_n, which the returned data
-    holds; a step costs O(k) integer products and one content gcd.  Over
-    binary64 by RKPW (``_rkpw``), which needs no reorthogonalization.  Both
-    give the exact coefficients over ``Fraction``.  NonpositiveWeightError
-    unless every weight is positive and finite (``kernel.check_weights``);
-    ZeroNormError for no nodes, or when nodes coincide (a P_k of norm zero
-    exactly; a gamma_k that is not positive, NaN too, in binary64), or when
-    a binary64 gamma_k underflows to 0 at distinct nodes.  No threshold.
+    and the same pass builds P_0..P_n, which the returned data holds (other
+    data runs the plain recurrence); a step costs O(k) integer products and
+    one content gcd.  Over binary64 by RKPW (``_rkpw``), which needs no
+    reorthogonalization.  Both give the exact coefficients over ``Fraction``.
+    NonpositiveWeightError unless every weight is positive and finite
+    (``kernel.check_weights``); ZeroNormError for no nodes, or when nodes
+    coincide (a P_k of norm zero exactly; a gamma_k that is not positive,
+    NaN too, in binary64), or when a binary64 gamma_k underflows to 0 at
+    distinct nodes.  No threshold.
     """
     if len(omega) != len(xs):
         raise LengthMismatchError(f"{len(omega)} weights for {len(xs)} nodes")
@@ -110,47 +108,34 @@ def _next_primitive(xu, u, u_prev, beta, ratio):
     return [v // content for v in g] if content > 1 else g
 
 
-def _exact_family(n, coefficients):
-    """P_0..P_n as Fraction tuples by the recurrence on primitive integer
-    vectors u_k, P_k = u_k / L_k with L_k = u_k[-1] > 0: times x is a shift,
-    and gamma_k P_{k-1} is gamma_k L_k / L_{k-1} times u_{k-1} in units of
-    P_k.  ``coefficients(k, u_k, u_{k-1})`` gives beta_k and gamma_k (0 at
-    k = 0)."""
-    u_prev, u = [], [1]
-    out = [(Fraction(1),)]
-    for k in range(n):
-        beta, gamma = map(Fraction, coefficients(k, u, u_prev))
-        ratio = gamma * u[-1] / u_prev[-1] if k else gamma
-        u_prev, u = u, _next_primitive([0, *u], [*u, 0], [*u_prev, 0, 0], beta, ratio)
-        out.append(tuple(Fraction(c, u[-1]) for c in u))
-    return tuple(out)
-
-
 def _moment_stieltjes(xs, omega):
-    """beta, gamma and P_0..P_n over Fraction, in one ``_exact_family`` pass.
-    With R_i = D^(2n-1-i) S_i (the power sums over one denominator) and
-    P_k = u / L: H_k = sum_i u_i R_{i+k} and A_k = sum_i u_i R_{i+k+1} are
-    h_k = <P_k, P_k> = <P_k, x^k> and <P_k, x^(k+1)> times L E D^(2n-1), so
-    beta_k = <x P_k, P_k> / h_k = A_k / H_k + u_{k-1} / L (0 at k = 0) and
-    gamma_k = h_k / h_{k-1} = H_k L_{k-1} / (H_{k-1} L_k).  H_k = 0: P_k
-    vanishes at every node."""
+    """beta, gamma and P_0..P_n over Fraction, in one pass of the recurrence
+    on primitive integer vectors u_k, P_k = u_k / L_k with L_k = u_k[-1] > 0.
+    With R_i = D^(2n-1-i) S_i (the power sums over one denominator),
+    H_k = sum_i u_k[i] R_{i+k} and A_k = sum_i u_k[i] R_{i+k+1} are
+    h_k = <P_k, P_k> = <P_k, x^k> and <P_k, x^(k+1)> times L_k E D^(2n-1), so
+    beta_k = <x P_k, P_k> / h_k = A_k / H_k + u_k[k-1] / L_k (0 at k = 0) and
+    gamma_k = h_k / h_{k-1} = H_k L_{k-1} / (H_{k-1} L_k).  Times L_k, x P_k
+    is u_k shifted and gamma_k P_{k-1} is ratio u_{k-1}, ratio = H_k / H_{k-1}
+    (0 at k = 0).  H_k = 0: P_k vanishes at every node."""
     (scale, nodes), (_, weights) = integer_grid(xs), integer_grid(omega)
     n = len(xs)
     sums = [s * scale ** (2 * n - 1 - i) for i, s in enumerate(power_sums(nodes, weights, 2 * n))]
-    beta, gamma, norms = [], [], []
-
-    def moments(k, u, u_prev):
+    beta, gamma, polys = [], [], [(Fraction(1),)]
+    u_prev, u, norm_prev = [], [1], 0
+    for k in range(n):
         norm = sum(map(mul, u, sums[k : 2 * k + 1]))
         if not norm:
             raise ZeroNormError(f"P_{k} vanishes at every node: coincident nodes")
         first, lead = sum(map(mul, u, sums[k + 1 : 2 * k + 2])), u[-1]
         beta.append(Fraction(first * lead + (u[-2] * norm if k else 0), norm * lead))
         if k:
-            gamma.append(Fraction(norm * u_prev[-1], norms[-1] * lead))
-        norms.append(norm)
-        return beta[k], gamma[k - 1] if k else 0
-
-    return beta, gamma, _exact_family(n, moments)
+            gamma.append(Fraction(norm * u_prev[-1], norm_prev * lead))
+        ratio = Fraction(norm, norm_prev) if k else Fraction(0)
+        u_prev, u = u, _next_primitive([0, *u], [*u, 0], [*u_prev, 0, 0], beta[k], ratio)
+        norm_prev = norm
+        polys.append(tuple(Fraction(c, u[-1]) for c in u))
+    return beta, gamma, tuple(polys)
 
 
 def _rkpw(xs, omega):

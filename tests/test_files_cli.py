@@ -419,6 +419,25 @@ class TestSolutionRoundTrip:
         back = files.decode_solution(files.loads_document(text))
         assert files.dumps_canonical(files.encode_solution(back, problem)) == text
 
+    def test_exact_text_round_trip_at_the_polynomial_listing_limit(self):
+        # n = 43, the largest n whose P_0..P_n a document lists: the decoded
+        # record rebuilds them from beta/gamma, and they must write the same
+        # text as the family the solve built
+        doc = dict(
+            REAL_DOC,
+            zn=[str(x) for x in range(1, 86, 2)],
+            zm=[str(y) for y in range(2, 51, 2)],
+            weights={"strategy": "cover"},
+        )
+        problem = files.load_problem(doc)
+        solution = twospec.reconstruct(problem.pair, problem.selection, problem.profile)
+        assert (solution.report.verdict, problem.pair.n) == (True, 43)
+        text = files.dumps_canonical(files.encode_solution(solution, problem))
+        assert len(json.loads(text)["polynomials"]) == 44
+        back = files.decode_solution(files.loads_document(text))
+        assert "polys" not in back.jacobi.__dict__
+        assert files.dumps_canonical(files.encode_solution(back, problem)) == text
+
     def test_float_cover_text_round_trip_without_polynomials(self):
         pair = fuzz.random_real_instance(random.Random(1), 60, 20)
         problem = files.load_problem(_float_cover_doc(pair))
@@ -1365,6 +1384,17 @@ class TestCli:
         code, text = run_cli(tmp_path, doc, "reconstruct", "--emit-mathematica")
         assert code == 0
         assert text == "OPRLFamily[{1, 2, 3, 4}, {3/2, 7/2}, {s[1] -> 3}]\n"
+        # binary64 values in Mathematica's *^ exponent form, never 1e-05
+        doc = dict(
+            REAL_DOC,
+            arithmetic="float64",
+            zn=[1e-05, 2e-05, 3e-05],
+            zm=[1.5e-05],
+            weights={"strategy": "coefficients", "coefficients": {"s1": "1e-20"}},
+        )
+        code, text = run_cli(tmp_path, doc, "reconstruct", "--emit-mathematica")
+        assert code == 0
+        assert text == "OPRLFamily[{1.*^-5, 2.*^-5, 3.*^-5}, {1.5*^-5}, {s[1] -> 1.*^-20}]\n"
 
     @pytest.mark.parametrize(
         "text, argv",
@@ -1400,6 +1430,13 @@ class TestCli:
         path = tmp_path / "problem.json"
         path.write_text(text)
         code = cli.main(["reconstruct", "-i", str(path), *argv])
+        assert_coded_error(capsys, code, "BAD_PROBLEM")
+
+    def test_deeply_nested_problem_exit_3(self, tmp_path, capsys):
+        # past the recursion limit json.loads raises RecursionError
+        path = tmp_path / "problem.json"
+        path.write_text("[" * 200_000)
+        code = cli.main(["check", "-i", str(path)])
         assert_coded_error(capsys, code, "BAD_PROBLEM")
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
