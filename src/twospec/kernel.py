@@ -14,7 +14,8 @@ combinations of those circuits that cover every index are exactly the
 strictly positive solutions.  The sum of the whole one-per-band family
 factors over the bands, so the default weight is computed in closed form in
 O(n^2) whatever the family size, and the line's ``cover`` weight in O(n*m);
-both settings build their ``cover`` circuits by one fold of shared factors.
+both settings read one table of differences to each band's first index per
+``cover`` solve, and build its circuits by one fold of shared factors.
 Rational line coordinates run on their integer grid X = D x, Y = D y, where
 a circuit entry is the Fraction D^(2m) / (integer product); binary64 and
 circle ones are their own, D = 1.
@@ -27,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _cartesian
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable
 
 from .errors import (
@@ -283,43 +284,38 @@ def _cover_omega(pair, bands: tuple) -> tuple:
     band b is on one circuit, entry omega_j at j and c0_s d(x_{f_s}, x_{f_b}) /
     d(x_{f_s}, x_j) at the first index f_s of band s; c0, the base, counts B times."""
     nodes, points, scale = (setting := setting_of(pair)).coords(pair)
-    diff, div = setting.diff, operator.truediv if isinstance(scale, float) else Fraction
+    div = operator.truediv if isinstance(scale, float) else Fraction
     unit = off_grid(scale ** (len(points) + len(bands) - 1), 1)
     _check_distinct(setting, nodes)
     pm = [_pm_at(setting, j, x, points) for j, x in enumerate(nodes)]
+    table = [list(map(setting.diff, repeat(nodes[b[0] - 1]), nodes)) for b in bands]
     firsts = [b[0] - 1 for b in bands]  # 0-based, as are the non-first ``rest``
     rest = [j - 1 for b in bands for j in b[1:]]
-    xf, xr = [nodes[f] for f in firsts], [nodes[j] for j in rest]
     br = [r for r, b in enumerate(bands) for _ in b[1:]]
-    table = [list(map(diff, repeat(x), xf)) for x in xf]
-    rows = chain(table, (list(map(diff, repeat(x), xf)) for x in xr))
     order = firsts + rest  # the entry at j of j's circuit: c0 at a first index
-    dens = [math.prod(row[:b] + row[b + 1 :], start=pm[j])
-            for j, b, row in zip(order, [*range(len(bands)), *br], rows)]  # fmt: skip
+    dens = [math.prod([-t[j] for q, t in enumerate(table) if q != b], start=pm[j])
+            for j, b in zip(order, [*range(len(bands)), *br])]  # fmt: skip
     entries = _signed_entries([j + 1 for j in order], dens, unit)
     omega = [abs(e) for _, e in sorted(zip(order, entries))]
-    for s, (f, x) in enumerate(zip(firsts, xf)):
-        ratios = map(div, map(table[s].__getitem__, br), map(diff, repeat(x), xr))
+    for f, t in zip(firsts, table):
+        ratios = map(div, [t[firsts[b]] for b in br], map(t.__getitem__, rest))
         omega[f] *= plain_sum([len(bands), *map(abs, ratios)])
     listed = pair.n * pair.circuit_size <= LIST_LIMIT
-    return omega, _cover_circuits(pair, bands, pm) if listed else None
+    return omega, _cover_circuits(bands, pm, table, unit) if listed else None
 
 
-def _cover_circuits(pair, bands: tuple, pm: list) -> tuple:
+def _cover_circuits(bands: tuple, pm: list, table: list, unit) -> tuple:
     """The n ``cover`` circuits S_j, j with the first index f_q of every other band, in
-    node order, as :func:`circuits` builds them from ``pm``, P_m at the nodes checked
-    distinct; the base circuit is one object.  The entry at f_p of S_j, j in band b, folds
-    P_m(x_{f_p}), d(x_{f_p}, x_{f_q}) for q < b (kept per (p, b)), d(x_{f_p}, x_j), q > b."""
-    nodes, points, scale = (setting := setting_of(pair)).coords(pair)
-    diff, unit = setting.diff, off_grid(scale ** (len(points) + len(bands) - 1), 1)
+    node order, as :func:`circuits` builds them from P_m at the nodes, checked distinct,
+    and table[q][k] = d(x_{f_q}, x_k); d is odd exactly, so the entry at j reads its
+    d(x_j, x_{f_q}) as -table[q][j].  The base circuit is one object.  The entry at f_p of
+    S_j, j in band b, folds P_m(x_{f_p}), d(x_{f_p}, x_{f_q}) for q < b (kept per (p, b)),
+    d(x_{f_p}, x_j), q > b."""
     firsts = [b[0] for b in bands]
-    # table[p][k] = d(x_{f_p}, x_k), rest[p] its d(x_{f_p}, x_{f_q}) for q != p
-    table = [list(map(diff, repeat(nodes[f - 1]), nodes)) for f in firsts]
     rest = [[t[f - 1] for q, f in enumerate(firsts) if q != p] for p, t in enumerate(table)]
     head, vecs = [pm[f - 1] for f in firsts], []  # head[p]: the fold before band b
     for b, band in enumerate(bands):
         others = [p for p in range(len(bands)) if p != b]
-        xo = [nodes[firsts[p] - 1] for p in others]
         tails = [(p, rest[p][b + (p > b) :]) for p in others]
         for j in band:
             if j == band[0] and vecs:  # the base circuit again
@@ -327,7 +323,7 @@ def _cover_circuits(pair, bands: tuple, pm: list) -> tuple:
                 continue
             s = (*firsts[:b], j, *firsts[b + 1 :])
             dens = [math.prod(t, start=head[p] * table[p][j - 1]) for p, t in tails]
-            dens.insert(b, math.prod(map(diff, repeat(nodes[j - 1]), xo), start=pm[j - 1]))
+            dens.insert(b, math.prod([-table[p][j - 1] for p in others], start=pm[j - 1]))
             vecs.append((s, _signed_entries(s, dens, unit)))
         head = [h * rest[p][b - (p < b)] if p != b else h for p, h in enumerate(head)]
     return tuple(vecs)
@@ -335,10 +331,12 @@ def _cover_circuits(pair, bands: tuple, pm: list) -> tuple:
 
 def _cover_sum(pair, bands: tuple) -> tuple:
     """``(omega, circuits)`` of the circle's ``cover``: its n circuits added in node order."""
-    nodes, points, _ = (setting := setting_of(pair)).coords(pair)
+    nodes, points, scale = (setting := setting_of(pair)).coords(pair)
     _check_distinct(setting, nodes)
     pm = [_pm_at(setting, j, x, points) for j, x in enumerate(nodes)]
-    omega, vecs = [0] * pair.n, _cover_circuits(pair, bands, pm)
+    table = [list(map(setting.diff, repeat(nodes[b[0] - 1]), nodes)) for b in bands]
+    vecs = _cover_circuits(bands, pm, table, off_grid(scale ** (len(points) + len(bands) - 1), 1))
+    omega = [0] * pair.n
     for s, entries in vecs:
         for i, e in zip(s, entries):
             omega[i - 1] = omega[i - 1] + e

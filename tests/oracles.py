@@ -4,11 +4,13 @@ No library path runs these: the library certifies a reconstruction by its
 verification residuals, and the tests cross-check them here with dense
 linear algebra over generic scalars (Fraction, float, complex), cofactor
 expansions, the recurrence run at a point, the Szego recurrence kept step by
-step, the CMV matrix from its two dense factors, the dense rows of band
-matrices and of the Jacobi matrix, the all-pairs scan for coincident circle
-points, and a generator of problems that violate interlacing.  Pivoting is by
-magnitude, which is a legal (if unnecessary) choice in exact arithmetic and
-the right one in binary64; exact pivots divide exactly.
+step, the inverse Geronimus map from a line recurrence to real Verblunsky
+coefficients with the conjugation-symmetric circle pairs it serves, the CMV
+matrix from its two dense factors, the dense rows of band matrices and of the
+Jacobi matrix, the all-pairs scan for coincident circle points, and a
+generator of problems that violate interlacing.  Pivoting is by magnitude,
+which is a legal (if unnecessary) choice in exact arithmetic and the right one
+in binary64; exact pivots divide exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from twospec.errors import DegenerateAngleError, SharedPointError, TwospecError
 from twospec.fuzz import random_circle_instance, random_real_instance
-from twospec.interlacing import POINT_TOL, TWO_PI
+from twospec.interlacing import POINT_TOL, TWO_PI, circle_pair_from_angles
 from twospec.oprl import JacobiData
 from twospec.poly import poly_scale
 from twospec.scalars import is_exact_scalar
@@ -234,6 +236,36 @@ def szego_phis(alpha) -> list:
         )
         phis.append(phi)
     return phis
+
+
+def symmetric_circle_pair(rng: random.Random, N: int, M: int):
+    """A circle pair of 2N against 2M points, invariant under conjugation
+    and with no point at +-1: N jittered angles (i + 1/2 + U(-0.3, 0.3)) pi / N
+    in (0, pi), M angles each at 0.3 to 0.7 of its own gap between them (gaps
+    drawn without repetition), all mirrored to (pi, 2 pi)."""
+    thetas = [(i + 0.5 + rng.uniform(-0.3, 0.3)) * math.pi / N for i in range(N)]
+    phis = [thetas[g] + (thetas[g + 1] - thetas[g]) * rng.uniform(0.3, 0.7)
+            for g in sorted(rng.sample(range(N - 1), M))]  # fmt: skip
+    return circle_pair_from_angles(
+        thetas + [TWO_PI - t for t in thetas], phis + [TWO_PI - p for p in phis]
+    )
+
+
+def geronimus_alpha(beta, gamma) -> list:
+    """alpha_0..alpha_{2N-2} of the conjugation-symmetric circle measure whose
+    push to x = z + 1/z has the monic recurrence beta_0..beta_{N-1},
+    gamma_1..gamma_{N-1}: the Geronimus relations (Simon, OPUC 1, Thm 13.1.7)
+    beta_k = (1 - a_{2k-1}) a_{2k} - (1 + a_{2k-1}) a_{2k-2} and gamma_{k+1} =
+    (1 - a_{2k-1}) (1 - a_{2k}^2) (1 + a_{2k+1}), with a_{-1} = -1, each solved
+    for its newest alpha in the field of beta and gamma; a_{-2} enters only
+    times 1 + a_{-1} = 0."""
+    alpha, before, last = [], 0, -1  # a_{2k-2}, a_{2k-1}
+    for k, b in enumerate(beta):
+        alpha.append(even := (b + (1 + last) * before) / (1 - last))
+        if k < len(gamma):
+            alpha.append(odd := gamma[k] / ((1 - last) * (1 - even * even)) - 1)
+            before, last = even, odd
+    return alpha
 
 
 def dense_cmv(alpha, b) -> tuple:

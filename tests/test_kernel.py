@@ -502,8 +502,8 @@ class TestCoverClosedForm:
 class TestCircuitWork:
     def test_circle_cover_weight_within_the_same_bound(self, monkeypatch):
         # positive_weight sums the same circuits without ``circuits``: P_m,
-        # the distinctness check, each first index's row to every node, and
-        # each other node's row to the first indices
+        # the distinctness check and each first index's row to every node,
+        # which every circuit entry reads, 2,112 differences here
         n, m = 64, 16
         pair = fuzz.random_circle_instance(random.Random(64), n, m)
         bands = _bands(pair)
@@ -513,13 +513,14 @@ class TestCircuitWork:
         monkeypatch.setattr(twospec.kernel, "_CIRCLE", counted)
         got = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
         assert repr(got) == repr(want)
-        assert 0 < len(calls) <= n * m + n + 2 * n * len(bands)
+        assert len(calls) == n * (m + 1 + len(bands))
 
     def test_line_cover_recording_within_twice_the_bound(self, monkeypatch):
         # a listed line cover: the closed-form omega takes P_m, the
-        # distinctness check and at most two rows per node and band, and the
-        # recorded circuits reuse its P_m, 2,279 differences here; recording
-        # through ``circuits``, B (B - 1) differences per circuit, takes 6,279
+        # distinctness check and each first index's row to every node, and
+        # the recorded circuits reuse its P_m and rows, 1,260 differences
+        # here; recording through ``circuits``, B (B - 1) differences per
+        # circuit, takes 6,090
         n, m = 30, 20
         pair = fuzz.random_real_instance(random.Random(30), n, m)
         bands = _bands(pair)
@@ -530,7 +531,7 @@ class TestCircuitWork:
         monkeypatch.setattr(twospec.kernel, "_REAL", counted)
         got = twospec.positive_weight(pair, bands, twospec.WeightSelection(COVER))
         assert repr(got) == repr(want)
-        assert 0 < len(calls) <= 2 * (n * m + n + 2 * n * len(bands))
+        assert len(calls) == n * (m + 1 + len(bands))
 
     def test_listed_line_cover_takes_pm_once_per_node(self, monkeypatch):
         # the closed form hands its P_m values to the recorded circuits

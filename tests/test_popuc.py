@@ -500,3 +500,31 @@ class TestRoundTrip:
         assert unitarity_defect(mat) <= 1e-10
         for z in zetas:
             assert abs(oracles.brute_det(oracles.dense_rows(mat), z)) <= 1e-10
+
+
+class TestSzegoMapOracle:
+    """Conjugation-symmetric circle pairs through the line: each node x = 2 Re
+    zeta (Im zeta > 0) carries the circle's own sum_all weights of zeta and
+    its conjugate, and the Geronimus map of the line's recurrence gives alphas
+    that close a record passing the circle report, whatever the pipeline's
+    moment path makes of the same pair."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("N", [6, 12, 20, 30, 45, 60])
+    def test_geronimus_alphas_pass_the_report(self, N, seed):
+        pair = oracles.symmetric_circle_pair(random.Random(seed), N, max(1, N // 3))
+        bands = twospec.check_interlace_circle(pair).bands
+        omega = twospec.positive_weight(pair, bands, WeightSelection()).omega
+        line = {}
+        for z, w in zip(pair.zetas, omega):
+            if z.imag > 0:
+                k = min(range(pair.n), key=lambda k: abs(pair.zetas[k] - z.conjugate()))
+                line[2 * z.real] = w + omega[k]
+        xs = sorted(line)
+        data = twospec.stieltjes(xs, [line[x] for x in xs])
+        alpha = tuple(map(complex, oracles.geronimus_alpha(data.beta, data.gamma)))
+        parts = twospec.circle_parts(pair, twospec.VerblunskyData(alpha, None))
+        closed = parts["verblunsky"]
+        report = twospec.verify_popuc(pair, omega, closed, (parts["c_n"], parts["c_m"]))
+        assert report.verdict, report.failures
+        assert abs(closed.b + 1) <= 1e-12

@@ -1,8 +1,10 @@
 """Property-based tests for the structural invariants."""
 
 import math
+import operator
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import twospec
@@ -249,6 +251,28 @@ class TestKernelProperties:
     def test_oracle_nullspace_dimension(self, pair):
         system = twospec.assemble_system(pair)
         assert len(oracles.brute_nullspace(system, pair.n)) == pair.n - pair.m
+
+
+class TestSignedDifferenceProperties:
+    """A ``cover`` solve reads d(x_j, x_f) as -d(x_f, x_j) off one table of
+    differences to each band's first index, so every setting's signed
+    difference must be odd exactly for x != y."""
+
+    @pytest.mark.parametrize(
+        "diff, values",
+        [
+            (operator.sub, st.floats(allow_nan=False, allow_infinity=False)),
+            (operator.sub, st.fractions()),
+            (twospec.kernel._CIRCLE.diff, st.floats(0, 2 * TWO_PI, exclude_max=True)),
+        ],
+        ids=["binary64", "fraction", "circle"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_signed_difference_is_odd_exactly(self, diff, values, data):
+        x, y = data.draw(values), data.draw(values)
+        assume(x != y)
+        assert diff(x, y) == -diff(y, x)
 
 
 class TestExactGridProperties:
